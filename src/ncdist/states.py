@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import SchemaError, TruncationTooSmall
+from .errors import DimensionTooLarge, SchemaError, TruncationTooSmall
 from .fock import (
     DEFAULT_TAIL_TOL,
     DensityMatrix,
@@ -184,6 +184,11 @@ class ClassicalEnsemble:
         """Dense realization (subject to the dense-dimension cap)."""
         if trunc.nmodes != self.nmodes:
             raise ValueError("mode count mismatch")
+        if trunc.dim > MAX_DENSE_DIM:
+            raise DimensionTooLarge(
+                f"dense dimension {trunc.dim} exceeds the cap {MAX_DENSE_DIM}; "
+                "use the diagonal/pure structured paths instead"
+            )
         self._check_tail(trunc)
         if self.is_diagonal():
             return DensityMatrix(

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ncdist import (
     BoundReport,
     DensityMatrix,
     FockVector,
+    NumericalInconsistency,
     ReportConfig,
     StateSpec,
     TruncationSpec,
@@ -24,7 +26,9 @@ from ncdist import (
     triangle_bounds,
     upper_q,
     upper_witness,
+    vacuum_number_diag,
 )
+from ncdist import bounds
 from ncdist.fock import poisson_pmf
 
 G1 = math.exp(-1.0)
@@ -164,6 +168,40 @@ def test_diag_minimize_input_validation():
     off[0, 1] = off[1, 0] = 0.1
     with pytest.raises(ValueError):
         diag_classical_minimize(DensityMatrix(tr, off), np.linspace(0, 2, 5))
+
+
+def test_diag_minimize_raises_when_the_lp_fails(monkeypatch):
+    def failed(*args, **kwargs):
+        return SimpleNamespace(success=False, message="solver gave up")
+
+    monkeypatch.setattr(bounds, "linprog", failed)
+    rho = vacuum_number_diag(1, 0.3, TruncationSpec((20,)))
+    with pytest.raises(NumericalInconsistency):
+        diag_classical_minimize(rho, np.linspace(0.0, 8.0, 41))
+
+
+def test_diag_minimize_raises_above_the_dual_bound(monkeypatch):
+    # a feasible but suboptimal primal point (the best single grid atom)
+    # handed back with the true optimum's duals must fail the certificate
+    rho = vacuum_number_diag(1, 0.3, TruncationSpec((20,)))
+    grid = np.linspace(0.0, 8.0, 41)
+    single = [diag_mixture_distance(rho, [e], [1.0]) for e in grid]
+    best = int(np.argmin(single))
+    optimum = diag_classical_minimize(rho, grid)
+    assert isinstance(optimum.witness["iterations"], int)  # LP iterations
+    assert single[best] > optimum.value + 1e-7
+    real = bounds.linprog
+
+    def one_hot(*args, **kwargs):
+        res = real(*args, **kwargs)
+        x = np.zeros_like(res.x)
+        x[best] = 1.0
+        res.x = x
+        return res
+
+    monkeypatch.setattr(bounds, "linprog", one_hot)
+    with pytest.raises(NumericalInconsistency):
+        diag_classical_minimize(rho, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +410,22 @@ def test_saturation_mechanism_on_exact_reports():
         assert sat["checked"]
         assert sat["eigenvector_residual"] <= 1e-9
         assert sat["attainment_defect"] <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("cat", {"parity": "even", "beta": 3.0}),
+        ("cat", {"parity": "odd", "beta": 2.5}),
+        ("entangled_coherent", {"parity": "odd", "beta": 2.5, "eta": 0.3}),
+    ],
+)
+def test_exact_report_picks_a_saturating_tied_witness(kind, params):
+    # sigma_beta and sigma_alpha* tie within EXACT_TOL here, and the bare
+    # minimum is sigma_alpha*, which is not an exact eigen-witness
+    rep = report(StateSpec(kind, params))
+    assert rep.exact is not None
+    assert rep.saturation["checked"] and rep.saturation["ok"]
 
 
 def test_report_serialization_shape():

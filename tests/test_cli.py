@@ -84,6 +84,15 @@ def test_small_cutoff_exits_three(tmp_path, capsys):
     assert "cutoff" in err or "trunc" in err.lower()
 
 
+def test_oversized_dense_witness_exits_three(tmp_path, capsys):
+    # the coherent self-witness would be a dense matrix of dimension 51660
+    state = {"kind": "coherent", "alpha": [[2, 0], [1.5, 0.3], [1, 1]]}
+    path = write_state(tmp_path, "wide.json", state)
+    code, _, err = run_cli(capsys, "report", path)
+    assert code == 3
+    assert "dense dimension" in err
+
+
 def test_figure_fig3(tmp_path, capsys):
     out = tmp_path / "f3.csv"
     code, stdout, _ = run_cli(capsys, "figure", "fig3", "--out", str(out))

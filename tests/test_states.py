@@ -1,10 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ncdist.errors import SchemaError, TruncationTooSmall
+from ncdist.errors import DimensionTooLarge, SchemaError, TruncationTooSmall
 from ncdist.fock import TruncationSpec, coherent_amps, mean_total_energy, poisson_pmf
 from ncdist.states import (
     CatParams,
@@ -147,6 +148,19 @@ def test_ensemble_tail_certification():
     with pytest.raises(TruncationTooSmall) as exc:
         e.realize_diag(TruncationSpec((10,)))
     assert exc.value.suggested_cutoffs[0] > 10
+
+
+def test_dense_realize_checks_the_cap_before_allocating():
+    ens = coherent_point_ensemble([0.5, 0.3j])
+    tr = TruncationSpec((64, 63))  # dim 65 * 64 = 4160, just past the cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionTooLarge):
+            ens.realize(tr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_two_point_mixture_eigenvectors_are_cats():
