@@ -956,41 +956,20 @@ def _report_entangled_coherent(spec: StateSpec, cfg: ReportConfig) -> BoundRepor
 def _report_classical_ensemble(
     ens: ClassicalEnsemble, state_id: str, cfg: ReportConfig
 ) -> BoundReport:
-    trunc = TruncationSpec(ens.required_cutoffs(cfg.tail_tol), cfg.tail_tol)
-    if cfg.trunc is not None:
-        trunc = trunc.union(cfg.trunc)
+    # the state is its own witness: d(sigma, sigma) = 0 and F(sigma, sigma) = 1
+    # hold exactly, so nothing is realized
     cand = _WitnessCandidate(ens)
-    if ens.is_diagonal():
-        q = ens.realize_diag(trunc)
-        d_self = trace_distance_diag(q, q)
-        f_self = float(q.sum())
-    else:
-        sigma = ens.realize(trunc)
-        d_self = trace_distance(sigma, sigma)
-        f_self = fidelity(sigma, sigma)
-    lowers = [
-        Bound(
-            "fidelity-family",
-            min(max(1.0 - f_self, 0.0), _ONE_MINUS),
-            "eq17-family-lower[1]",
-        )
-    ]
+    lowers = [Bound("fidelity-family", 0.0, "eq17-family-lower[1]")]
     uppers = [
         Bound(
             "self-witness",
-            min(max(d_self, 0.0), _ONE_MINUS),
+            0.0,
             "eq2-witness-upper",
             witness=cand.to_obj(),
             computed=True,
         )
     ]
-    return _assemble(
-        state_id,
-        lowers,
-        uppers,
-        witness_cands=[(d_self, cand)],
-        cfg=cfg,
-    )
+    return _assemble(state_id, lowers, uppers, witness_cands=[(0.0, cand)], cfg=cfg)
 
 
 def _report_coherent(spec: StateSpec, cfg: ReportConfig) -> BoundReport:

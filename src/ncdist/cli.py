@@ -60,13 +60,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_figure(args) -> int:
     out = args.out or f"{args.which}.csv"
-    path = write_figure(
-        args.which,
-        out,
-        steps=args.steps,
-        tail_tol=args.tail_tol,
-        seed=args.seed,
-    )
+    path = write_figure(args.which, out, steps=args.steps, tail_tol=args.tail_tol)
     print(f"wrote {path} and {path}.plot.py")
     return EXIT_OK
 
@@ -100,11 +94,11 @@ def _cmd_qsup(args) -> int:
 def _add_state_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("state", help="path to a JSON state description")
     p.add_argument("--trunc", type=int, default=None, help="uniform per-mode cutoff override")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="multistart seed")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL, help="truncation tail budget")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="multistart seed")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 

@@ -2,28 +2,24 @@
 
 Each sweep evaluates one state per grid point and writes a plain CSV
 (header row, comma separated, LF endings, 17 significant digits) plus a
-small standalone plotting script next to it. Rows are computed in a
-thread pool but always assembled in grid order, and the multistart seed
-is fixed, so repeated runs are byte-identical.
+small standalone plotting script next to it. A cat row is one ``report``
+on that cat, read off by bound name, so the figures show exactly what
+``ncdist report`` prints. Nothing in a sweep is random and rows are
+assembled in grid order whatever the thread pool does, so repeated runs
+are byte-identical.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .bounds import upper_witness
+from .bounds import ReportConfig, report
 from .fock import DEFAULT_TAIL_TOL
-from .husimi import DEFAULT_SEED, gamma_n, q_sup
-from .states import (
-    StateSpec,
-    coherent_point_ensemble,
-    phase_ring,
-    two_point_mixture,
-)
+from .husimi import gamma_n
+from .states import StateSpec
 
 FIG1_COLUMNS = (
     "beta",
@@ -51,44 +47,39 @@ def default_grid(which: str, steps: int | None = None):
     raise ValueError(f"unknown figure {which!r} (expected one of {FIGURES})")
 
 
-def _cat_row(parity, beta, with_ring, tail_tol, seed):
-    psi = StateSpec("cat", {"parity": parity, "beta": float(beta)}).build()
-    sup = q_sup(psi, seed=seed)
-    m = sup.value
-    alpha_star = float(abs(sup.argmax[0][0]))
-    row = [float(beta), alpha_star, 1.0 - m, math.sqrt(max(0.0, 1.0 - m))]
-
-    sigma_beta = two_point_mixture([beta], [-beta])
-    row.append(upper_witness(psi, sigma_beta, tail_tol=tail_tol).value)
-    if alpha_star > 1e-9:
-        sigma_star = two_point_mixture([alpha_star], [-alpha_star])
-    else:
-        sigma_star = coherent_point_ensemble([0.0])
-    row.append(upper_witness(psi, sigma_star, tail_tol=tail_tol).value)
+def _cat_row(parity, beta, with_ring, tail_tol):
+    spec = StateSpec("cat", {"parity": parity, "beta": float(beta)})
+    rep = report(spec, ReportConfig(tail_tol=tail_tol))
+    named = {b.name: b for b in rep.lowers + rep.uppers}
+    alpha_star = abs(complex(*named["best-point"].witness["alpha"][0]))
+    row = [float(beta), alpha_star] + [
+        named[n].value
+        for n in ("pure-overlap", "overlap-sqrt", "sigma-beta", "sigma-alpha-star")
+    ]
     if with_ring:
-        ring = phase_ring(alpha_star * alpha_star)
-        row.append(upper_witness(psi, ring, tail_tol=tail_tol).value)
+        row.append(named["dephased-ring"].value)
     return row
 
 
-def fig1_rows(betas=None, *, tail_tol=DEFAULT_TAIL_TOL, seed=DEFAULT_SEED, max_workers=None):
+def _map_rows(row, betas, max_workers):
+    # one worker or one row: run in the calling thread, since handing a
+    # millisecond row to a pool thread costs as much as the row on a busy host
+    if max_workers == 1 or len(betas) < 2:
+        return np.array([row(b) for b in betas])
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        return np.array(list(pool.map(row, betas)))
+
+
+def fig1_rows(betas=None, *, tail_tol=DEFAULT_TAIL_TOL, max_workers=None):
     """Even-cat sweep: Q-based bracket plus the two coherent-pair witnesses."""
     betas = default_grid("fig1") if betas is None else np.asarray(betas, dtype=float)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(
-            pool.map(lambda b: _cat_row("even", b, False, tail_tol, seed), betas)
-        )
-    return np.array(rows)
+    return _map_rows(lambda b: _cat_row("even", b, False, tail_tol), betas, max_workers)
 
 
-def fig2_rows(betas=None, *, tail_tol=DEFAULT_TAIL_TOL, seed=DEFAULT_SEED, max_workers=None):
+def fig2_rows(betas=None, *, tail_tol=DEFAULT_TAIL_TOL, max_workers=None):
     """Odd-cat sweep; adds the distance to the ring at the Q-peak energy."""
     betas = default_grid("fig2") if betas is None else np.asarray(betas, dtype=float)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        rows = list(
-            pool.map(lambda b: _cat_row("odd", b, True, tail_tol, seed), betas)
-        )
-    return np.array(rows)
+    return _map_rows(lambda b: _cat_row("odd", b, True, tail_tol), betas, max_workers)
 
 
 def fig3_rows(etas=None):
@@ -102,16 +93,12 @@ def fig3_rows(etas=None):
     return np.column_stack(cols)
 
 
-def compute_rows(which, *, steps=None, tail_tol=DEFAULT_TAIL_TOL, seed=DEFAULT_SEED, max_workers=None):
+def compute_rows(which, *, steps=None, tail_tol=DEFAULT_TAIL_TOL, max_workers=None):
     grid = default_grid(which, steps)
     if which == "fig1":
-        return FIG1_COLUMNS, fig1_rows(
-            grid, tail_tol=tail_tol, seed=seed, max_workers=max_workers
-        )
+        return FIG1_COLUMNS, fig1_rows(grid, tail_tol=tail_tol, max_workers=max_workers)
     if which == "fig2":
-        return FIG2_COLUMNS, fig2_rows(
-            grid, tail_tol=tail_tol, seed=seed, max_workers=max_workers
-        )
+        return FIG2_COLUMNS, fig2_rows(grid, tail_tol=tail_tol, max_workers=max_workers)
     return FIG3_COLUMNS, fig3_rows(grid)
 
 
@@ -141,10 +128,10 @@ print("wrote {png_name}")
 '''
 
 
-def write_figure(which, out_path, *, steps=None, tail_tol=DEFAULT_TAIL_TOL, seed=DEFAULT_SEED, max_workers=None) -> str:
+def write_figure(which, out_path, *, steps=None, tail_tol=DEFAULT_TAIL_TOL, max_workers=None) -> str:
     """Write the sweep CSV and a companion plotting script; returns the CSV path."""
     columns, rows = compute_rows(
-        which, steps=steps, tail_tol=tail_tol, seed=seed, max_workers=max_workers
+        which, steps=steps, tail_tol=tail_tol, max_workers=max_workers
     )
     text = format_csv(columns, rows)
     with open(out_path, "w", newline="\n") as fh:

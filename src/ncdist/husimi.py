@@ -150,9 +150,11 @@ def cat_qmax(params: CatParams) -> QSupremum:
         dg = lambda a: b * b / math.cosh(b * a) ** 2 - 1.0
         lo, hi = 1e-12, b
     else:
-        g = lambda a: b / math.tanh(b * a) - a
+        # b coth(b a) - a without cancellation: the root sits about
+        # 2b e^{-2b^2} above b, so g(b) > 0 even where tanh(b^2) rounds to 1
+        g = lambda a: (b - a) + 2.0 * b / math.expm1(2.0 * b * a)
         dg = lambda a: -b * b / math.sinh(b * a) ** 2 - 1.0
-        lo = b * (1.0 + 1e-12)
+        lo = b
         hi = b / math.tanh(b * b) + 1.0
 
     flo, fhi = g(lo), g(hi)

@@ -303,7 +303,7 @@ def test_report_classical_states_are_exactly_zero():
     assert rep.best_upper < 1e-12
 
     rep2 = _spec_report("phase_randomized", {"energy": 1.0})
-    assert rep2.exact is not None and rep2.exact < 1e-9
+    assert rep2.best_lower == rep2.best_upper == rep2.exact == 0.0
 
 
 def test_report_vacuum_number_brackets():
@@ -418,11 +418,16 @@ def test_saturation_mechanism_on_exact_reports():
         ("cat", {"parity": "even", "beta": 3.0}),
         ("cat", {"parity": "odd", "beta": 2.5}),
         ("entangled_coherent", {"parity": "odd", "beta": 2.5, "eta": 0.3}),
+        ("cat", {"parity": "odd", "beta": 3.775}),
+        ("cat", {"parity": "odd", "beta": 4.0}),
+        ("cat", {"parity": "odd", "beta": 6.0}),
     ],
 )
 def test_exact_report_picks_a_saturating_tied_witness(kind, params):
-    # sigma_beta and sigma_alpha* tie within EXACT_TOL here, and the bare
-    # minimum is sigma_alpha*, which is not an exact eigen-witness
+    # sigma_beta and sigma_alpha* tie within EXACT_TOL here; on the first
+    # three the bare minimum is sigma_alpha*, which is not an exact
+    # eigen-witness, and on the odd cats past beta ~ 3.76 the Husimi peak
+    # lies too close to beta for a root bracket that subtracts
     rep = report(StateSpec(kind, params))
     assert rep.exact is not None
     assert rep.saturation["checked"] and rep.saturation["ok"]

@@ -115,6 +115,12 @@ def test_figure_repeat_is_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_figure_takes_no_seed(tmp_path):
+    # the sweeps run no random search; --seed belongs to report and qsup
+    with pytest.raises(SystemExit):
+        main(["figure", "fig3", "--seed", "3", "--out", str(tmp_path / "f.csv")])
+
+
 def test_qsup_number_state(tmp_path, capsys):
     path = write_state(tmp_path, "two.json", {"kind": "number", "ns": [2]})
     code, out, _ = run_cli(capsys, "qsup", path, "--trunc", "16")

@@ -4,16 +4,21 @@ import os
 import numpy as np
 import pytest
 
+from ncdist import figures
+from ncdist.bounds import report
 from ncdist.figures import (
     FIG1_COLUMNS,
     FIG2_COLUMNS,
     FIG3_COLUMNS,
     compute_rows,
     default_grid,
+    fig1_rows,
+    fig2_rows,
     fig3_rows,
     format_csv,
     write_figure,
 )
+from ncdist.states import StateSpec
 
 
 def test_default_grids():
@@ -62,6 +67,49 @@ def test_fig2_sweep_rows():
     # odd cats approach the single photon: ring distance tends to 1 - 1/e
     assert abs(rows[0, 6] - (1.0 - math.exp(-1.0))) < 1e-3
     assert np.all(rows[:, 2] <= rows[:, 3:7].min(axis=1) + 1e-8)
+
+
+@pytest.mark.parametrize(
+    "parity, rows_of, betas",
+    [("even", fig1_rows, (0.3, 1.0, 2.2)), ("odd", fig2_rows, (0.001, 0.8, 2.5))],
+)
+def test_cat_rows_are_the_named_bounds_of_report(parity, rows_of, betas):
+    rows = rows_of(betas)
+    for beta, row in zip(betas, rows):
+        rep = report(StateSpec("cat", {"parity": parity, "beta": beta}))
+        named = {b.name: b for b in rep.lowers + rep.uppers}
+        alpha = named["best-point"].witness["alpha"][0]
+        expected = [
+            beta,
+            math.hypot(*alpha),
+            named["pure-overlap"].value,
+            named["overlap-sqrt"].value,
+            named["sigma-beta"].value,
+            named["sigma-alpha-star"].value,
+        ]
+        if parity == "odd":
+            expected.append(named["dephased-ring"].value)
+        assert list(row) == expected
+
+
+def test_fig1_even_cat_at_beta_one_peaks_at_the_vacuum():
+    # for beta <= 1 the even cat's Q peaks at the origin, so sigma_alpha* is
+    # the vacuum and its distance is the pure-state value sqrt(1 - m)
+    row = dict(zip(FIG1_COLUMNS, fig1_rows([1.0])[0]))
+    assert row["alpha_star"] == 0.0
+    assert abs(row["d_sigma_alphastar"] - row["ub_q"]) <= 1e-15
+
+
+def test_one_worker_or_one_row_runs_in_the_calling_thread(monkeypatch):
+    betas = (0.3, 1.0, 2.2)
+    pooled = fig1_rows(betas, max_workers=2)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(figures, "ThreadPoolExecutor", no_pool)
+    assert np.array_equal(fig1_rows(betas, max_workers=1), pooled)
+    assert np.array_equal(fig1_rows([1.0]), pooled[1:2])
 
 
 def test_format_csv_layout():

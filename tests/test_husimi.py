@@ -124,6 +124,12 @@ def test_cat_qmax_root_find_table():
         ("odd", 0.5): (1.0436268955915371, 0.39685083414221395),
         ("odd", 1.0): (1.1996786402577337, 0.45935429822662927),
         ("odd", 2.0): (2.0013351488399778, 0.49983316446767734),
+        # the odd root lies about 2 beta e^{-2 beta^2} above beta, below
+        # double resolution from beta ~ 4.5 (50-digit values)
+        ("odd", 3.775): (3.7750000000031623, 0.49999999999979056),
+        ("odd", 4.0): (4.000000000000101, 0.49999999999999367),
+        ("odd", 5.0): (5.0, 0.5),
+        ("odd", 6.0): (6.0, 0.5),
     }
     for (par, b), (astar, m) in cases.items():
         r = cat_qmax(CatParams(par, b))
@@ -132,6 +138,9 @@ def test_cat_qmax_root_find_table():
         got_a = max(abs(r.argmax[0][0]), abs(r.argmax[1][0]))
         assert got_a == pytest.approx(astar, abs=1e-9)
         assert r.value == pytest.approx(m, rel=1e-11)
+    for b in np.linspace(0.001, 6.0, 481):
+        r = cat_qmax(CatParams("odd", float(b)))
+        assert r.argmax[0][0].real >= b and r.certificate <= 1e-12
 
 
 def test_cat_qmax_tiny_odd_beta_stable():
