@@ -76,8 +76,6 @@ from .bounds import (
     default_energy_grid,
     diag_classical_minimize,
     diag_mixture_distance,
-    lower_mixed_fidelity,
-    lower_pure_q,
     report,
     triangle_bounds,
     upper_q,

@@ -5,18 +5,19 @@ given state and the set of mixtures of coherent states.  Closed forms are
 rare, so everything here is organized around two-sided brackets:
 
 * lower bounds come from the peak normalized coherent overlap (pure
-  states), from fidelity against an explicit classical family, from a
-  triangle step against a reference state with a known bracket, and from
+  states), from fidelity against the peak coherent point, from a triangle
+  step against a reference state with a known bracket, and from
   monotonicity under discarding tensor factors;
 * upper bounds come from explicit classical witnesses (every witness value
   is a computed trace distance, never a formula taken on trust), from
   convex splits, and from a direct minimization over number-diagonal
   classical mixtures.
 
-``report`` assembles the applicable bounds for a state, keeps the best of
-each side, cross-checks the ordering, and marks the bracket exact only
-when a computed witness distance meets the best lower bound within
-``EXACT_TOL``.  Witness distances are evaluated on truncations whose tail
+Each per-family report lists its lower bounds and its witnesses; one
+assembly step keeps the best of each side, cross-checks the ordering, and
+marks the bracket exact only when a computed witness distance meets the
+best lower bound within ``EXACT_TOL`` (on pure states, by the saturation
+mechanism).  Witness distances are evaluated on truncations whose tail
 mass is certified, so each carries an error no larger than the tail
 tolerance in play.
 """
@@ -52,7 +53,6 @@ from .husimi import (
     q_tilde,
 )
 from .metrics import (
-    fidelity,
     trace_distance,
     trace_distance_diag,
     trace_distance_pure_diag,
@@ -80,8 +80,6 @@ __all__ = [
     "default_energy_grid",
     "diag_classical_minimize",
     "diag_mixture_distance",
-    "lower_mixed_fidelity",
-    "lower_pure_q",
     "report",
     "triangle_bounds",
     "upper_q",
@@ -93,6 +91,7 @@ ORDERING_SLACK = 1e-8
 FACTOR_TOL = 1e-10
 PURITY_TOL = 1e-9
 SATURATION_TOL = 1e-9
+ENERGY_GRID_POINTS = 41
 _ONE_MINUS = 1.0 - 1e-12
 
 
@@ -106,7 +105,10 @@ class Bound:
 
     ``computed`` marks values obtained as an actual trace distance to an
     explicit witness (as opposed to formula-derived bounds); only those may
-    certify a bracket as exact.
+    certify a bracket as exact.  ``candidate`` is that witness as an
+    ensemble (with its interferometer, if any): the report ranks the
+    uppers that carry one to pick the witness it certifies and passes on.
+    Neither is serialized; ``witness`` is the candidate's JSON form.
     """
 
     name: str
@@ -114,6 +116,9 @@ class Bound:
     provenance: str
     witness: dict | None = None
     computed: bool = field(default=False, compare=False)
+    candidate: "_WitnessCandidate | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     def to_dict(self) -> dict:
         d = {
@@ -130,10 +135,12 @@ class Bound:
 class BoundReport:
     """Two-sided bracket for one state: all bounds plus the best of each.
 
-    ``exact`` is set only when the bracket closes within ``EXACT_TOL`` and
-    the meeting upper bound is a computed witness distance.  ``saturation``
-    holds the witness diagnostics (eigenvector residual and overlap
-    attainment) gathered when exactness is declared; it is not serialized.
+    ``exact`` is set only when the bracket closes within ``EXACT_TOL``, the
+    meeting upper bound is a computed witness distance, and, for a pure
+    state, a witness within ``EXACT_TOL`` of the best passes the saturation
+    mechanism.  ``saturation`` holds those witness diagnostics (eigenvector
+    residual and overlap attainment) whenever the bracket closes; it is not
+    serialized.
     """
 
     state_id: str
@@ -161,34 +168,20 @@ class BoundReport:
 
 @dataclass
 class ReportConfig:
-    """Knobs shared by every bound inside one report."""
+    """Settings shared by every bound inside one report.
+
+    ``tail_tol`` is the truncation tail budget of every witness distance,
+    ``trunc`` overrides the state's own truncation, and ``seed`` drives the
+    multistart Husimi search on states without an analytic supremum.
+    """
 
     tail_tol: float = DEFAULT_TAIL_TOL
     trunc: TruncationSpec | None = None
     seed: int = DEFAULT_SEED
-    n_starts: int | None = None
-    max_evals_per_start: int = 2000
-    check_saturation: bool = True
-    energy_grid: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
 # witness machinery
-
-
-def _pad_density(rho: DensityMatrix, trunc: TruncationSpec) -> DensityMatrix:
-    """Embed a density matrix into a space with larger cutoffs."""
-    if rho.trunc.cutoffs == trunc.cutoffs:
-        return rho
-    if rho.trunc.nmodes != trunc.nmodes:
-        raise ValueError("mode count mismatch")
-    if any(a > b for a, b in zip(rho.trunc.cutoffs, trunc.cutoffs)):
-        raise ValueError("target cutoffs must dominate the current ones")
-    src = rho.mat.reshape(rho.trunc.shape + rho.trunc.shape)
-    out = np.zeros(trunc.shape + trunc.shape, dtype=np.complex128)
-    sl = tuple(slice(0, d) for d in rho.trunc.shape)
-    out[sl + sl] = src
-    return DensityMatrix(trunc, out.reshape(trunc.dim, trunc.dim))
 
 
 def _factors_obj(comp: ProductComponent) -> list[dict]:
@@ -223,9 +216,19 @@ class _WitnessCandidate:
     ensemble: ClassicalEnsemble
     rotation: np.ndarray | None = None
 
-    def required_trunc(self, base: TruncationSpec, tail_tol: float) -> TruncationSpec:
+    def frame(self, state, tail_tol: float):
+        """The state padded to a truncation that holds the ensemble to
+        ``tail_tol`` and rotated back into the ensemble's frame, with the
+        realized ensemble: its number-basis diagonal when it is number
+        diagonal, else its dense matrix."""
         req = TruncationSpec(self.ensemble.required_cutoffs(tail_tol), tail_tol)
-        return base.union(req)
+        trunc = state.trunc.union(req)
+        s = state.pad(trunc)
+        if self.rotation is not None:
+            s = _rotate_back(s, self.rotation, trunc)
+        if self.ensemble.is_diagonal():
+            return s, self.ensemble.realize_diag(trunc)
+        return s, self.ensemble.realize(trunc)
 
     def to_obj(self) -> dict:
         obj = _ensemble_obj(self.ensemble)
@@ -273,38 +276,57 @@ def _rotate_back(state, rotation: np.ndarray, trunc: TruncationSpec):
     return out
 
 
-def _witness_distance(state, cand: _WitnessCandidate, cfg: ReportConfig) -> float:
-    """Trace distance from the state to the realized witness.
+def _distance(a, b) -> float:
+    """Trace distance by the cheapest exact route.
 
-    Diagonal witnesses use the exact pure-versus-diagonal or
-    diagonal-versus-diagonal routes; everything else goes dense.
+    ``a`` is a FockVector or a DensityMatrix.  ``b`` is one too (the two
+    are padded to a common truncation), or a number-basis diagonal on
+    ``a``'s truncation.  Two pure states use the overlap formula, a pure
+    or diagonal state against a diagonal one the structured routes of
+    :mod:`.metrics`; everything else goes dense.
     """
-    trunc_w = cand.required_trunc(state.trunc, cfg.tail_tol)
-    if isinstance(state, FockVector):
-        s = state.pad(trunc_w)
-    else:
-        s = _pad_density(state, trunc_w)
-    if cand.rotation is not None:
-        s = _rotate_back(s, cand.rotation, trunc_w)
-    ens = cand.ensemble
-    if ens.is_diagonal():
-        q = ens.realize_diag(trunc_w)
-        if isinstance(s, FockVector):
-            return trace_distance_pure_diag(s, q)
-        if s.is_diagonal(1e-12):
-            return trace_distance_diag(s.diagonal(), q)
-    sigma = ens.realize(trunc_w)
-    if isinstance(s, FockVector):
-        s = outer(s)
-    return trace_distance(s, sigma)
+    if not isinstance(b, np.ndarray):
+        trunc = a.trunc.union(b.trunc)
+        a, b = a.pad(trunc), b.pad(trunc)
+        if isinstance(a, FockVector) and isinstance(b, FockVector):
+            ov = abs(np.vdot(a.flat, b.flat)) ** 2
+            na, nb = a.norm() ** 2, b.norm() ** 2
+            # exact for two pure states; sub-normalization stays within the tail
+            return math.sqrt(max(na * nb - ov, 0.0))
+        if isinstance(b, FockVector) and a.is_diagonal(1e-12):
+            a, b = b, a
+        if (
+            isinstance(b, DensityMatrix)
+            and b.is_diagonal(1e-12)
+            and (isinstance(a, FockVector) or a.is_diagonal(1e-12))
+        ):
+            b = b.diagonal()
+    if isinstance(b, np.ndarray):
+        if isinstance(a, FockVector):
+            return trace_distance_pure_diag(a, b)
+        if a.is_diagonal(1e-12):
+            return trace_distance_diag(a.diagonal(), b)
+        b = DensityMatrix(a.trunc, np.diag(b).astype(np.complex128))
+    a = outer(a) if isinstance(a, FockVector) else a
+    b = outer(b) if isinstance(b, FockVector) else b
+    return trace_distance(a, b)
 
 
-def upper_witness(rho, sigma, *, name: str = "witness", tail_tol: float | None = None,
+def upper_witness(rho, sigma, *, name: str = "witness",
+                  tail_tol: float = DEFAULT_TAIL_TOL,
                   rotation: np.ndarray | None = None) -> Bound:
     """Upper bound from one explicit classical state: the computed trace
     distance, with the witness attached."""
-    cfg = ReportConfig(tail_tol=tail_tol if tail_tol is not None else DEFAULT_TAIL_TOL)
-    return _witness_bound(rho, _WitnessCandidate(sigma, rotation), name, cfg)
+    cand = _WitnessCandidate(sigma, rotation)
+    d = _distance(*cand.frame(rho, tail_tol))
+    return Bound(
+        name,
+        min(max(d, 0.0), _ONE_MINUS),
+        "eq2-witness-upper",
+        witness=cand.to_obj(),
+        computed=True,
+        candidate=cand,
+    )
 
 
 def _unitary_with_first_column(c: np.ndarray) -> np.ndarray:
@@ -325,62 +347,11 @@ def _unitary_with_first_column(c: np.ndarray) -> np.ndarray:
 # elementary bound constructors
 
 
-def _sup_of(state, cfg: ReportConfig, hints=None):
-    return q_sup(
-        state,
-        hints,
-        seed=cfg.seed,
-        n_starts=cfg.n_starts,
-        max_evals_per_start=cfg.max_evals_per_start,
-    )
-
-
-def lower_pure_q(psi: FockVector, *, sup=None, config: ReportConfig | None = None) -> Bound:
-    """Lower bound for a pure state: one minus its peak normalized
-    coherent overlap."""
-    cfg = config or ReportConfig()
-    if sup is None:
-        sup = _sup_of(psi, cfg)
-    v = min(max(1.0 - sup.value, 0.0), _ONE_MINUS)
-    return Bound("pure-overlap", v, "eq23-pure-lower")
-
-
-def upper_q(rho, *, sup=None, config: ReportConfig | None = None) -> Bound:
-    """Upper bound for any state: the square root of one minus its peak
-    normalized coherent overlap."""
-    cfg = config or ReportConfig()
-    if sup is None:
-        sup = _sup_of(rho, cfg)
-    v = math.sqrt(min(max(1.0 - sup.value, 0.0), 1.0))
+def upper_q(m: float) -> Bound:
+    """Upper bound for any state with peak normalized coherent overlap
+    ``m``: the square root of one minus it."""
+    v = math.sqrt(min(max(1.0 - m, 0.0), 1.0))
     return Bound("overlap-sqrt", min(v, _ONE_MINUS), "eq31-upper")
-
-
-def lower_mixed_fidelity(rho, sigma_family, *, tail_tol: float = DEFAULT_TAIL_TOL) -> Bound:
-    """Lower bound from fidelity against an explicit classical family.
-
-    The value is one minus the best fidelity over the supplied ensembles.
-    It only bounds the true distance from below when the family contains a
-    fidelity maximizer over all classical states (pure targets with their
-    peak coherent point, or classical targets with themselves); callers
-    are responsible for that choice.
-    """
-    family = list(sigma_family)
-    if not family:
-        raise ValueError("need at least one classical state in the family")
-    best = -np.inf
-    for ens in family:
-        trunc = TruncationSpec(ens.required_cutoffs(tail_tol), tail_tol)
-        if isinstance(rho, FockVector):
-            trunc = rho.trunc.union(trunc)
-            s = outer(rho.pad(trunc))
-        else:
-            trunc = rho.trunc.union(trunc)
-            s = _pad_density(rho, trunc)
-        best = max(best, fidelity(s, ens.realize(trunc)))
-    v = min(max(1.0 - best, 0.0), _ONE_MINUS)
-    return Bound(
-        "fidelity-family", v, f"eq17-family-lower[{len(family)}]"
-    )
 
 
 def triangle_bounds(rho, rho_ref, delta_ref_interval) -> tuple[Bound, Bound]:
@@ -389,7 +360,7 @@ def triangle_bounds(rho, rho_ref, delta_ref_interval) -> tuple[Bound, Bound]:
     lo_ref, hi_ref = delta_ref_interval
     if hi_ref < lo_ref - 1e-12:
         raise ValueError("reference interval is inverted")
-    d = _state_distance(rho, rho_ref)
+    d = _distance(rho, rho_ref)
     lo = min(max(lo_ref - d, 0.0), _ONE_MINUS)
     hi = min(max(hi_ref + d, 0.0), _ONE_MINUS)
     return (
@@ -413,43 +384,17 @@ def convexity_upper(components) -> Bound:
     )
 
 
-def _state_distance(a, b) -> float:
-    """Trace distance between two container states, padded to a common
-    truncation, using the cheapest exact route available."""
-    trunc = a.trunc.union(b.trunc)
-
-    def lift(x):
-        return x.pad(trunc) if isinstance(x, FockVector) else _pad_density(x, trunc)
-
-    a, b = lift(a), lift(b)
-    a_vec = isinstance(a, FockVector)
-    b_vec = isinstance(b, FockVector)
-    if a_vec and b_vec:
-        ov = abs(np.vdot(a.flat, b.flat)) ** 2
-        na, nb = a.norm() ** 2, b.norm() ** 2
-        # exact for two pure states; sub-normalization stays within the tail
-        return math.sqrt(max(na * nb - ov, 0.0))
-    if a_vec and b.is_diagonal(1e-12):
-        return trace_distance_pure_diag(a, b.diagonal())
-    if b_vec and a.is_diagonal(1e-12):
-        return trace_distance_pure_diag(b, a.diagonal())
-    if not a_vec and not b_vec and a.is_diagonal(1e-12) and b.is_diagonal(1e-12):
-        return trace_distance_diag(a.diagonal(), b.diagonal())
-    a = outer(a) if a_vec else a
-    b = outer(b) if b_vec else b
-    return trace_distance(a, b)
-
-
 # ---------------------------------------------------------------------------
 # minimization over number-diagonal classical mixtures
 
 
-def default_energy_grid(mean_energy: float, points: int = 41) -> np.ndarray:
-    """Hybrid linear + geometric grid on [0, 2 * mean + 4]."""
+def default_energy_grid(mean_energy: float) -> np.ndarray:
+    """Hybrid linear + geometric grid of ``ENERGY_GRID_POINTS`` energies
+    on [0, 2 * mean + 4]."""
     hi = 2.0 * max(mean_energy, 0.0) + 4.0
-    nlin = (points + 1) // 2
+    nlin = (ENERGY_GRID_POINTS + 1) // 2
     lin = np.linspace(0.0, hi, nlin)
-    geo = np.geomspace(max(hi * 1e-3, 1e-3), hi, points - nlin)
+    geo = np.geomspace(max(hi * 1e-3, 1e-3), hi, ENERGY_GRID_POINTS - nlin)
     return np.unique(np.concatenate([lin, geo]))
 
 
@@ -499,7 +444,8 @@ def diag_classical_minimize(rho: DensityMatrix, energy_grid) -> Bound:
     checked against the LP's own dual bound: a failed solve, or a value
     more than 1e-7 above the dual bound, raises
     ``NumericalInconsistency``.  The witness's ``iterations`` entry is the
-    solver's iteration count.
+    solver's iteration count; the ring mixture itself rides on the bound
+    as its candidate.
     """
     p, p_ext = _diag_profile(rho)
     energies = np.asarray(list(energy_grid), dtype=float)
@@ -539,29 +485,28 @@ def diag_classical_minimize(rho: DensityMatrix, energy_grid) -> Bound:
         )
 
     keep = w > 1e-12
+    energies = [float(e) for e in energies[keep]]
+    weights = [float(x) for x in w[keep]]
+    total = sum(weights)
+    ring = ClassicalEnsemble(
+        tuple(
+            (x / total, ProductComponent((RingFactor(e),)))
+            for e, x in zip(energies, weights)
+        )
+    )
     return Bound(
         "diag-minimize",
         min(max(value, 0.0), _ONE_MINUS),
         "diag-minimize-upper",
         witness={
             "type": "ring-mixture",
-            "energies": [float(e) for e in energies[keep]],
-            "weights": [float(x) for x in w[keep]],
+            "energies": energies,
+            "weights": weights,
             "iterations": int(lp.nit),
         },
         computed=True,
+        candidate=_WitnessCandidate(ring),
     )
-
-
-def _ring_mixture_ensemble(bound: Bound) -> ClassicalEnsemble:
-    wit = bound.witness
-    comps = tuple(
-        (float(w), ProductComponent((RingFactor(float(e)),)))
-        for e, w in zip(wit["energies"], wit["weights"])
-    )
-    total = sum(w for w, _ in comps)
-    comps = tuple((w / total, c) for w, c in comps)
-    return ClassicalEnsemble(comps)
 
 
 # ---------------------------------------------------------------------------
@@ -588,22 +533,20 @@ def _saturation_diagnostics(
     """Check the two exactness mechanisms on a pure state: the state is an
     eigenvector of the witness, and every coherent point the witness is
     built from attains the peak overlap."""
-    trunc_w = cand.required_trunc(psi.trunc, cfg.tail_tol)
-    s = psi.pad(trunc_w)
-    if cand.rotation is not None:
-        s = _rotate_back(s, cand.rotation, trunc_w)
+    s, sigma = cand.frame(psi, cfg.tail_tol)
     f = s.flat
     nrm2 = float(np.vdot(f, f).real)
-    ens = cand.ensemble
-    if ens.is_diagonal():
-        sigma_psi = ens.realize_diag(trunc_w) * f
-    else:
-        sigma_psi = ens.realize(trunc_w).mat @ f
+    sigma_psi = sigma * f if isinstance(sigma, np.ndarray) else sigma.mat @ f
     lam = float(np.vdot(f, sigma_psi).real) / nrm2
     eigen_residual = float(np.linalg.norm(sigma_psi - lam * f)) / math.sqrt(nrm2)
 
+    # a component of weight w moves the witness by at most w in trace
+    # distance, so one lighter than the tolerance need not attain the peak
+    # (the weighted axis rings give a zero weight to an empty mode)
     attain_defect = 0.0
-    for _, comp in ens.components:
+    for w, comp in cand.ensemble.components:
+        if w <= SATURATION_TOL:
+            continue
         for pt in comp.representative_points():
             alpha = pt if cand.rotation is None else cand.rotation @ pt
             attain_defect = max(
@@ -625,17 +568,25 @@ def _assemble(
     state_id: str,
     lowers: list[Bound],
     uppers: list[Bound],
-    *,
+    state,
+    cfg: ReportConfig,
     sup_overlap: float | None = None,
-    witness_cands: list[tuple[float, _WitnessCandidate]] | None = None,
-    saturation_state=None,
-    cfg: ReportConfig | None = None,
 ) -> BoundReport:
-    cfg = cfg or ReportConfig()
+    """Rank the bounds of one state and certify its bracket.
+
+    The report's witness is the best upper that carries a candidate.  When
+    the bracket closes on a pure ``state``, the candidates within
+    ``EXACT_TOL`` of it are tried in value order and the first that passes
+    the saturation mechanism is kept; if none does, the bracket is left
+    without an exact value.
+    """
     if not uppers:
         raise ValueError("a report needs at least one upper bound")
-    best_lower = max((b.value for b in lowers), default=0.0)
-    best_upper = min(b.value for b in uppers)
+    # stable sorts: among equal values the first listed bound leads
+    lowers = sorted(lowers, key=lambda b: -b.value)
+    uppers = sorted(uppers, key=lambda b: b.value)
+    best_lower = lowers[0].value if lowers else 0.0
+    best_upper = uppers[0].value
     if best_lower > best_upper + ORDERING_SLACK:
         raise NumericalInconsistency(
             f"{state_id}: lower bound {best_lower} exceeds upper bound "
@@ -650,17 +601,14 @@ def _assemble(
     ):
         exact = min(max(0.5 * (best_lower + best_upper), 0.0), _ONE_MINUS)
 
-    # stable sort: among equal values the first listed witness leads
-    ranked = sorted(witness_cands or [], key=lambda t: t[0])
-    best_cand = ranked[0][1] if ranked else None
+    ranked = [b for b in uppers if b.candidate is not None]
+    best_cand = ranked[0].candidate if ranked else None
 
     saturation = None
-    if exact is not None and cfg.check_saturation and best_cand is not None:
-        psi = _as_pure_vector(saturation_state) if saturation_state is not None else None
+    if exact is not None and ranked:
+        psi = _as_pure_vector(state)
         if psi is not None and sup_overlap is not None:
-            # witnesses tied with the best within EXACT_TOL bound the bracket
-            # equally well; keep the first that passes the mechanism
-            tied = [c for v, c in ranked if v - ranked[0][0] <= EXACT_TOL]
+            tied = [b.candidate for b in ranked if b.value - ranked[0].value <= EXACT_TOL]
             diags = []
             for cand in tied:
                 diags.append(_saturation_diagnostics(psi, cand, sup_overlap, cfg))
@@ -668,21 +616,19 @@ def _assemble(
                     best_cand = cand
                     break
             else:
-                raise NumericalInconsistency(
-                    f"{state_id}: bracket marked exact but no witness within "
-                    f"{EXACT_TOL:.0e} of the best passes the saturation "
-                    f"mechanism (best witness: eigenvector residual "
-                    f"{diags[0]['eigenvector_residual']:.3e}, attainment "
-                    f"defect {diags[0]['attainment_defect']:.3e})"
-                )
+                # the bracket closes only numerically (the state lies within
+                # the tolerance of an exactly solvable one): no exact value,
+                # and the best witness's diagnostics show why
+                exact = None
+                diags = diags[:1]
             saturation = diags[-1]
         else:
             saturation = {"checked": False, "reason": "state is not pure"}
 
     return BoundReport(
         state_id=state_id,
-        lowers=sorted(lowers, key=lambda b: -b.value),
-        uppers=sorted(uppers, key=lambda b: b.value),
+        lowers=lowers,
+        uppers=uppers,
         best_lower=best_lower,
         best_upper=best_upper,
         exact=exact,
@@ -692,28 +638,14 @@ def _assemble(
     )
 
 
-def _witness_bound(
-    state, cand: _WitnessCandidate, name: str, cfg: ReportConfig
-) -> Bound:
-    d = _witness_distance(state, cand, cfg)
-    return Bound(
-        name,
-        min(max(d, 0.0), _ONE_MINUS),
-        "eq2-witness-upper",
-        witness=cand.to_obj(),
-        computed=True,
-    )
-
-
 def _point_upper(m_sup: float, points) -> Bound:
     """Upper bound from the best single coherent point: for a pure state
     the distance to the peak point is exactly sqrt(1 - m)."""
-    v = math.sqrt(min(max(1.0 - m_sup, 0.0), 1.0))
     alphas = np.atleast_1d(np.asarray(points, dtype=np.complex128))
-    return Bound(
-        "best-point",
-        min(v, _ONE_MINUS),
-        "eq2-witness-upper",
+    return replace(
+        upper_q(m_sup),
+        name="best-point",
+        provenance="eq2-witness-upper",
         witness={
             "type": "coherent-point",
             "alpha": [[a.real, a.imag] for a in alphas],
@@ -770,27 +702,14 @@ def _report_number(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
     point = np.sqrt(np.asarray(ns, dtype=float)).astype(np.complex128)
     _check_attained(psi, point, m, spec.state_id())
 
-    lowers = _pure_lowers(m)
-    cand = _WitnessCandidate(number_ring_product(ns))
-    wit = _witness_bound(psi, cand, "ring-product", cfg)
-    uppers = [upper_q(psi, sup=_Analytic(m)), wit, _point_upper(m, point)]
-    return _assemble(
-        spec.state_id(),
-        lowers,
-        uppers,
-        sup_overlap=m,
-        witness_cands=[(wit.value, cand)],
-        saturation_state=psi,
-        cfg=cfg,
-    )
-
-
-class _Analytic:
-    """Minimal stand-in for a supremum result with a known value."""
-
-    def __init__(self, value: float, argmax=None):
-        self.value = float(value)
-        self.argmax = argmax if argmax is not None else []
+    uppers = [
+        upper_q(m),
+        upper_witness(
+            psi, number_ring_product(ns), name="ring-product", tail_tol=cfg.tail_tol
+        ),
+        _point_upper(m, point),
+    ]
+    return _assemble(spec.state_id(), _pure_lowers(m), uppers, psi, cfg, sup_overlap=m)
 
 
 def _report_axis_superposition(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
@@ -807,22 +726,27 @@ def _report_axis_superposition(spec: StateSpec, cfg: ReportConfig) -> BoundRepor
     m = sup.value
     _check_attained(psi, sup.argmax[0], m, spec.state_id())
 
-    lowers = _pure_lowers(m)
-    uppers = [upper_q(psi, sup=sup), _point_upper(m, sup.argmax[0])]
-    cands: list[tuple[float, _WitnessCandidate]] = []
-
+    uppers = [upper_q(m), _point_upper(m, sup.argmax[0])]
     if n == 1:
         # a ring along the excitation direction is an eigenstate mixture
-        u = _unitary_with_first_column(c)
-        cand = _WitnessCandidate(phase_ring(1.0, mode=0, nmodes=nmodes), rotation=u)
-        wit = _witness_bound(psi, cand, "directional-ring", cfg)
-        uppers.append(wit)
-        cands.append((wit.value, cand))
+        uppers.append(
+            upper_witness(
+                psi,
+                phase_ring(1.0, mode=0, nmodes=nmodes),
+                name="directional-ring",
+                tail_tol=cfg.tail_tol,
+                rotation=_unitary_with_first_column(c),
+            )
+        )
     else:
-        cand = _WitnessCandidate(uniform_axis_rings(float(n), nmodes))
-        wit = _witness_bound(psi, cand, "uniform-axis-rings", cfg)
-        uppers.append(wit)
-        cands.append((wit.value, cand))
+        uppers.append(
+            upper_witness(
+                psi,
+                uniform_axis_rings(float(n), nmodes),
+                name="uniform-axis-rings",
+                tail_tol=cfg.tail_tol,
+            )
+        )
         mags2 = np.abs(c) ** 2
         if mags2.max() - mags2.min() > 1e-12:
             comps = tuple(
@@ -837,120 +761,60 @@ def _report_axis_superposition(spec: StateSpec, cfg: ReportConfig) -> BoundRepor
                 )
                 for mode, w in enumerate(mags2)
             )
-            cand2 = _WitnessCandidate(ClassicalEnsemble(comps))
-            wit2 = _witness_bound(psi, cand2, "weighted-axis-rings", cfg)
-            uppers.append(wit2)
-            cands.append((wit2.value, cand2))
-
-    return _assemble(
-        spec.state_id(),
-        lowers,
-        uppers,
-        sup_overlap=m,
-        witness_cands=cands,
-        saturation_state=psi,
-        cfg=cfg,
-    )
-
-
-def _cat_witness_cands(beta: float, alpha_star: float) -> list[tuple[str, _WitnessCandidate]]:
-    # ring at the Husimi-peak energy; when the peak sits at the origin the
-    # ring at the coherent-amplitude energy is still a usable (looser) witness
-    ring_energy = alpha_star**2 if alpha_star > 1e-9 else beta * beta
-    out = [
-        ("sigma-beta", _WitnessCandidate(two_point_mixture([beta], [-beta]))),
-        ("dephased-ring", _WitnessCandidate(phase_ring(ring_energy))),
-    ]
-    if alpha_star > 1e-9:
-        out.append(
-            (
-                "sigma-alpha-star",
-                _WitnessCandidate(two_point_mixture([alpha_star], [-alpha_star])),
+            uppers.append(
+                upper_witness(
+                    psi,
+                    ClassicalEnsemble(comps),
+                    name="weighted-axis-rings",
+                    tail_tol=cfg.tail_tol,
+                )
             )
-        )
-    else:
-        out.append(
-            ("sigma-alpha-star", _WitnessCandidate(coherent_point_ensemble([0.0])))
-        )
-    return out
+    return _assemble(spec.state_id(), _pure_lowers(m), uppers, psi, cfg, sup_overlap=m)
 
 
 def _report_cat(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
+    """Parity cats and entangled-coherent states.  The latter is the cat's
+    beam-splitter image: it has the cat's peak overlap, and its witnesses
+    are the cat's with every coherent label scaled by
+    t = (sqrt(eta), sqrt(1 - eta)) and ``-image`` added to the name."""
     params = CatParams(spec.params["parity"], spec.params["beta"])
+    image = spec.kind == "entangled_coherent"
+    if image:
+        eta = float(spec.params["eta"])
+        t = np.array([math.sqrt(eta), math.sqrt(1.0 - eta)])
+    else:
+        t = np.array([1.0])
     psi = spec.build(cfg.trunc or spec.resolved_trunc())
     sup = cat_qmax(params)
     m = sup.value
     alpha_star = float(np.real(sup.argmax[0][0]))
-    _check_attained(psi, sup.argmax[0], m, spec.state_id())
-
-    lowers = _pure_lowers(m)
-    uppers = [upper_q(psi, sup=sup), _point_upper(m, sup.argmax[0])]
-    cands = []
-    for name, cand in _cat_witness_cands(params.beta, alpha_star):
-        wit = _witness_bound(psi, cand, name, cfg)
-        uppers.append(wit)
-        cands.append((wit.value, cand))
-    return _assemble(
-        spec.state_id(),
-        lowers,
-        uppers,
-        sup_overlap=m,
-        witness_cands=cands,
-        saturation_state=psi,
-        cfg=cfg,
-    )
-
-
-def _report_entangled_coherent(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
-    params = CatParams(spec.params["parity"], spec.params["beta"])
-    eta = float(spec.params["eta"])
-    t = np.array([math.sqrt(eta), math.sqrt(1.0 - eta)])
-    psi = spec.build(cfg.trunc or spec.resolved_trunc())
-    sup = cat_qmax(params)
-    m = sup.value
-    alpha_star = float(np.real(sup.argmax[0][0]))
-    # a balanced-coupler image of the cat: the peak overlap is unchanged,
-    # and the maximizer moves with the labels; verify the attainment
+    # the maximizer moves with the labels; verify the attainment
     point = (t * alpha_star).astype(np.complex128)
     _check_attained(psi, point, m, spec.state_id())
 
-    lowers = _pure_lowers(m)
-    uppers = [upper_q(psi, sup=_Analytic(m)), _point_upper(m, point)]
-    cands = []
+    def witness(name, ens):
+        name = name + "-image" if image else name
+        return upper_witness(psi, ens, name=name, tail_tol=cfg.tail_tol)
+
     beta_pts = t * params.beta
-    named = [
-        (
-            "sigma-beta-image",
-            _WitnessCandidate(two_point_mixture(beta_pts, -beta_pts)),
-        )
+    uppers = [
+        upper_q(m),
+        _point_upper(m, point),
+        witness("sigma-beta", two_point_mixture(beta_pts, -beta_pts)),
     ]
+    if not image:
+        # ring at the Husimi-peak energy; when the peak sits at the origin
+        # the ring at the coherent-amplitude energy is still a usable
+        # (looser) witness
+        ring_energy = alpha_star**2 if alpha_star > 1e-9 else params.beta * params.beta
+        uppers.append(witness("dephased-ring", phase_ring(ring_energy)))
     if alpha_star > 1e-9:
-        named.append(
-            (
-                "sigma-alpha-star-image",
-                _WitnessCandidate(two_point_mixture(point, -point)),
-            )
-        )
+        # real labels, so the mirrored point's imaginary parts stay +0.0
+        star = two_point_mixture(t * alpha_star, -t * alpha_star)
     else:
-        named.append(
-            (
-                "sigma-alpha-star-image",
-                _WitnessCandidate(coherent_point_ensemble([0.0, 0.0])),
-            )
-        )
-    for name, cand in named:
-        wit = _witness_bound(psi, cand, name, cfg)
-        uppers.append(wit)
-        cands.append((wit.value, cand))
-    return _assemble(
-        spec.state_id(),
-        lowers,
-        uppers,
-        sup_overlap=m,
-        witness_cands=cands,
-        saturation_state=psi,
-        cfg=cfg,
-    )
+        star = coherent_point_ensemble(np.zeros(len(t)))
+    uppers.append(witness("sigma-alpha-star", star))
+    return _assemble(spec.state_id(), _pure_lowers(m), uppers, psi, cfg, sup_overlap=m)
 
 
 def _report_classical_ensemble(
@@ -967,17 +831,18 @@ def _report_classical_ensemble(
             "eq2-witness-upper",
             witness=cand.to_obj(),
             computed=True,
+            candidate=cand,
         )
     ]
-    return _assemble(state_id, lowers, uppers, witness_cands=[(0.0, cand)], cfg=cfg)
+    return _assemble(state_id, lowers, uppers, ens, cfg)
 
 
 def _report_coherent(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
     alphas = tuple(complex(a) for a in spec.params["alpha"])
     psi = spec.build(cfg.trunc or spec.resolved_trunc())
-    ens = coherent_point_ensemble(alphas)
-    cand = _WitnessCandidate(ens)
-    wit = _witness_bound(psi, cand, "self-witness", cfg)
+    wit = upper_witness(
+        psi, coherent_point_ensemble(alphas), name="self-witness", tail_tol=cfg.tail_tol
+    )
     ov = q_tilde(psi, np.asarray(alphas, dtype=np.complex128))
     lowers = [
         Bound(
@@ -986,16 +851,7 @@ def _report_coherent(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
             "eq17-family-lower[1]",
         )
     ]
-    uppers = [wit]
-    return _assemble(
-        spec.state_id(),
-        lowers,
-        uppers,
-        sup_overlap=ov,
-        witness_cands=[(wit.value, cand)],
-        saturation_state=psi,
-        cfg=cfg,
-    )
+    return _assemble(spec.state_id(), lowers, [wit], psi, cfg, sup_overlap=ov)
 
 
 def _number_reference_report(n: int, cfg: ReportConfig) -> BoundReport:
@@ -1023,30 +879,16 @@ def _report_vacuum_number(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
     vac = _number_reference_report(0, cfg)
     convex = convexity_upper([(eta, ref), (1.0 - eta, vac)])
 
-    grid = cfg.energy_grid
-    if grid is None:
-        grid = np.unique(
-            np.concatenate(
-                [default_energy_grid(eta * n), [0.0, float(n)]]
-            )
-        )
+    grid = np.unique(
+        np.concatenate([default_energy_grid(eta * n), [0.0, float(n)]])
+    )
     diag = diag_classical_minimize(rho, grid)
-    diag_cand = _WitnessCandidate(_ring_mixture_ensemble(diag))
 
     hints = [np.array([0.0 + 0.0j]), np.array([math.sqrt(n) + 0.0j])]
-    sup = _sup_of(rho, cfg, hints=hints)
+    sup = q_sup(rho, hints, seed=cfg.seed)
 
-    lowers = [tri_lo]
-    uppers = [tri_hi, convex, diag, upper_q(rho, sup=sup)]
-    return _assemble(
-        spec.state_id(),
-        lowers,
-        uppers,
-        sup_overlap=sup.value,
-        witness_cands=[(diag.value, diag_cand)],
-        saturation_state=rho,
-        cfg=cfg,
-    )
+    uppers = [tri_hi, convex, diag, upper_q(sup.value)]
+    return _assemble(spec.state_id(), [tri_lo], uppers, rho, cfg, sup_overlap=sup.value)
 
 
 def _report_mixture(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
@@ -1059,19 +901,13 @@ def _report_mixture(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
 
     rho = spec.build(cfg.trunc or spec.resolved_trunc())
     base = _report_density(rho, spec.state_id(), cfg)
-    lowers = list(base.lowers)
-    uppers = list(base.uppers) + [convex]
-    cands = []
-    if base.best_witness is not None:
-        cands.append((base.best_upper, base.best_witness))
     return _assemble(
         spec.state_id(),
-        lowers,
-        uppers,
+        list(base.lowers),
+        list(base.uppers) + [convex],
+        rho,
+        cfg,
         sup_overlap=base.sup_overlap,
-        witness_cands=cands,
-        saturation_state=rho,
-        cfg=cfg,
     )
 
 
@@ -1142,26 +978,23 @@ def _combine_factor_reports(
             lowers.extend(_pure_lowers(sup_joint))
     uppers = []
     if sup_joint is not None:
-        uppers.append(upper_q(state, sup=_Analytic(sup_joint)))
-    cands = []
+        uppers.append(upper_q(sup_joint))
     if all(p.best_witness is not None for p in parts):
         joint = parts[0].best_witness
         for p in parts[1:]:
             joint = joint.tensor_with(p.best_witness)
-        wit = _witness_bound(state, joint, "factor-witness", cfg)
-        uppers.append(wit)
-        cands.append((wit.value, joint))
+        uppers.append(
+            upper_witness(
+                state,
+                joint.ensemble,
+                name="factor-witness",
+                tail_tol=cfg.tail_tol,
+                rotation=joint.rotation,
+            )
+        )
     if not uppers:
         uppers.append(Bound("trivial-cap", _ONE_MINUS, "trivial-upper"))
-    return _assemble(
-        state_id,
-        lowers,
-        uppers,
-        sup_overlap=sup_joint,
-        witness_cands=cands,
-        saturation_state=state,
-        cfg=cfg,
-    )
+    return _assemble(state_id, lowers, uppers, state, cfg, sup_overlap=sup_joint)
 
 
 def _mode_energies(state) -> np.ndarray:
@@ -1178,6 +1011,16 @@ def _mode_energies(state) -> np.ndarray:
     return out
 
 
+def _mode_energy_rings(state, cfg: ReportConfig) -> Bound:
+    comp = ProductComponent(tuple(RingFactor(float(e)) for e in _mode_energies(state)))
+    return upper_witness(
+        state,
+        ClassicalEnsemble(((1.0, comp),)),
+        name="mode-energy-rings",
+        tail_tol=cfg.tail_tol,
+    )
+
+
 def _report_vector(psi: FockVector, state_id: str | None, cfg: ReportConfig) -> BoundReport:
     spec = identify_pure_state(psi)
     if spec is not None:
@@ -1189,25 +1032,12 @@ def _report_vector(psi: FockVector, state_id: str | None, cfg: ReportConfig) -> 
             parts, psi, state_id or _default_id(psi), cfg
         )
 
-    sup = _sup_of(psi, cfg, hints=[np.sqrt(_mode_energies(psi)).astype(np.complex128)])
+    hints = [np.sqrt(_mode_energies(psi)).astype(np.complex128)]
+    sup = q_sup(psi, hints, seed=cfg.seed)
     m = sup.value
-    lowers = _pure_lowers(m)
-    uppers = [upper_q(psi, sup=sup), _point_upper(m, sup.argmax[0])]
-    cands = []
-    energies = _mode_energies(psi)
-    comp = ProductComponent(tuple(RingFactor(float(e)) for e in energies))
-    cand = _WitnessCandidate(ClassicalEnsemble(((1.0, comp),)))
-    wit = _witness_bound(psi, cand, "mode-energy-rings", cfg)
-    uppers.append(wit)
-    cands.append((wit.value, cand))
+    uppers = [upper_q(m), _point_upper(m, sup.argmax[0]), _mode_energy_rings(psi, cfg)]
     return _assemble(
-        state_id or _default_id(psi),
-        lowers,
-        uppers,
-        sup_overlap=m,
-        witness_cands=cands,
-        saturation_state=psi,
-        cfg=cfg,
+        state_id or _default_id(psi), _pure_lowers(m), uppers, psi, cfg, sup_overlap=m
     )
 
 
@@ -1245,39 +1075,16 @@ def _report_density(rho: DensityMatrix, state_id: str | None, cfg: ReportConfig)
             if state_id is not None:
                 rep.state_id = state_id
             return rep
-        grid = cfg.energy_grid
         mean = mean_total_energy(rho)
-        if grid is None:
-            grid = np.unique(
-                np.concatenate([default_energy_grid(mean), [mean]])
-            )
+        grid = np.unique(np.concatenate([default_energy_grid(mean), [mean]]))
         diag = diag_classical_minimize(rho, grid)
-        cand = _WitnessCandidate(_ring_mixture_ensemble(diag))
-        sup = _sup_of(rho, cfg, hints=[np.array([math.sqrt(mean) + 0.0j])])
-        return _assemble(
-            sid,
-            [],
-            [diag, upper_q(rho, sup=sup)],
-            sup_overlap=sup.value,
-            witness_cands=[(diag.value, cand)],
-            saturation_state=rho,
-            cfg=cfg,
-        )
+        sup = q_sup(rho, [np.array([math.sqrt(mean) + 0.0j])], seed=cfg.seed)
+        return _assemble(sid, [], [diag, upper_q(sup.value)], rho, cfg, sup_overlap=sup.value)
 
-    energies = _mode_energies(rho)
-    comp = ProductComponent(tuple(RingFactor(float(e)) for e in energies))
-    cand = _WitnessCandidate(ClassicalEnsemble(((1.0, comp),)))
-    wit = _witness_bound(rho, cand, "mode-energy-rings", cfg)
-    sup = _sup_of(rho, cfg, hints=[np.sqrt(energies).astype(np.complex128)])
-    return _assemble(
-        sid,
-        [],
-        [wit, upper_q(rho, sup=sup)],
-        sup_overlap=sup.value,
-        witness_cands=[(wit.value, cand)],
-        saturation_state=rho,
-        cfg=cfg,
-    )
+    wit = _mode_energy_rings(rho, cfg)
+    hints = [np.sqrt(_mode_energies(rho)).astype(np.complex128)]
+    sup = q_sup(rho, hints, seed=cfg.seed)
+    return _assemble(sid, [], [wit, upper_q(sup.value)], rho, cfg, sup_overlap=sup.value)
 
 
 def _default_id(state) -> str:
@@ -1297,10 +1104,8 @@ def _report_spec(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
         return _report_number(spec, cfg)
     if spec.kind in ("single_photon", "noon"):
         return _report_axis_superposition(spec, cfg)
-    if spec.kind == "cat":
+    if spec.kind in ("cat", "entangled_coherent"):
         return _report_cat(spec, cfg)
-    if spec.kind == "entangled_coherent":
-        return _report_entangled_coherent(spec, cfg)
     if spec.kind == "coherent":
         return _report_coherent(spec, cfg)
     if spec.kind == "phase_randomized":

@@ -201,6 +201,21 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.vdot(self.mat, self.mat).real)
 
+    def pad(self, trunc: TruncationSpec) -> "DensityMatrix":
+        """Embed into a space with (elementwise) at-least-as-large cutoffs;
+        equal cutoffs return the matrix itself."""
+        if trunc.cutoffs == self.trunc.cutoffs:
+            return self
+        if trunc.nmodes != self.trunc.nmodes:
+            raise ValueError("mode count mismatch")
+        if any(b < a for a, b in zip(self.trunc.cutoffs, trunc.cutoffs)):
+            raise ValueError("pad target must not shrink any cutoff")
+        src = self.mat.reshape(self.trunc.shape + self.trunc.shape)
+        out = np.zeros(trunc.shape + trunc.shape, dtype=np.complex128)
+        sl = tuple(slice(0, d) for d in self.trunc.shape)
+        out[sl + sl] = src
+        return DensityMatrix(trunc, out.reshape(trunc.dim, trunc.dim))
+
 
 # ---------------------------------------------------------------------------
 # Poisson helpers (photon statistics of coherent states and phase rings)

@@ -31,6 +31,7 @@ from .states import CatParams, ClassicalEnsemble, CoherentFactor, RingFactor
 
 DEFAULT_SEED = 1729
 CERT_THRESHOLD = 1e-8  # gradient norm above which a result is flagged
+MAX_EVALS_PER_START = 2000  # multistart budget per start (Nelder-Mead takes 60%)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +362,6 @@ def q_sup(
     *,
     seed: int = DEFAULT_SEED,
     n_starts: int | None = None,
-    max_evals_per_start: int = 2000,
 ) -> QSupremum:
     """Husimi supremum by seeded multistart maximization.
 
@@ -419,13 +419,12 @@ def q_sup(
     for x0 in starts:
         v0 = f(x0)
         best_eval = max(best_eval, v0)
-        budget = max_evals_per_start
         res = minimize(
             lambda x: -f(x),
             x0,
             method="Nelder-Mead",
             options={
-                "maxfev": int(budget * 0.6),
+                "maxfev": int(MAX_EVALS_PER_START * 0.6),
                 "xatol": 1e-9,
                 "fatol": 1e-13,
             },

@@ -14,33 +14,10 @@ realization would be far past the dimension cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionTooLarge, NumericalInconsistency
 from .fock import DensityMatrix, FockVector, MAX_DENSE_DIM
-
-
-@dataclass
-class SpectralDecomp:
-    """Eigendecomposition with eigenvalues sorted in descending order."""
-
-    values: np.ndarray
-    vectors: np.ndarray  # columns, aligned with values
-    residual: float
-
-
-def spectral_decomp(rho: DensityMatrix) -> SpectralDecomp:
-    w, v = np.linalg.eigh(rho.mat)
-    order = np.argsort(w)[::-1]
-    w, v = w[order], v[:, order]
-    res = float(np.abs((v * w) @ v.conj().T - rho.mat).max())
-    if res > 1e-9 * rho.dim:
-        raise NumericalInconsistency(
-            f"eigendecomposition residual {res:.3e} out of spec for dim {rho.dim}"
-        )
-    return SpectralDecomp(w, v, res)
 
 
 def _tail_budget(a: DensityMatrix, b: DensityMatrix) -> float:

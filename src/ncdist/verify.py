@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 
 from .bounds import diag_classical_minimize, report
 from .channels import AffineOptics, adjoin, apply_affine, dephase_number
-from .figures import compute_rows, default_grid
+from .figures import compute_rows, default_grid, write_figure
 from .fock import (
     DEFAULT_TAIL_TOL,
     DensityMatrix,
@@ -537,29 +537,18 @@ def check_property_suites() -> list[CheckLine]:
 
 
 def check_determinism() -> list[CheckLine]:
-    from .cli import main as cli_main
-
     lines = []
     with tempfile.TemporaryDirectory() as td:
         for which, steps in (("fig1", 12), ("fig3", None)):
-            paths = [os.path.join(td, f"{which}_{i}.csv") for i in (0, 1)]
-            for p in paths:
-                argv = ["figure", which, "--out", p]
-                if steps:
-                    argv += ["--steps", str(steps)]
-                code = cli_main(argv)
-                if code != 0:
-                    lines.append(_flag(f"{which} run exits 0", False, f"exit={code}"))
-                    break
-            else:
-                with open(paths[0], "rb") as fh:
-                    first = fh.read()
-                with open(paths[1], "rb") as fh:
-                    second = fh.read()
-                n_rows = first.count(b"\n") - 1
-                want = steps or len(default_grid(which))
-                lines.append(_flag(f"{which} rows written", n_rows == want, f"{n_rows} rows"))
-                lines.append(_flag(f"{which} byte-identical across runs", first == second))
+            texts = []
+            for i in (0, 1):
+                path = write_figure(which, os.path.join(td, f"{which}_{i}.csv"), steps=steps)
+                with open(path, "rb") as fh:
+                    texts.append(fh.read())
+            n_rows = texts[0].count(b"\n") - 1
+            want = steps or len(default_grid(which))
+            lines.append(_flag(f"{which} rows written", n_rows == want, f"{n_rows} rows"))
+            lines.append(_flag(f"{which} byte-identical across runs", texts[0] == texts[1]))
     return lines
 
 

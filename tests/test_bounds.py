@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncdist import (
     BoundReport,
@@ -16,10 +18,9 @@ from ncdist import (
     convexity_upper,
     diag_classical_minimize,
     diag_mixture_distance,
-    lower_mixed_fidelity,
-    lower_pure_q,
     number_basis_vector,
     outer,
+    parse_state,
     phase_ring,
     report,
     tensor,
@@ -45,16 +46,8 @@ def _spec_report(kind, params, **cfg_kwargs):
 # elementary operations
 
 
-def test_lower_pure_q_single_photon():
-    psi = number_basis_vector((1,), TruncationSpec((10,)))
-    b = lower_pure_q(psi)
-    assert b.provenance == "eq23-pure-lower"
-    assert abs(b.value - (1.0 - G1)) < 1e-9
-
-
 def test_upper_q_single_photon():
-    psi = number_basis_vector((1,), TruncationSpec((10,)))
-    b = upper_q(psi)
+    b = upper_q(G1)
     assert b.provenance == "eq31-upper"
     assert abs(b.value - math.sqrt(1.0 - G1)) < 1e-9
 
@@ -78,19 +71,6 @@ def test_upper_witness_cat_two_point():
     psi = StateSpec("cat", {"parity": "even", "beta": 2.0}).build()
     b = upper_witness(psi, two_point_mixture([2.0], [-2.0]))
     assert abs(b.value - 0.5 * (1.0 - math.exp(-8.0))) < 1e-9
-
-
-def test_lower_mixed_fidelity_number_two():
-    rho = outer(number_basis_vector((2,), TruncationSpec((18,))))
-    b = lower_mixed_fidelity(rho, [phase_ring(2.0)])
-    assert abs(b.value - (1.0 - math.sqrt(G2))) < 1e-10
-    assert b.provenance == "eq17-family-lower[1]"
-
-
-def test_lower_mixed_fidelity_rejects_empty_family():
-    rho = outer(number_basis_vector((1,), TruncationSpec((8,))))
-    with pytest.raises(ValueError):
-        lower_mixed_fidelity(rho, [])
 
 
 def test_triangle_bounds_identity_and_shift():
@@ -374,8 +354,8 @@ def test_report_adjoining_a_classical_factor():
 def test_product_state_lower_bound_multiplies():
     cat = StateSpec("cat", {"parity": "even", "beta": 1.0}).build()
     m = 1.0 / math.cosh(1.0)
-    b = lower_pure_q(tensor(cat, cat))
-    assert abs(b.value - (1.0 - m * m)) < 1e-9
+    rep = report(tensor(cat, cat))
+    assert abs(rep.best_lower - (1.0 - m * m)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +411,82 @@ def test_exact_report_picks_a_saturating_tied_witness(kind, params):
     rep = report(StateSpec(kind, params))
     assert rep.exact is not None
     assert rep.saturation["checked"] and rep.saturation["ok"]
+
+
+# ---------------------------------------------------------------------------
+# property test over the JSON schema
+
+
+def _pairs(bound, min_size, max_size):
+    part = st.floats(-bound, bound)
+    return st.lists(st.tuples(part, part).map(list), min_size=min_size, max_size=max_size)
+
+
+def _unit(pairs):
+    c = np.array([complex(*p) for p in pairs])
+    c = c / np.linalg.norm(c)
+    return [[z.real, z.imag] for z in c]
+
+
+_AXIS = _pairs(1.0, 1, 4).filter(lambda c: np.linalg.norm(np.ravel(c)) > 0.1).map(_unit)
+_TERM = st.one_of(
+    st.integers(0, 3).map(lambda n: {"kind": "number", "ns": [n]}),
+    _pairs(1.2, 1, 1).map(lambda a: {"kind": "coherent", "alpha": a}),
+)
+
+
+def _mixture(terms):
+    total = sum(w for w, _ in terms)
+    return {"kind": "mixture", "terms": [{"w": w / total, "state": t} for w, t in terms]}
+
+
+_STATES = st.one_of(
+    st.lists(st.integers(0, 3), min_size=1, max_size=3).map(
+        lambda ns: {"kind": "number", "ns": ns}
+    ),
+    _AXIS.map(lambda c: {"kind": "single_photon", "c": c}),
+    st.tuples(st.integers(1, 3), _AXIS).map(
+        lambda t: {"kind": "noon", "n": t[0], "c": t[1]}
+    ),
+    st.tuples(st.sampled_from(["even", "odd"]), st.floats(1e-3, 6.0)).map(
+        lambda t: {"kind": "cat", "parity": t[0], "beta": t[1]}
+    ),
+    _pairs(1.2, 1, 2).map(lambda a: {"kind": "coherent", "alpha": a}),
+    st.floats(0.0, 9.0).map(lambda e: {"kind": "phase_randomized", "energy": e}),
+    st.tuples(st.integers(1, 3), st.floats(0.0, 1.0)).map(
+        lambda t: {"kind": "vacuum_number_mixture", "n": t[0], "eta": t[1]}
+    ),
+    st.lists(st.tuples(st.floats(0.05, 1.0), _TERM), min_size=1, max_size=3).map(_mixture),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_STATES)
+def test_report_brackets_every_schema_state(obj):
+    # entangled-coherent states are left out: their dense witnesses take
+    # seconds each
+    rep = report(parse_state(obj))
+    assert rep.best_lower <= rep.best_upper + bounds.ORDERING_SLACK
+    if rep.exact is not None:
+        assert abs(rep.exact - rep.best_lower) <= bounds.EXACT_TOL
+        assert abs(rep.exact - rep.best_upper) <= bounds.EXACT_TOL
+
+
+def test_noon_with_an_empty_mode_is_exact():
+    # all amplitude on one mode is the number state |0, 2>; the weighted axis
+    # rings give the empty mode a zero weight, which need not attain the peak
+    rep = report(parse_state({"kind": "noon", "n": 2, "c": [[0, 0], [0, 1]]}))
+    assert abs(rep.exact - (1.0 - G2)) < 1e-9
+    assert rep.saturation["ok"]
+
+
+def test_bracket_closed_without_a_saturating_witness_is_not_exact():
+    # 1e-12 of the weight away from |2, 0> the bracket closes within
+    # EXACT_TOL, but no witness is an eigen-witness of the state
+    rep = report(parse_state({"kind": "noon", "n": 2, "c": [[0, 1], [0, 1e-6]]}))
+    assert rep.best_upper - rep.best_lower <= bounds.EXACT_TOL
+    assert rep.exact is None
+    assert not rep.saturation["ok"]
 
 
 def test_report_serialization_shape():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,15 @@ def test_verify_only_filter(capsys):
     lines = [ln for ln in out.splitlines() if ln.startswith("[")]
     assert lines and all(ln.startswith("[PASS]") for ln in lines)
     assert "checks passed" in out
+
+
+def test_verify_stdout_holds_only_the_table(capsys):
+    # the determinism check writes figures; nothing of that may reach stdout
+    code, out, _ = run_cli(capsys, "verify", "--only", "determinism")
+    assert code == 0
+    *rows, summary = out.splitlines()
+    assert rows and all(ln.startswith(("[PASS]", "[FAIL]")) for ln in rows)
+    assert re.fullmatch(r"\d+/\d+ checks passed", summary)
 
 
 def test_verify_unknown_filter(capsys):

@@ -18,7 +18,6 @@ from ncdist.metrics import (
     fuchs_vdg_check,
     helstrom_saturation,
     measurement_kolmogorov,
-    spectral_decomp,
     trace_distance,
     trace_distance_diag,
     trace_distance_pure_diag,
@@ -179,16 +178,6 @@ def test_unitary_invariance_of_trace_distance():
 
 def wrap_nd(mat, trunc):
     return DensityMatrix(trunc, mat)
-
-
-def test_spectral_decomp_sorted_and_consistent():
-    rng = np.random.default_rng(41)
-    r = random_density(9, rng)
-    dec = spectral_decomp(wrap(r, 8))
-    assert np.all(np.diff(dec.values) <= 1e-15)
-    rebuilt = (dec.vectors * dec.values) @ dec.vectors.conj().T
-    assert np.abs(rebuilt - r).max() < 1e-12
-    assert dec.residual < 1e-12
 
 
 def test_triangle_inequality_random():
