@@ -171,12 +171,12 @@ class ReportConfig:
     """Settings shared by every bound inside one report.
 
     ``tail_tol`` is the truncation tail budget of every witness distance,
-    ``trunc`` overrides the state's own truncation, and ``seed`` drives the
-    multistart Husimi search on states without an analytic supremum.
+    and ``seed`` drives the multistart Husimi search on states without an
+    analytic supremum.  A state is built at its own truncation
+    (``StateSpec.trunc``, else the family default).
     """
 
     tail_tol: float = DEFAULT_TAIL_TOL
-    trunc: TruncationSpec | None = None
     seed: int = DEFAULT_SEED
 
 
@@ -623,7 +623,7 @@ def _assemble(
                 diags = diags[:1]
             saturation = diags[-1]
         else:
-            saturation = {"checked": False, "reason": "state is not pure"}
+            saturation = {"checked": False, "reason": "no pure Fock-space state"}
 
     return BoundReport(
         state_id=state_id,
@@ -697,7 +697,7 @@ def _pure_lowers(m_sup: float) -> list[Bound]:
 
 def _report_number(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
     ns = tuple(int(n) for n in spec.params["ns"])
-    psi = spec.build(cfg.trunc or spec.resolved_trunc())
+    psi = spec.build()
     m = float(np.prod([gamma_n(n) for n in ns]))
     point = np.sqrt(np.asarray(ns, dtype=float)).astype(np.complex128)
     _check_attained(psi, point, m, spec.state_id())
@@ -721,7 +721,7 @@ def _report_axis_superposition(spec: StateSpec, cfg: ReportConfig) -> BoundRepor
         n, c = int(spec.params["n"]), np.asarray(spec.params["c"], dtype=np.complex128)
     c = c / np.linalg.norm(c)
     nmodes = len(c)
-    psi = spec.build(cfg.trunc or spec.resolved_trunc())
+    psi = spec.build()
     sup = noon_qmax_analytic(n, c)
     m = sup.value
     _check_attained(psi, sup.argmax[0], m, spec.state_id())
@@ -784,7 +784,7 @@ def _report_cat(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
         t = np.array([math.sqrt(eta), math.sqrt(1.0 - eta)])
     else:
         t = np.array([1.0])
-    psi = spec.build(cfg.trunc or spec.resolved_trunc())
+    psi = spec.build()
     sup = cat_qmax(params)
     m = sup.value
     alpha_star = float(np.real(sup.argmax[0][0]))
@@ -818,10 +818,15 @@ def _report_cat(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
 
 
 def _report_classical_ensemble(
-    ens: ClassicalEnsemble, state_id: str, cfg: ReportConfig
+    ens: ClassicalEnsemble,
+    state_id: str,
+    cfg: ReportConfig,
+    sup_overlap: float | None = None,
 ) -> BoundReport:
-    # the state is its own witness: d(sigma, sigma) = 0 and F(sigma, sigma) = 1
-    # hold exactly, so nothing is realized
+    """A classical state is its own witness: d(sigma, sigma) = 0 and
+    F(sigma, sigma) = 1 hold exactly, so nothing is realized.  A pure one
+    (a coherent product) passes its exact peak overlap, 1, on to a factor
+    split that contains it."""
     cand = _WitnessCandidate(ens)
     lowers = [Bound("fidelity-family", 0.0, "eq17-family-lower[1]")]
     uppers = [
@@ -834,73 +839,45 @@ def _report_classical_ensemble(
             candidate=cand,
         )
     ]
-    return _assemble(state_id, lowers, uppers, ens, cfg)
-
-
-def _report_coherent(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
-    alphas = tuple(complex(a) for a in spec.params["alpha"])
-    psi = spec.build(cfg.trunc or spec.resolved_trunc())
-    wit = upper_witness(
-        psi, coherent_point_ensemble(alphas), name="self-witness", tail_tol=cfg.tail_tol
-    )
-    ov = q_tilde(psi, np.asarray(alphas, dtype=np.complex128))
-    lowers = [
-        Bound(
-            "fidelity-family",
-            min(max(1.0 - math.sqrt(max(ov, 0.0)), 0.0), _ONE_MINUS),
-            "eq17-family-lower[1]",
-        )
-    ]
-    return _assemble(spec.state_id(), lowers, [wit], psi, cfg, sup_overlap=ov)
-
-
-def _number_reference_report(n: int, cfg: ReportConfig) -> BoundReport:
-    ref_spec = StateSpec("number", {"ns": (n,)})
-    return _report_number(ref_spec, replace(cfg, trunc=None))
+    return _assemble(state_id, lowers, uppers, ens, cfg, sup_overlap=sup_overlap)
 
 
 def _report_vacuum_number(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
+    """rho = (1 - eta)|0><0| + eta|n><n|: one triangle step and one LP.
+
+    The lower bound moves |n>'s exact distance 1 - gamma_n (its eq23
+    bound) along d(rho, |n>) = 1 - eta.  The upper bound is the ring-mixture
+    LP, whose grid holds 0 and n, so its value is at most that of the
+    mixture (1 - eta) ring(0) + eta ring(n), eta (1 - gamma_n).  No other
+    upper can beat it: the peak overlap obeys m <= 1 - eta + eta gamma_n,
+    so sqrt(1 - m) >= 1 - m >= eta (1 - gamma_n); the convex split of the
+    |n> and vacuum brackets is at least eta (1 - gamma_n); and the triangle
+    upper is (1 - gamma_n) + (1 - eta).  Only at eta in {0, 1} is rho pure,
+    with the exact peak overlap max(1 - eta, eta gamma_n) for the
+    saturation check.
+    """
     n = int(spec.params["n"])
     eta = float(spec.params["eta"])
-    base = cfg.trunc or spec.resolved_trunc()
-    rho = spec.build(base)
-
-    ref = _number_reference_report(n, cfg)
-    interval = (
-        (ref.exact, ref.exact)
-        if ref.exact is not None
-        else (ref.best_lower, ref.best_upper)
-    )
+    rho = spec.build()
+    g = gamma_n(n)
     psi_n = StateSpec("number", {"ns": (n,)}).build(
         TruncationSpec(rho.trunc.cutoffs, cfg.tail_tol)
     )
-    tri_lo, tri_hi = triangle_bounds(rho, psi_n, interval)
-
-    vac = _number_reference_report(0, cfg)
-    convex = convexity_upper([(eta, ref), (1.0 - eta, vac)])
-
+    tri_lo, _ = triangle_bounds(rho, psi_n, (1.0 - g, 1.0 - g))
     grid = np.unique(
         np.concatenate([default_energy_grid(eta * n), [0.0, float(n)]])
     )
     diag = diag_classical_minimize(rho, grid)
-
-    hints = [np.array([0.0 + 0.0j]), np.array([math.sqrt(n) + 0.0j])]
-    sup = q_sup(rho, hints, seed=cfg.seed)
-
-    uppers = [tri_hi, convex, diag, upper_q(sup.value)]
-    return _assemble(spec.state_id(), [tri_lo], uppers, rho, cfg, sup_overlap=sup.value)
+    sup = max(1.0 - eta, eta * g) if eta in (0.0, 1.0) else None
+    return _assemble(spec.state_id(), [tri_lo], [diag], rho, cfg, sup_overlap=sup)
 
 
 def _report_mixture(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
-    terms = spec.params["terms"]
-    sub_reports = []
-    sub_cfg = replace(cfg, trunc=None)
-    for w, term in terms:
-        sub_reports.append((float(w), report(term, sub_cfg)))
-    convex = convexity_upper(sub_reports)
-
-    rho = spec.build(cfg.trunc or spec.resolved_trunc())
-    base = _report_density(rho, spec.state_id(), cfg)
+    convex = convexity_upper(
+        [(float(w), report(term, cfg)) for w, term in spec.params["terms"]]
+    )
+    rho = spec.build()
+    base = _report_density(rho, cfg)
     return _assemble(
         spec.state_id(),
         list(base.lowers),
@@ -966,7 +943,7 @@ def _density_factor_split(rho: DensityMatrix) -> list[DensityMatrix] | None:
 
 
 def _combine_factor_reports(
-    parts: list[BoundReport], state, state_id: str, cfg: ReportConfig
+    parts: list[BoundReport], state, cfg: ReportConfig
 ) -> BoundReport:
     lowers = []
     best_part = max(p.best_lower for p in parts)
@@ -994,7 +971,9 @@ def _combine_factor_reports(
         )
     if not uppers:
         uppers.append(Bound("trivial-cap", _ONE_MINUS, "trivial-upper"))
-    return _assemble(state_id, lowers, uppers, state, cfg, sup_overlap=sup_joint)
+    return _assemble(
+        _default_id(state), lowers, uppers, state, cfg, sup_overlap=sup_joint
+    )
 
 
 def _mode_energies(state) -> np.ndarray:
@@ -1021,24 +1000,20 @@ def _mode_energy_rings(state, cfg: ReportConfig) -> Bound:
     )
 
 
-def _report_vector(psi: FockVector, state_id: str | None, cfg: ReportConfig) -> BoundReport:
+def _report_vector(psi: FockVector, cfg: ReportConfig) -> BoundReport:
     spec = identify_pure_state(psi)
     if spec is not None:
-        return _report_spec(spec, replace(cfg, trunc=None))
+        return _report_spec(spec, cfg)
     factors = _vector_factor_split(psi)
     if factors is not None:
-        parts = [_report_vector(v, None, cfg) for v in factors]
-        return _combine_factor_reports(
-            parts, psi, state_id or _default_id(psi), cfg
-        )
+        parts = [_report_vector(v, cfg) for v in factors]
+        return _combine_factor_reports(parts, psi, cfg)
 
     hints = [np.sqrt(_mode_energies(psi)).astype(np.complex128)]
     sup = q_sup(psi, hints, seed=cfg.seed)
     m = sup.value
     uppers = [upper_q(m), _point_upper(m, sup.argmax[0]), _mode_energy_rings(psi, cfg)]
-    return _assemble(
-        state_id or _default_id(psi), _pure_lowers(m), uppers, psi, cfg, sup_overlap=m
-    )
+    return _assemble(_default_id(psi), _pure_lowers(m), uppers, psi, cfg, sup_overlap=m)
 
 
 def _vacuum_number_params(p: np.ndarray) -> tuple[int, float] | None:
@@ -1051,18 +1026,16 @@ def _vacuum_number_params(p: np.ndarray) -> tuple[int, float] | None:
     return None
 
 
-def _report_density(rho: DensityMatrix, state_id: str | None, cfg: ReportConfig) -> BoundReport:
+def _report_density(rho: DensityMatrix, cfg: ReportConfig) -> BoundReport:
     psi = _as_pure_vector(rho)
     if psi is not None:
-        return _report_vector(psi, state_id, cfg)
+        return _report_vector(psi, cfg)
     factors = _density_factor_split(rho)
     if factors is not None:
-        parts = [_report_density(r, None, cfg) for r in factors]
-        return _combine_factor_reports(
-            parts, rho, state_id or _default_id(rho), cfg
-        )
+        parts = [_report_density(r, cfg) for r in factors]
+        return _combine_factor_reports(parts, rho, cfg)
 
-    sid = state_id or _default_id(rho)
+    sid = _default_id(rho)
     if rho.trunc.nmodes == 1 and rho.is_diagonal(1e-10):
         p = rho.mat.diagonal().real
         vn = _vacuum_number_params(p)
@@ -1071,10 +1044,7 @@ def _report_density(rho: DensityMatrix, state_id: str | None, cfg: ReportConfig)
             spec = StateSpec(
                 "vacuum_number_mixture", {"n": n, "eta": eta}, trunc=rho.trunc
             )
-            rep = _report_vacuum_number(spec, cfg)
-            if state_id is not None:
-                rep.state_id = state_id
-            return rep
+            return _report_vacuum_number(spec, cfg)
         mean = mean_total_energy(rho)
         grid = np.unique(np.concatenate([default_energy_grid(mean), [mean]]))
         diag = diag_classical_minimize(rho, grid)
@@ -1107,10 +1077,10 @@ def _report_spec(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
     if spec.kind in ("cat", "entangled_coherent"):
         return _report_cat(spec, cfg)
     if spec.kind == "coherent":
-        return _report_coherent(spec, cfg)
+        ens = coherent_point_ensemble(spec.params["alpha"])
+        return _report_classical_ensemble(ens, spec.state_id(), cfg, sup_overlap=1.0)
     if spec.kind == "phase_randomized":
-        ens = spec.build()
-        return _report_classical_ensemble(ens, spec.state_id(), cfg)
+        return _report_classical_ensemble(spec.build(), spec.state_id(), cfg)
     if spec.kind == "vacuum_number_mixture":
         return _report_vacuum_number(spec, cfg)
     if spec.kind == "mixture":
@@ -1129,18 +1099,15 @@ def report(state, config: ReportConfig | None = None, *, state_id: str | None = 
     """
     cfg = config or ReportConfig()
     if isinstance(state, StateSpec):
-        if cfg.trunc is None and state.trunc is not None:
-            cfg = replace(cfg, trunc=state.trunc)
         rep = _report_spec(state, cfg)
-        if state_id is not None:
-            rep.state_id = state_id
-        return rep
-    if isinstance(state, ClassicalEnsemble):
-        return _report_classical_ensemble(
-            state, state_id or _default_id(state), cfg
-        )
-    if isinstance(state, FockVector):
-        return _report_vector(state, state_id, cfg)
-    if isinstance(state, DensityMatrix):
-        return _report_density(state, state_id, cfg)
-    raise TypeError(f"cannot build a report for {type(state).__name__}")
+    elif isinstance(state, ClassicalEnsemble):
+        rep = _report_classical_ensemble(state, _default_id(state), cfg)
+    elif isinstance(state, FockVector):
+        rep = _report_vector(state, cfg)
+    elif isinstance(state, DensityMatrix):
+        rep = _report_density(state, cfg)
+    else:
+        raise TypeError(f"cannot build a report for {type(state).__name__}")
+    if state_id is not None:
+        rep.state_id = state_id
+    return rep

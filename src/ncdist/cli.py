@@ -60,7 +60,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_figure(args) -> int:
     out = args.out or f"{args.which}.csv"
-    path = write_figure(args.which, out, steps=args.steps, tail_tol=args.tail_tol)
+    path = write_figure(args.which, out, steps=args.steps)
     print(f"wrote {path} and {path}.plot.py")
     return EXIT_OK
 
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="write a sweep CSV plus a plotting script")
     p.add_argument("which", choices=FIGURES)
     p.add_argument("--steps", type=int, default=None, help="grid size override")
-    _add_common_flags(p)
+    p.add_argument("--out", default=None, help="CSV path (default <which>.csv)")
     p.set_defaults(handler=_cmd_figure)
 
     p = sub.add_parser("verify", help="run the acceptance corpus")

@@ -16,8 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .bounds import ReportConfig, report
-from .fock import DEFAULT_TAIL_TOL
+from .bounds import report
 from .husimi import gamma_n
 from .states import StateSpec
 
@@ -47,9 +46,8 @@ def default_grid(which: str, steps: int | None = None):
     raise ValueError(f"unknown figure {which!r} (expected one of {FIGURES})")
 
 
-def _cat_row(parity, beta, with_ring, tail_tol):
-    spec = StateSpec("cat", {"parity": parity, "beta": float(beta)})
-    rep = report(spec, ReportConfig(tail_tol=tail_tol))
+def _cat_row(parity, beta, with_ring):
+    rep = report(StateSpec("cat", {"parity": parity, "beta": float(beta)}))
     named = {b.name: b for b in rep.lowers + rep.uppers}
     alpha_star = abs(complex(*named["best-point"].witness["alpha"][0]))
     row = [float(beta), alpha_star] + [
@@ -70,16 +68,16 @@ def _map_rows(row, betas, max_workers):
         return np.array(list(pool.map(row, betas)))
 
 
-def fig1_rows(betas=None, *, tail_tol=DEFAULT_TAIL_TOL, max_workers=None):
+def fig1_rows(betas=None, *, max_workers=None):
     """Even-cat sweep: Q-based bracket plus the two coherent-pair witnesses."""
     betas = default_grid("fig1") if betas is None else np.asarray(betas, dtype=float)
-    return _map_rows(lambda b: _cat_row("even", b, False, tail_tol), betas, max_workers)
+    return _map_rows(lambda b: _cat_row("even", b, False), betas, max_workers)
 
 
-def fig2_rows(betas=None, *, tail_tol=DEFAULT_TAIL_TOL, max_workers=None):
+def fig2_rows(betas=None, *, max_workers=None):
     """Odd-cat sweep; adds the distance to the ring at the Q-peak energy."""
     betas = default_grid("fig2") if betas is None else np.asarray(betas, dtype=float)
-    return _map_rows(lambda b: _cat_row("odd", b, True, tail_tol), betas, max_workers)
+    return _map_rows(lambda b: _cat_row("odd", b, True), betas, max_workers)
 
 
 def fig3_rows(etas=None):
@@ -93,12 +91,12 @@ def fig3_rows(etas=None):
     return np.column_stack(cols)
 
 
-def compute_rows(which, *, steps=None, tail_tol=DEFAULT_TAIL_TOL, max_workers=None):
+def compute_rows(which, *, steps=None, max_workers=None):
     grid = default_grid(which, steps)
     if which == "fig1":
-        return FIG1_COLUMNS, fig1_rows(grid, tail_tol=tail_tol, max_workers=max_workers)
+        return FIG1_COLUMNS, fig1_rows(grid, max_workers=max_workers)
     if which == "fig2":
-        return FIG2_COLUMNS, fig2_rows(grid, tail_tol=tail_tol, max_workers=max_workers)
+        return FIG2_COLUMNS, fig2_rows(grid, max_workers=max_workers)
     return FIG3_COLUMNS, fig3_rows(grid)
 
 
@@ -128,11 +126,9 @@ print("wrote {png_name}")
 '''
 
 
-def write_figure(which, out_path, *, steps=None, tail_tol=DEFAULT_TAIL_TOL, max_workers=None) -> str:
+def write_figure(which, out_path, *, steps=None, max_workers=None) -> str:
     """Write the sweep CSV and a companion plotting script; returns the CSV path."""
-    columns, rows = compute_rows(
-        which, steps=steps, tail_tol=tail_tol, max_workers=max_workers
-    )
+    columns, rows = compute_rows(which, steps=steps, max_workers=max_workers)
     text = format_csv(columns, rows)
     with open(out_path, "w", newline="\n") as fh:
         fh.write(text)

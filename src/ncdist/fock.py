@@ -133,13 +133,6 @@ class FockVector:
         """1 - ||psi||^2, the probability mass beyond the cutoffs."""
         return 1.0 - float(np.vdot(self.flat, self.flat).real)
 
-    def assert_normalized(self, tol: float | None = None):
-        tol = self.trunc.tail_tol if tol is None else tol
-        if abs(self.norm_defect()) > tol:
-            raise TruncationTooSmall(
-                f"norm defect {self.norm_defect():.3e} exceeds tolerance {tol:.3e}"
-            )
-
     def pad(self, trunc: TruncationSpec) -> "FockVector":
         """Embed into a space with (elementwise) at-least-as-large cutoffs."""
         if trunc.nmodes != self.trunc.nmodes:

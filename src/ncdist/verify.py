@@ -437,11 +437,6 @@ def _random_density(rng, dim: int, rank: int) -> DensityMatrix:
     return DensityMatrix(TruncationSpec((dim - 1,)), mat)
 
 
-def _random_pure(rng, dim: int) -> FockVector:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return FockVector(TruncationSpec((dim - 1,)), v / np.linalg.norm(v))
-
-
 def _random_two_mode(rng, trunc: TruncationSpec, support: int, rank: int) -> DensityMatrix:
     shape = trunc.shape
     mat = np.zeros((trunc.dim, trunc.dim), dtype=np.complex128)

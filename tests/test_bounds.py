@@ -278,9 +278,9 @@ def test_report_entangled_coherent_matches_cat():
 
 
 def test_report_classical_states_are_exactly_zero():
-    rep = _spec_report("coherent", {"alpha": (0.5 + 0.2j,)})
-    assert rep.exact is not None and rep.exact < 1e-9
-    assert rep.best_upper < 1e-12
+    for alphas in ((0.5 + 0.2j,), (2.0, 1.5 + 0.3j, 1.0 + 1.0j)):
+        rep = _spec_report("coherent", {"alpha": alphas})
+        assert rep.best_lower == rep.best_upper == rep.exact == 0.0
 
     rep2 = _spec_report("phase_randomized", {"energy": 1.0})
     assert rep2.best_lower == rep2.best_upper == rep2.exact == 0.0
@@ -294,6 +294,21 @@ def test_report_vacuum_number_brackets():
         assert rep.best_lower <= rep.best_upper + 1e-8
     rep = _spec_report("vacuum_number_mixture", {"n": 1, "eta": 1.0})
     assert abs(rep.exact - (1.0 - G1)) < 1e-6
+
+
+def test_report_vacuum_number_is_one_triangle_step_and_one_lp(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the vacuum-number report ran a Husimi search")
+
+    monkeypatch.setattr(bounds, "q_sup", no_search)
+    rep = _spec_report("vacuum_number_mixture", {"n": 2, "eta": 0.4})
+    assert [b.name for b in rep.lowers] == ["triangle"]
+    assert [b.name for b in rep.uppers] == ["diag-minimize"]
+    assert rep.best_upper <= 0.4 * (1.0 - G2) + 1e-12
+
+    rep = _spec_report("vacuum_number_mixture", {"n": 2, "eta": 1.0})
+    assert abs(rep.exact - (1.0 - G2)) < 1e-9
+    assert rep.saturation["checked"] and rep.saturation["ok"]
 
 
 def test_report_mixture_kind_matches_dedicated_path():
@@ -319,6 +334,12 @@ def test_report_identifies_raw_amplitudes():
     assert rep_raw.state_id == rep_fam.state_id
     assert abs(rep_raw.best_lower - rep_fam.best_lower) < 1e-12
     assert abs(rep_raw.best_upper - rep_fam.best_upper) < 1e-12
+
+
+def test_report_state_id_overrides_an_identified_raw_state():
+    psi = StateSpec("cat", {"parity": "even", "beta": 1.0}).build()
+    assert report(psi, state_id="mine").state_id == "mine"
+    assert report(outer(psi), state_id="mine").state_id == "mine"
 
 
 def test_report_unrecognized_vector_is_consistent():
@@ -451,7 +472,7 @@ _STATES = st.one_of(
     st.tuples(st.sampled_from(["even", "odd"]), st.floats(1e-3, 6.0)).map(
         lambda t: {"kind": "cat", "parity": t[0], "beta": t[1]}
     ),
-    _pairs(1.2, 1, 2).map(lambda a: {"kind": "coherent", "alpha": a}),
+    _pairs(1.2, 1, 3).map(lambda a: {"kind": "coherent", "alpha": a}),
     st.floats(0.0, 9.0).map(lambda e: {"kind": "phase_randomized", "energy": e}),
     st.tuples(st.integers(1, 3), st.floats(0.0, 1.0)).map(
         lambda t: {"kind": "vacuum_number_mixture", "n": t[0], "eta": t[1]}

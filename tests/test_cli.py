@@ -79,15 +79,15 @@ def test_unknown_kind_is_schema_error(tmp_path, capsys):
 
 
 def test_small_cutoff_exits_three(tmp_path, capsys):
-    path = write_state(tmp_path, "hot.json", {"kind": "coherent", "alpha": [[5.0, 0.0]]})
+    path = write_state(tmp_path, "hot.json", {"kind": "cat", "parity": "even", "beta": 5.0})
     code, _, err = run_cli(capsys, "report", str(path), "--trunc", "4")
     assert code == 3
     assert "cutoff" in err or "trunc" in err.lower()
 
 
 def test_oversized_dense_witness_exits_three(tmp_path, capsys):
-    # the coherent self-witness would be a dense matrix of dimension 51660
-    state = {"kind": "coherent", "alpha": [[2, 0], [1.5, 0.3], [1, 1]]}
+    # the entangled-coherent witnesses would be dense matrices of dimension 5329
+    state = {"kind": "entangled_coherent", "parity": "even", "beta": 6.0, "eta": 0.5}
     path = write_state(tmp_path, "wide.json", state)
     code, _, err = run_cli(capsys, "report", path)
     assert code == 3
@@ -117,9 +117,11 @@ def test_figure_repeat_is_byte_identical(tmp_path, capsys):
 
 
 def test_figure_takes_no_seed(tmp_path):
-    # the sweeps run no random search; --seed belongs to report and qsup
-    with pytest.raises(SystemExit):
-        main(["figure", "fig3", "--seed", "3", "--out", str(tmp_path / "f.csv")])
+    # the sweeps run no random search and every row uses the default tail
+    # budget; --seed and --tail-tol belong to report and qsup
+    for flag, value in (("--seed", "3"), ("--tail-tol", "1e-10")):
+        with pytest.raises(SystemExit):
+            main(["figure", "fig3", flag, value, "--out", str(tmp_path / "f.csv")])
 
 
 def test_qsup_number_state(tmp_path, capsys):
