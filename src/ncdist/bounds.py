@@ -30,12 +30,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import linprog
 
+from .channels import AffineOptics, affine_image
 from .errors import NumericalInconsistency
 from .fock import (
     DEFAULT_TAIL_TOL,
     DensityMatrix,
     FockVector,
     TruncationSpec,
+    beam_splitter,
     mean_total_energy,
     minimal_cutoff_for_tail,
     outer,
@@ -533,13 +535,6 @@ def _saturation_diagnostics(
     """Check the two exactness mechanisms on a pure state: the state is an
     eigenvector of the witness, and every coherent point the witness is
     built from attains the peak overlap."""
-    s, sigma = cand.frame(psi, cfg.tail_tol)
-    f = s.flat
-    nrm2 = float(np.vdot(f, f).real)
-    sigma_psi = sigma * f if isinstance(sigma, np.ndarray) else sigma.mat @ f
-    lam = float(np.vdot(f, sigma_psi).real) / nrm2
-    eigen_residual = float(np.linalg.norm(sigma_psi - lam * f)) / math.sqrt(nrm2)
-
     # a component of weight w moves the witness by at most w in trace
     # distance, so one lighter than the tolerance need not attain the peak
     # (the weighted axis rings give a zero weight to an empty mode)
@@ -552,6 +547,16 @@ def _saturation_diagnostics(
             attain_defect = max(
                 attain_defect, abs(m_sup - _overlap_at(psi, alpha, cfg.tail_tol))
             )
+
+    # last, and in place where it can be: on multimode products the frame
+    # spans millions of amplitudes, and each copy of them is tens of MB
+    s, sigma = cand.frame(psi, cfg.tail_tol)
+    f = s.flat
+    nrm2 = float(np.vdot(f, f).real)
+    sigma_psi = sigma * f if isinstance(sigma, np.ndarray) else sigma.mat @ f
+    lam = float(np.vdot(f, sigma_psi).real) / nrm2
+    sigma_psi -= lam * f
+    eigen_residual = float(np.linalg.norm(sigma_psi)) / math.sqrt(nrm2)
     return {
         "checked": True,
         "eigenvector_residual": eigen_residual,
@@ -669,9 +674,8 @@ def _overlap_at(psi: FockVector, alpha, tail_tol: float) -> float:
     return q_tilde(psi.pad(psi.trunc.union(need)), alphas)
 
 
-def _check_attained(state: FockVector, alpha, claimed: float, what: str,
-                    tail_tol: float = DEFAULT_TAIL_TOL):
-    got = _overlap_at(state, alpha, tail_tol)
+def _check_attained(state: FockVector, alpha, claimed: float, what: str):
+    got = _overlap_at(state, alpha, DEFAULT_TAIL_TOL)
     if abs(got - claimed) > 1e-8:
         raise NumericalInconsistency(
             f"{what}: claimed peak overlap {claimed} but the state gives "
@@ -773,48 +777,62 @@ def _report_axis_superposition(spec: StateSpec, cfg: ReportConfig) -> BoundRepor
 
 
 def _report_cat(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
-    """Parity cats and entangled-coherent states.  The latter is the cat's
-    beam-splitter image: it has the cat's peak overlap, and its witnesses
-    are the cat's with every coherent label scaled by
-    t = (sqrt(eta), sqrt(1 - eta)) and ``-image`` added to the name."""
-    params = CatParams(spec.params["parity"], spec.params["beta"])
-    image = spec.kind == "entangled_coherent"
-    if image:
-        eta = float(spec.params["eta"])
-        t = np.array([math.sqrt(eta), math.sqrt(1.0 - eta)])
-    else:
-        t = np.array([1.0])
-    psi = spec.build()
-    sup = cat_qmax(params)
+    """Parity cats, and entangled-coherent states as the cat's beam-splitter
+    image.  An entangled-coherent state is B(eta) applied to the cat and the
+    vacuum; passive optics leaves every distance unchanged, so only the cat
+    is built (at its own truncation) and evaluated, and each of its
+    witnesses but the ring is carried through the splitter as ``-image``."""
+    parity, beta = spec.params["parity"], float(spec.params["beta"])
+    cat = spec if spec.kind == "cat" else StateSpec("cat", {"parity": parity, "beta": beta})
+    psi = cat.build()
+    sup = cat_qmax(CatParams(parity, beta))
     m = sup.value
     alpha_star = float(np.real(sup.argmax[0][0]))
-    # the maximizer moves with the labels; verify the attainment
-    point = (t * alpha_star).astype(np.complex128)
-    _check_attained(psi, point, m, spec.state_id())
+    _check_attained(psi, alpha_star, m, spec.state_id())
 
     def witness(name, ens):
-        name = name + "-image" if image else name
         return upper_witness(psi, ens, name=name, tail_tol=cfg.tail_tol)
 
-    beta_pts = t * params.beta
     uppers = [
         upper_q(m),
-        _point_upper(m, point),
-        witness("sigma-beta", two_point_mixture(beta_pts, -beta_pts)),
+        _point_upper(m, alpha_star),
+        witness("sigma-beta", two_point_mixture([beta], [-beta])),
     ]
-    if not image:
+    if spec.kind == "cat":
         # ring at the Husimi-peak energy; when the peak sits at the origin
         # the ring at the coherent-amplitude energy is still a usable
         # (looser) witness
-        ring_energy = alpha_star**2 if alpha_star > 1e-9 else params.beta * params.beta
+        ring_energy = alpha_star**2 if alpha_star > 1e-9 else beta * beta
         uppers.append(witness("dephased-ring", phase_ring(ring_energy)))
     if alpha_star > 1e-9:
-        # real labels, so the mirrored point's imaginary parts stay +0.0
-        star = two_point_mixture(t * alpha_star, -t * alpha_star)
+        star = two_point_mixture([alpha_star], [-alpha_star])
     else:
-        star = coherent_point_ensemble(np.zeros(len(t)))
+        star = coherent_point_ensemble([0.0])
     uppers.append(witness("sigma-alpha-star", star))
-    return _assemble(spec.state_id(), _pure_lowers(m), uppers, psi, cfg, sup_overlap=m)
+    rep = _assemble(spec.state_id(), _pure_lowers(m), uppers, psi, cfg, sup_overlap=m)
+    if spec.kind == "cat":
+        return rep
+
+    # carry each witness, padded with the vacuum mode, through the splitter
+    optics = AffineOptics(beam_splitter(float(spec.params["eta"])).T, np.zeros(2))
+    vacuum = _WitnessCandidate(coherent_point_ensemble([0.0]))
+
+    def image(cand):
+        return _WitnessCandidate(affine_image(optics, cand.tensor_with(vacuum).ensemble))
+
+    def carried(b):
+        if b.name == "best-point":
+            return _point_upper(m, optics.label_map([alpha_star, 0.0]))
+        if b.candidate is None:
+            return b
+        cand = image(b.candidate)
+        return replace(b, name=b.name + "-image", witness=cand.to_obj(), candidate=cand)
+
+    return replace(
+        rep,
+        uppers=[carried(b) for b in rep.uppers],
+        best_witness=image(rep.best_witness),
+    )
 
 
 def _report_classical_ensemble(

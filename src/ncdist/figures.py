@@ -91,12 +91,12 @@ def fig3_rows(etas=None):
     return np.column_stack(cols)
 
 
-def compute_rows(which, *, steps=None, max_workers=None):
+def compute_rows(which, *, steps=None):
     grid = default_grid(which, steps)
     if which == "fig1":
-        return FIG1_COLUMNS, fig1_rows(grid, max_workers=max_workers)
+        return FIG1_COLUMNS, fig1_rows(grid)
     if which == "fig2":
-        return FIG2_COLUMNS, fig2_rows(grid, max_workers=max_workers)
+        return FIG2_COLUMNS, fig2_rows(grid)
     return FIG3_COLUMNS, fig3_rows(grid)
 
 
@@ -126,9 +126,9 @@ print("wrote {png_name}")
 '''
 
 
-def write_figure(which, out_path, *, steps=None, max_workers=None) -> str:
+def write_figure(which, out_path, *, steps=None) -> str:
     """Write the sweep CSV and a companion plotting script; returns the CSV path."""
-    columns, rows = compute_rows(which, steps=steps, max_workers=max_workers)
+    columns, rows = compute_rows(which, steps=steps)
     text = format_csv(columns, rows)
     with open(out_path, "w", newline="\n") as fh:
         fh.write(text)

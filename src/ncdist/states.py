@@ -401,10 +401,21 @@ def _need(obj: dict, key: str, ptr: str):
     return obj[key]
 
 
+def _finite(v, ptr: str) -> float:
+    # JSON text may hold NaN, Infinity and integers too long for a float
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise SchemaError(ptr, f"expected a finite number, got {x}")
+    return x
+
+
 def _as_number(v, ptr: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(ptr, f"expected a number, got {type(v).__name__}")
-    return float(v)
+    return _finite(v, ptr)
 
 
 def _as_int(v, ptr: str) -> int:
@@ -420,7 +431,7 @@ def _as_complex(v, ptr: str) -> complex:
         or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)
     ):
         raise SchemaError(ptr, "expected a complex number as [re, im]")
-    return complex(v[0], v[1])
+    return complex(_finite(v[0], ptr), _finite(v[1], ptr))
 
 
 def _as_complex_list(v, ptr: str, min_len: int = 1) -> tuple[complex, ...]:

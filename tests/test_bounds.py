@@ -29,7 +29,7 @@ from ncdist import (
     upper_witness,
     vacuum_number_diag,
 )
-from ncdist import bounds
+from ncdist import bounds, states
 from ncdist.fock import poisson_pmf
 
 G1 = math.exp(-1.0)
@@ -269,12 +269,30 @@ def test_report_odd_cat_small_beta():
 
 
 def test_report_entangled_coherent_matches_cat():
-    cat = _spec_report("cat", {"parity": "even", "beta": 1.0})
-    ecs = _spec_report(
-        "entangled_coherent", {"parity": "even", "beta": 1.0, "eta": 0.5}
-    )
-    assert abs(ecs.best_lower - cat.best_lower) < 1e-9
-    assert abs(ecs.best_upper - cat.best_upper) < 1e-8
+    for parity, beta, eta in (("even", 0.5, 0.3), ("odd", 1.0, 0.7), ("odd", 0.3, 0.5)):
+        spec = StateSpec("entangled_coherent", {"parity": parity, "beta": beta, "eta": eta})
+        ecs = report(spec)
+        # every image witness, measured densely against the two-mode state
+        psi = spec.build()
+        images = [b for b in ecs.uppers if b.name.endswith("-image")]
+        assert {b.name for b in images} == {"sigma-beta-image", "sigma-alpha-star-image"}
+        for b in images:
+            dense = upper_witness(psi, b.candidate.ensemble)
+            assert abs(b.value - dense.value) < 1e-12, (spec.state_id(), b.name)
+        # the bracket is the cat's without its ring
+        cat = report(StateSpec("cat", {"parity": parity, "beta": beta}))
+        no_ring = [b for b in cat.uppers if b.name != "dephased-ring"]
+        assert ecs.best_lower == cat.best_lower
+        assert ecs.best_upper == min(b.value for b in no_ring)
+
+
+def test_report_entangled_coherent_builds_no_two_mode_state(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the report built the two-mode state")
+
+    monkeypatch.setattr(states, "entangled_coherent_vector", no_build)
+    rep = _spec_report("entangled_coherent", {"parity": "odd", "beta": 2.5, "eta": 0.3})
+    assert rep.exact is not None and rep.saturation["ok"]
 
 
 def test_report_classical_states_are_exactly_zero():
@@ -472,6 +490,11 @@ _STATES = st.one_of(
     st.tuples(st.sampled_from(["even", "odd"]), st.floats(1e-3, 6.0)).map(
         lambda t: {"kind": "cat", "parity": t[0], "beta": t[1]}
     ),
+    st.tuples(
+        st.sampled_from(["even", "odd"]), st.floats(1e-3, 6.0), st.floats(0.0, 1.0)
+    ).map(
+        lambda t: {"kind": "entangled_coherent", "parity": t[0], "beta": t[1], "eta": t[2]}
+    ),
     _pairs(1.2, 1, 3).map(lambda a: {"kind": "coherent", "alpha": a}),
     st.floats(0.0, 9.0).map(lambda e: {"kind": "phase_randomized", "energy": e}),
     st.tuples(st.integers(1, 3), st.floats(0.0, 1.0)).map(
@@ -484,8 +507,6 @@ _STATES = st.one_of(
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(_STATES)
 def test_report_brackets_every_schema_state(obj):
-    # entangled-coherent states are left out: their dense witnesses take
-    # seconds each
     rep = report(parse_state(obj))
     assert rep.best_lower <= rep.best_upper + bounds.ORDERING_SLACK
     if rep.exact is not None:

@@ -86,12 +86,50 @@ def test_small_cutoff_exits_three(tmp_path, capsys):
 
 
 def test_oversized_dense_witness_exits_three(tmp_path, capsys):
-    # the entangled-coherent witnesses would be dense matrices of dimension 5329
-    state = {"kind": "entangled_coherent", "parity": "even", "beta": 6.0, "eta": 0.5}
+    # at this cutoff the coherent-pair witnesses would be dense matrices of
+    # dimension 4201
+    state = {"kind": "cat", "parity": "even", "beta": 1.0}
     path = write_state(tmp_path, "wide.json", state)
-    code, _, err = run_cli(capsys, "report", path)
+    code, _, err = run_cli(capsys, "report", path, "--trunc", "4200")
     assert code == 3
     assert "dense dimension" in err
+
+
+def test_wide_entangled_coherent_reports_as_its_cat(tmp_path, capsys):
+    # the state is evaluated as the single-mode cat, so no two-mode
+    # realization caps it
+    ecs = {"kind": "entangled_coherent", "parity": "even", "beta": 6.0, "eta": 0.5}
+    cat = {"kind": "cat", "parity": "even", "beta": 6.0}
+    reps = []
+    for name, state in (("ecs.json", ecs), ("cat.json", cat)):
+        code, out, _ = run_cli(capsys, "report", write_state(tmp_path, name, state))
+        assert code == 0
+        reps.append(json.loads(out))
+    for key in ("best_lower", "best_upper", "exact"):
+        assert reps[0][key] == reps[1][key]
+
+
+@pytest.mark.parametrize(
+    "text, pointer",
+    [
+        ('{"kind": "cat", "parity": "even", "beta": Infinity}', "/beta"),
+        ('{"kind": "phase_randomized", "energy": Infinity}', "/energy"),
+        ('{"kind": "coherent", "alpha": [[NaN, 0]]}', "/alpha/0"),
+        ('{"kind": "coherent", "alpha": [[Infinity, 0]]}', "/alpha/0"),
+        ('{"kind": "single_photon", "c": [[NaN, 0]]}', "/c/0"),
+        (
+            '{"kind": "mixture", "terms": '
+            '[{"w": NaN, "state": {"kind": "number", "ns": [1]}}]}',
+            "/terms/0/w",
+        ),
+    ],
+)
+def test_non_finite_number_is_schema_error(tmp_path, capsys, text, pointer):
+    path = tmp_path / "nan.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "report", str(path))
+    assert code == 2
+    assert err.startswith(f"error: {pointer}:")
 
 
 def test_figure_fig3(tmp_path, capsys):
