@@ -17,9 +17,9 @@ Each per-family report lists its lower bounds and its witnesses; one
 assembly step keeps the best of each side, cross-checks the ordering, and
 marks the bracket exact only when a computed witness distance meets the
 best lower bound within ``EXACT_TOL`` (on pure states, by the saturation
-mechanism).  Witness distances are evaluated on truncations whose tail
-mass is certified, so each carries an error no larger than the tail
-tolerance in play.
+mechanism).  Number-diagonal witnesses are evaluated exactly on the
+state's support; the others on truncations whose certified tail mass
+bounds their error by the tail tolerance in play.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .fock import (
     TruncationSpec,
     beam_splitter,
     mean_total_energy,
-    minimal_cutoff_for_tail,
     outer,
     partial_trace,
     passive_unitary,
@@ -48,11 +47,11 @@ from .fock import (
 )
 from .husimi import (
     DEFAULT_SEED,
+    _pure_overlap,
     cat_qmax,
     gamma_n,
     noon_qmax_analytic,
     q_sup,
-    q_tilde,
 )
 from .metrics import (
     trace_distance,
@@ -172,14 +171,18 @@ class BoundReport:
 class ReportConfig:
     """Settings shared by every bound inside one report.
 
-    ``tail_tol`` is the truncation tail budget of every witness distance,
-    and ``seed`` drives the multistart Husimi search on states without an
-    analytic supremum.  A state is built at its own truncation
+    ``tail_tol`` is the tail budget of the witnesses that are not number
+    diagonal, and ``seed`` drives the multistart Husimi search on states
+    without an analytic supremum.  A state is built at its own truncation
     (``StateSpec.trunc``, else the family default).
     """
 
     tail_tol: float = DEFAULT_TAIL_TOL
     seed: int = DEFAULT_SEED
+
+    def __post_init__(self):
+        if not 0.0 < self.tail_tol < 1.0:  # NaN fails this too
+            raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -212,25 +215,29 @@ class _WitnessCandidate:
     """A classical witness: an ensemble, optionally conjugated by a passive
     interferometer (the rotation maps the ensemble's labels onto the
     state's frame; distances are evaluated by rotating the state back,
-    which is exact whenever the state occupies complete total-photon
-    shells of the truncation)."""
+    see :func:`_rotate_back`)."""
 
     ensemble: ClassicalEnsemble
     rotation: np.ndarray | None = None
 
     def frame(self, state, tail_tol: float):
-        """The state padded to a truncation that holds the ensemble to
-        ``tail_tol`` and rotated back into the ensemble's frame, with the
-        realized ensemble: its number-basis diagonal when it is number
-        diagonal, else its dense matrix."""
-        req = TruncationSpec(self.ensemble.required_cutoffs(tail_tol), tail_tol)
-        trunc = state.trunc.union(req)
-        s = state.pad(trunc)
+        """The state rotated back into the ensemble's frame, with the
+        ensemble: a number-diagonal one as its diagonal on the state's own
+        truncation, exact on the state's support and zero off it; any other
+        realized densely where it holds to ``tail_tol``, the state padded."""
+        s, trunc = state, state.trunc
+        if not self.ensemble.is_diagonal():
+            req = TruncationSpec(self.ensemble.required_cutoffs(tail_tol), tail_tol)
+            trunc = trunc.union(req)
+            s = state.pad(trunc)
         if self.rotation is not None:
             s = _rotate_back(s, self.rotation, trunc)
-        if self.ensemble.is_diagonal():
-            return s, self.ensemble.realize_diag(trunc)
-        return s, self.ensemble.realize(trunc)
+        if not self.ensemble.is_diagonal():
+            return s, self.ensemble.realize(trunc)
+        support = np.flatnonzero(s.flat) if isinstance(s, FockVector) else np.arange(trunc.dim)
+        q = np.zeros(trunc.dim)
+        q[support] = self.ensemble.diag_on(np.unravel_index(support, trunc.shape))
+        return s, q
 
     def to_obj(self) -> dict:
         obj = _ensemble_obj(self.ensemble)
@@ -259,9 +266,9 @@ class _WitnessCandidate:
 
 
 def _rotate_back(state, rotation: np.ndarray, trunc: TruncationSpec):
-    """Apply the inverse interferometer to the state and verify nothing
-    leaks past the truncation (it cannot on complete photon-number
-    shells, which is the only regime rotated witnesses are used in)."""
+    """Apply the inverse interferometer on ``trunc`` and verify nothing
+    leaks past it (nothing can on complete photon-number shells, as a
+    single photon fills on its own truncation)."""
     w = passive_unitary(rotation, trunc).dagger()
     if isinstance(state, FockVector):
         before = state.norm()
@@ -283,10 +290,12 @@ def _distance(a, b) -> float:
 
     ``a`` is a FockVector or a DensityMatrix.  ``b`` is one too (the two
     are padded to a common truncation), or a number-basis diagonal on
-    ``a``'s truncation.  Two pure states use the overlap formula, a pure
-    or diagonal state against a diagonal one the structured routes of
-    :mod:`.metrics`; everything else goes dense.
+    ``a``'s truncation listed on ``a``'s support only: the mass it leaves
+    unlisted, 1 - sum(b), adds half of itself.  Two pure states use the
+    overlap formula, a pure or diagonal state against a diagonal one the
+    structured routes of :mod:`.metrics`; everything else goes dense.
     """
+    unlisted = 0.5 * (1.0 - float(b.sum())) if isinstance(b, np.ndarray) else 0.0
     if not isinstance(b, np.ndarray):
         trunc = a.trunc.union(b.trunc)
         a, b = a.pad(trunc), b.pad(trunc)
@@ -305,13 +314,13 @@ def _distance(a, b) -> float:
             b = b.diagonal()
     if isinstance(b, np.ndarray):
         if isinstance(a, FockVector):
-            return trace_distance_pure_diag(a, b)
+            return trace_distance_pure_diag(a, b) + unlisted
         if a.is_diagonal(1e-12):
-            return trace_distance_diag(a.diagonal(), b)
+            return trace_distance_diag(a.diagonal(), b) + unlisted
         b = DensityMatrix(a.trunc, np.diag(b).astype(np.complex128))
     a = outer(a) if isinstance(a, FockVector) else a
     b = outer(b) if isinstance(b, FockVector) else b
-    return trace_distance(a, b)
+    return trace_distance(a, b) + unlisted
 
 
 def upper_witness(rho, sigma, *, name: str = "witness",
@@ -545,18 +554,13 @@ def _saturation_diagnostics(
         for pt in comp.representative_points():
             alpha = pt if cand.rotation is None else cand.rotation @ pt
             attain_defect = max(
-                attain_defect, abs(m_sup - _overlap_at(psi, alpha, cfg.tail_tol))
+                attain_defect, abs(m_sup - _overlap_at(psi, alpha))
             )
 
-    # last, and in place where it can be: on multimode products the frame
-    # spans millions of amplitudes, and each copy of them is tens of MB
     s, sigma = cand.frame(psi, cfg.tail_tol)
-    f = s.flat
-    nrm2 = float(np.vdot(f, f).real)
+    f = s.flat / s.norm()
     sigma_psi = sigma * f if isinstance(sigma, np.ndarray) else sigma.mat @ f
-    lam = float(np.vdot(f, sigma_psi).real) / nrm2
-    sigma_psi -= lam * f
-    eigen_residual = float(np.linalg.norm(sigma_psi)) / math.sqrt(nrm2)
+    eigen_residual = float(np.linalg.norm(sigma_psi - np.vdot(f, sigma_psi).real * f))
     return {
         "checked": True,
         "eigenvector_residual": eigen_residual,
@@ -659,23 +663,16 @@ def _point_upper(m_sup: float, points) -> Bound:
     )
 
 
-def _overlap_at(psi: FockVector, alpha, tail_tol: float) -> float:
-    """Normalized coherent overlap at one point, padding the state so the
-    point itself is representable (padding never changes the overlap,
-    since only amplitudes on the state's support enter it)."""
+def _overlap_at(psi: FockVector, alpha) -> float:
+    """Normalized coherent overlap |<alpha|psi>|^2 at one point, on the
+    state's own truncation (exact: only amplitudes on the state's support
+    enter it)."""
     alphas = np.atleast_1d(np.asarray(alpha, dtype=np.complex128))
-    need = TruncationSpec(
-        tuple(
-            minimal_cutoff_for_tail(abs(a) ** 2, tail_tol / len(alphas))
-            for a in alphas
-        ),
-        tail_tol,
-    )
-    return q_tilde(psi.pad(psi.trunc.union(need)), alphas)
+    return abs(_pure_overlap(psi.amps, psi.trunc.cutoffs, alphas)) ** 2
 
 
 def _check_attained(state: FockVector, alpha, claimed: float, what: str):
-    got = _overlap_at(state, alpha, DEFAULT_TAIL_TOL)
+    got = _overlap_at(state, alpha)
     if abs(got - claimed) > 1e-8:
         raise NumericalInconsistency(
             f"{what}: claimed peak overlap {claimed} but the state gives "
@@ -708,9 +705,7 @@ def _report_number(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
 
     uppers = [
         upper_q(m),
-        upper_witness(
-            psi, number_ring_product(ns), name="ring-product", tail_tol=cfg.tail_tol
-        ),
+        upper_witness(psi, number_ring_product(ns), name="ring-product"),
         _point_upper(m, point),
     ]
     return _assemble(spec.state_id(), _pure_lowers(m), uppers, psi, cfg, sup_overlap=m)
@@ -738,17 +733,13 @@ def _report_axis_superposition(spec: StateSpec, cfg: ReportConfig) -> BoundRepor
                 psi,
                 phase_ring(1.0, mode=0, nmodes=nmodes),
                 name="directional-ring",
-                tail_tol=cfg.tail_tol,
                 rotation=_unitary_with_first_column(c),
             )
         )
     else:
         uppers.append(
             upper_witness(
-                psi,
-                uniform_axis_rings(float(n), nmodes),
-                name="uniform-axis-rings",
-                tail_tol=cfg.tail_tol,
+                psi, uniform_axis_rings(float(n), nmodes), name="uniform-axis-rings"
             )
         )
         mags2 = np.abs(c) ** 2
@@ -766,12 +757,7 @@ def _report_axis_superposition(spec: StateSpec, cfg: ReportConfig) -> BoundRepor
                 for mode, w in enumerate(mags2)
             )
             uppers.append(
-                upper_witness(
-                    psi,
-                    ClassicalEnsemble(comps),
-                    name="weighted-axis-rings",
-                    tail_tol=cfg.tail_tol,
-                )
+                upper_witness(psi, ClassicalEnsemble(comps), name="weighted-axis-rings")
             )
     return _assemble(spec.state_id(), _pure_lowers(m), uppers, psi, cfg, sup_overlap=m)
 
@@ -1008,14 +994,9 @@ def _mode_energies(state) -> np.ndarray:
     return out
 
 
-def _mode_energy_rings(state, cfg: ReportConfig) -> Bound:
+def _mode_energy_rings(state) -> Bound:
     comp = ProductComponent(tuple(RingFactor(float(e)) for e in _mode_energies(state)))
-    return upper_witness(
-        state,
-        ClassicalEnsemble(((1.0, comp),)),
-        name="mode-energy-rings",
-        tail_tol=cfg.tail_tol,
-    )
+    return upper_witness(state, ClassicalEnsemble(((1.0, comp),)), name="mode-energy-rings")
 
 
 def _report_vector(psi: FockVector, cfg: ReportConfig) -> BoundReport:
@@ -1030,7 +1011,7 @@ def _report_vector(psi: FockVector, cfg: ReportConfig) -> BoundReport:
     hints = [np.sqrt(_mode_energies(psi)).astype(np.complex128)]
     sup = q_sup(psi, hints, seed=cfg.seed)
     m = sup.value
-    uppers = [upper_q(m), _point_upper(m, sup.argmax[0]), _mode_energy_rings(psi, cfg)]
+    uppers = [upper_q(m), _point_upper(m, sup.argmax[0]), _mode_energy_rings(psi)]
     return _assemble(_default_id(psi), _pure_lowers(m), uppers, psi, cfg, sup_overlap=m)
 
 
@@ -1069,7 +1050,7 @@ def _report_density(rho: DensityMatrix, cfg: ReportConfig) -> BoundReport:
         sup = q_sup(rho, [np.array([math.sqrt(mean) + 0.0j])], seed=cfg.seed)
         return _assemble(sid, [], [diag, upper_q(sup.value)], rho, cfg, sup_overlap=sup.value)
 
-    wit = _mode_energy_rings(rho, cfg)
+    wit = _mode_energy_rings(rho)
     hints = [np.sqrt(_mode_energies(rho)).astype(np.complex128)]
     sup = q_sup(rho, hints, seed=cfg.seed)
     return _assemble(sid, [], [wit, upper_q(sup.value)], rho, cfg, sup_overlap=sup.value)

@@ -4,7 +4,7 @@ Classical reference states are finite mixtures of per-mode products whose
 factors are either a coherent point or a phase-averaged coherent state
 ("ring") at fixed energy. Rings and their products are number-diagonal,
 which the distance code exploits heavily; see
-:meth:`ClassicalEnsemble.realize_diag`.
+:meth:`ClassicalEnsemble.diag_on`.
 """
 
 from __future__ import annotations
@@ -171,13 +171,21 @@ class ClassicalEnsemble:
         if trunc.nmodes != self.nmodes:
             raise ValueError("mode count mismatch")
         self._check_tail(trunc)
-        out = np.zeros(trunc.dim)
+        return self.diag_on(np.unravel_index(np.arange(trunc.dim), trunc.shape))
+
+    def diag_on(self, occupations) -> np.ndarray:
+        """Number-basis diagonal at the given occupations (one integer array
+        per mode, as ``np.unravel_index`` gives), exact with no truncation:
+        each entry is a weighted sum of products of ``poisson_pmf`` values."""
+        if len(occupations) != self.nmodes:
+            raise ValueError("mode count mismatch")
+        out = 0.0
         for w, comp in self.components:
-            vec = None
-            for mode, n in enumerate(trunc.cutoffs):
-                p = poisson_pmf(comp.mode_energy(mode), n)
-                vec = p if vec is None else np.multiply.outer(vec, p).ravel()
-            out += w * vec
+            vec = 1.0
+            for mode, n in enumerate(occupations):
+                p = poisson_pmf(comp.mode_energy(mode), int(np.max(n, initial=0)))
+                vec = vec * p[n]
+            out = out + w * vec
         return out
 
     def realize(self, trunc: TruncationSpec) -> DensityMatrix:

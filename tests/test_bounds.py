@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from ncdist import (
     BoundReport,
+    ClassicalEnsemble,
     DensityMatrix,
     FockVector,
     NumericalInconsistency,
@@ -25,12 +27,14 @@ from ncdist import (
     report,
     tensor,
     triangle_bounds,
+    uniform_axis_rings,
     upper_q,
     upper_witness,
     vacuum_number_diag,
 )
 from ncdist import bounds, states
 from ncdist.fock import poisson_pmf
+from ncdist.metrics import trace_distance
 
 G1 = math.exp(-1.0)
 G2 = 2.0 * math.exp(-2.0)
@@ -453,6 +457,126 @@ def test_exact_report_picks_a_saturating_tied_witness(kind, params):
 
 
 # ---------------------------------------------------------------------------
+# number-diagonal witnesses on the state's own support
+
+
+def _uniform(m):
+    return [[1.0 / math.sqrt(m), 0.0]] * m
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a witness diagonal was realized on a truncation")
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "number", "ns": [0, 3, 1, 1, 1, 2]},
+        {"kind": "noon", "n": 2, "c": _uniform(6)},
+        {"kind": "single_photon", "c": [[0.6, 0.0], [0.0, 0.64], [0.48, 0.0]]},
+        {"kind": "cat", "parity": "odd", "beta": 1.5},
+    ],
+)
+def test_diagonal_witnesses_are_not_realized(monkeypatch, obj):
+    monkeypatch.setattr(ClassicalEnsemble, "realize_diag", _refuse)
+    rep = report(parse_state(obj))
+    assert rep.best_lower <= rep.best_upper + bounds.ORDERING_SLACK
+    if obj["kind"] != "cat":
+        assert rep.exact is not None and rep.saturation["ok"]
+
+
+def test_number_product_report_stays_small():
+    tracemalloc.start()
+    try:
+        rep = report(parse_state({"kind": "number", "ns": [0, 3, 1, 1, 1, 2]}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(rep.exact - (1.0 - G3 * G1**3 * G2)) <= 1e-12
+    assert peak < 5e6
+
+
+def test_number_state_reports_under_a_strict_tail_budget():
+    # the witness is exact on the state's support, so the state's own
+    # 1e-15 budget constrains nothing
+    obj = {"kind": "number", "ns": [1], "trunc": {"cutoffs": [1], "tail_tol": 1e-15}}
+    rep = report(parse_state(obj))
+    assert abs(rep.exact - (1.0 - G1)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "obj, closed",
+    [
+        ({"kind": "number", "ns": [1, 2, 3]}, 1.0 - G1 * G2 * G3),
+        ({"kind": "number", "ns": [0, 3, 1, 1, 1, 2]}, 1.0 - G3 * G1**3 * G2),
+        ({"kind": "single_photon", "c": _uniform(3)}, 1.0 - G1),
+        ({"kind": "noon", "n": 2, "c": _uniform(3)}, 1.0 - G2 / 3.0),
+        ({"kind": "noon", "n": 3, "c": _uniform(4)}, 1.0 - G3 / 4.0),
+    ],
+)
+def test_witness_uppers_do_not_undercut_the_closed_form(obj, closed):
+    rep = report(parse_state(obj))
+    assert rep.best_upper >= closed - 1e-15
+    assert rep.best_upper - closed <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "state, ens",
+    [
+        (number_basis_vector((2, 1), TruncationSpec((2, 1))), states.number_ring_product((2, 1))),
+        (StateSpec("noon", {"n": 2, "c": (0.6, 0.8)}).build(), uniform_axis_rings(2.0, 2)),
+        (StateSpec("cat", {"parity": "even", "beta": 0.3}).build(), states.coherent_point_ensemble([0.0])),
+        (vacuum_number_diag(2, 0.5, TruncationSpec((2,))), phase_ring(1.2)),
+        (
+            parse_state(
+                {
+                    "kind": "mixture",
+                    "terms": [
+                        {"w": 0.5, "state": {"kind": "number", "ns": [1]}},
+                        {"w": 0.5, "state": {"kind": "coherent", "alpha": [[0.5, 0.0]]}},
+                    ],
+                }
+            ).build(),
+            phase_ring(0.6),
+        ),
+    ],
+    ids=["number-pure", "noon-pure", "cat-vacuum", "diagonal", "dense"],
+)
+def test_support_route_matches_dense_on_a_padded_truncation(state, ens):
+    tail = 1e-12
+    value = upper_witness(state, ens).value
+    # generous padding: the witness kept to a thousandth of the budget
+    cuts = tuple(c + 4 for c in ens.required_cutoffs(tail * 1e-3))
+    big = state.trunc.union(TruncationSpec(cuts, tail))
+    rho = state.pad(big)
+    rho = outer(rho) if isinstance(rho, FockVector) else rho
+    dense = trace_distance(rho, ens.realize(big))
+    assert -1e-15 <= value - dense <= tail
+
+
+# ---------------------------------------------------------------------------
+# two claims of the paper's abstract, against closed-form values
+
+
+def test_uniform_noon_distance_rises_toward_one_with_the_mode_count():
+    exacts = []
+    for m in range(2, 13):
+        rep = report(StateSpec("noon", {"n": 2, "c": (1.0 / math.sqrt(m),) * m}))
+        assert rep.exact is not None
+        assert abs(rep.exact - (1.0 - G2 / m)) <= 1e-12
+        exacts.append(rep.exact)
+    assert all(a < b for a, b in zip(exacts, exacts[1:]))
+
+
+def test_odd_cat_distance_is_not_monotone_in_beta():
+    # near beta = 0 the odd cat is nearly a single photon (distance near
+    # 1 - 1/e); at beta = 2 it sits within 1/2 + e^-8 / 2 of the classical set
+    small = _spec_report("cat", {"parity": "odd", "beta": 0.01})
+    large = _spec_report("cat", {"parity": "odd", "beta": 2.0})
+    assert small.best_lower > large.best_upper
+
+
+# ---------------------------------------------------------------------------
 # property test over the JSON schema
 
 
@@ -467,7 +591,7 @@ def _unit(pairs):
     return [[z.real, z.imag] for z in c]
 
 
-_AXIS = _pairs(1.0, 1, 4).filter(lambda c: np.linalg.norm(np.ravel(c)) > 0.1).map(_unit)
+_AXIS = _pairs(1.0, 1, 6).filter(lambda c: np.linalg.norm(np.ravel(c)) > 0.1).map(_unit)
 _TERM = st.one_of(
     st.integers(0, 3).map(lambda n: {"kind": "number", "ns": [n]}),
     _pairs(1.2, 1, 1).map(lambda a: {"kind": "coherent", "alpha": a}),
@@ -480,7 +604,7 @@ def _mixture(terms):
 
 
 _STATES = st.one_of(
-    st.lists(st.integers(0, 3), min_size=1, max_size=3).map(
+    st.lists(st.integers(0, 3), min_size=1, max_size=6).map(
         lambda ns: {"kind": "number", "ns": ns}
     ),
     _AXIS.map(lambda c: {"kind": "single_photon", "c": c}),

@@ -132,6 +132,18 @@ def test_non_finite_number_is_schema_error(tmp_path, capsys, text, pointer):
     assert err.startswith(f"error: {pointer}:")
 
 
+@pytest.mark.parametrize("tail_tol", ["-1", "0", "1.5", "nan"])
+@pytest.mark.parametrize(
+    "state",
+    [{"kind": "number", "ns": [1, 1]}, {"kind": "cat", "parity": "odd", "beta": 1.0}],
+)
+def test_tail_tol_outside_the_unit_interval_is_schema_error(tmp_path, capsys, state, tail_tol):
+    path = write_state(tmp_path, "state.json", state)
+    code, _, err = run_cli(capsys, "report", path, "--tail-tol", tail_tol)
+    assert code == 2
+    assert err.startswith("error: tail_tol must lie in (0, 1)")
+
+
 def test_figure_fig3(tmp_path, capsys):
     out = tmp_path / "f3.csv"
     code, stdout, _ = run_cli(capsys, "figure", "fig3", "--out", str(out))
