@@ -37,17 +37,18 @@ from .fock import (
     DensityMatrix,
     FockVector,
     TruncationSpec,
+    _passive_shells,
     beam_splitter,
     mean_total_energy,
     outer,
     partial_trace,
-    passive_unitary,
     poisson_pmf,
     poisson_tail,
 )
 from .husimi import (
     DEFAULT_SEED,
-    _pure_overlap,
+    _as_x,
+    _BargmannTarget,
     cat_qmax,
     gamma_n,
     noon_qmax_analytic,
@@ -268,8 +269,12 @@ class _WitnessCandidate:
 def _rotate_back(state, rotation: np.ndarray, trunc: TruncationSpec):
     """Apply the inverse interferometer on ``trunc`` and verify nothing
     leaks past it (nothing can on complete photon-number shells, as a
-    single photon fills on its own truncation)."""
-    w = passive_unitary(rotation, trunc).dagger()
+    single photon fills on its own truncation). Only the photon-number
+    shells the state occupies are built: a one-photon state needs just the
+    M x M mode matrix."""
+    diag = np.abs(state.flat) if isinstance(state, FockVector) else np.abs(state.mat.diagonal())
+    shells = np.unique(trunc.totals()[diag > 0])
+    w = _passive_shells(rotation, trunc, shells).dagger()
     if isinstance(state, FockVector):
         before = state.norm()
         out = w.apply_vec(state)
@@ -548,13 +553,14 @@ def _saturation_diagnostics(
     # distance, so one lighter than the tolerance need not attain the peak
     # (the weighted axis rings give a zero weight to an empty mode)
     attain_defect = 0.0
+    overlap = _BargmannTarget(psi)
     for w, comp in cand.ensemble.components:
         if w <= SATURATION_TOL:
             continue
         for pt in comp.representative_points():
             alpha = pt if cand.rotation is None else cand.rotation @ pt
             attain_defect = max(
-                attain_defect, abs(m_sup - _overlap_at(psi, alpha))
+                attain_defect, abs(m_sup - overlap.value(_as_x(alpha)))
             )
 
     s, sigma = cand.frame(psi, cfg.tail_tol)
@@ -663,16 +669,10 @@ def _point_upper(m_sup: float, points) -> Bound:
     )
 
 
-def _overlap_at(psi: FockVector, alpha) -> float:
-    """Normalized coherent overlap |<alpha|psi>|^2 at one point, on the
-    state's own truncation (exact: only amplitudes on the state's support
-    enter it)."""
-    alphas = np.atleast_1d(np.asarray(alpha, dtype=np.complex128))
-    return abs(_pure_overlap(psi.amps, psi.trunc.cutoffs, alphas)) ** 2
-
-
 def _check_attained(state: FockVector, alpha, claimed: float, what: str):
-    got = _overlap_at(state, alpha)
+    # on the state's own truncation: exact, since only amplitudes on the
+    # state's support enter |<alpha|psi>|^2
+    got = _BargmannTarget(state).value(_as_x(alpha))
     if abs(got - claimed) > 1e-8:
         raise NumericalInconsistency(
             f"{what}: claimed peak overlap {claimed} but the state gives "

@@ -33,13 +33,16 @@ EXIT_TRUNCATION = 3
 EXIT_NUMERICAL = 4
 
 
-def _load_spec(args) -> StateSpec:
+def _load_spec(args) -> tuple[StateSpec, ReportConfig]:
+    """The state and the configuration its flags give; ``--tail-tol`` is
+    checked here, whether or not ``--trunc`` uses it."""
+    cfg = ReportConfig(tail_tol=args.tail_tol, seed=args.seed)
     with open(args.state, "r", encoding="utf-8") as fh:
         spec = parse_state(fh.read())
     if args.trunc is not None:
         tr = TruncationSpec((args.trunc,) * spec.nmodes, args.tail_tol)
         spec = StateSpec(spec.kind, spec.params, tr)
-    return spec
+    return spec, cfg
 
 
 def _emit(text: str, out_path) -> None:
@@ -51,8 +54,7 @@ def _emit(text: str, out_path) -> None:
 
 
 def _cmd_report(args) -> int:
-    spec = _load_spec(args)
-    cfg = ReportConfig(tail_tol=args.tail_tol, seed=args.seed)
+    spec, cfg = _load_spec(args)
     rep = report(spec, cfg)
     _emit(json.dumps(rep.to_dict(), indent=2, sort_keys=True), args.out)
     return EXIT_OK
@@ -73,8 +75,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_qsup(args) -> int:
-    spec = _load_spec(args)
-    sup = q_sup(spec.build(), seed=args.seed, n_starts=args.steps)
+    spec, cfg = _load_spec(args)
+    sup = q_sup(spec.build(), seed=cfg.seed, n_starts=args.steps)
     payload = {
         "value": sup.value,
         "argmax": [

@@ -576,6 +576,17 @@ def passive_unitary(u: np.ndarray, trunc: TruncationSpec) -> BlockUnitary:
     per total-photon-number block by applying the transformed creation
     monomial to the vacuum.
     """
+    if trunc.dim > _PASSIVE_DIM_CAP:
+        raise DimensionTooLarge(
+            f"passive_unitary at basis size {trunc.dim} exceeds {_PASSIVE_DIM_CAP}"
+        )
+    return _passive_shells(u, trunc, range(sum(trunc.cutoffs) + 1))
+
+
+def _passive_shells(u: np.ndarray, trunc: TruncationSpec, shells) -> BlockUnitary:
+    """:func:`passive_unitary` on the listed photon-number shells only; the
+    operator is zero on the others. The interferometer keeps every shell,
+    so a state that occupies only these comes out exact."""
     u = np.asarray(u, dtype=np.complex128)
     m = trunc.nmodes
     if u.shape != (m, m):
@@ -583,25 +594,14 @@ def passive_unitary(u: np.ndarray, trunc: TruncationSpec) -> BlockUnitary:
     defect = float(np.abs(u.conj().T @ u - np.eye(m)).max())
     if defect > 1e-12:
         raise ValueError(f"mode matrix is not unitary (defect {defect:.3e})")
-    if trunc.dim > _PASSIVE_DIM_CAP:
-        raise DimensionTooLarge(
-            f"passive_unitary at basis size {trunc.dim} exceeds {_PASSIVE_DIM_CAP}"
-        )
-    shape = trunc.shape
     totals = trunc.totals()
+    block_idx = [np.flatnonzero(totals == t) for t in shells]
+    size = sum(len(idx) for idx in block_idx)
+    if size > _PASSIVE_DIM_CAP:
+        raise DimensionTooLarge(
+            f"passive_unitary at basis size {size} exceeds {_PASSIVE_DIM_CAP}"
+        )
     cutoffs = trunc.cutoffs
-
-    pos_in_block: dict[int, dict[int, int]] = {}
-    block_idx: list[np.ndarray] = []
-    tmax = int(totals.max())
-    for t in range(tmax + 1):
-        idx = np.flatnonzero(totals == t)
-        block_idx.append(idx)
-        pos_in_block[t] = {int(f): k for k, f in enumerate(idx)}
-
-    mats = [
-        np.zeros((len(idx), len(idx)), dtype=np.complex128) for idx in block_idx
-    ]
     log_fact = np.cumsum(np.log(np.arange(1, max(cutoffs) + 1)))
 
     def fact_sqrt(ns):
@@ -611,8 +611,11 @@ def passive_unitary(u: np.ndarray, trunc: TruncationSpec) -> BlockUnitary:
                 s += log_fact[n - 1]
         return math.exp(0.5 * s)
 
-    for t in range(tmax + 1):
-        for col_pos, flat in enumerate(block_idx[t]):
+    mats = []
+    for idx in block_idx:
+        pos_in_block = {int(f): k for k, f in enumerate(idx)}
+        mat = np.zeros((len(idx), len(idx)), dtype=np.complex128)
+        for col_pos, flat in enumerate(idx):
             ns = trunc.unravel(int(flat))
             state: dict[tuple[int, ...], complex] = {(0,) * m: 1.0 + 0.0j}
             for mode, n_m in enumerate(ns):
@@ -627,14 +630,14 @@ def passive_unitary(u: np.ndarray, trunc: TruncationSpec) -> BlockUnitary:
                             nxt[k2] = nxt.get(k2, 0.0) + coeff
                     state = nxt
             norm = fact_sqrt(ns)
-            col = mats[t][:, col_pos]
+            col = mat[:, col_pos]
             for k, amp in state.items():
-                row_pos = pos_in_block[t][trunc.index(k)]
-                col[row_pos] = amp / norm
+                col[pos_in_block[trunc.index(k)]] = amp / norm
+        mats.append(mat)
 
     return BlockUnitary(
         trunc,
-        [(idx, b) for idx, b in zip(block_idx, mats)],
+        list(zip(block_idx, mats)),
         meta={"mode_matrix": u.copy()},
     )
 

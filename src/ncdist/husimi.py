@@ -5,6 +5,15 @@ The central quantity is m(rho) = sup over coherent |alpha> of
 e^{-n} n^n / n!, for N00N-type states gamma_n max_m |c_m|^2, and for the
 parity cats a one-dimensional root find; everything else goes through a
 seeded multistart search whose result carries a stationarity certificate.
+
+The search runs L-BFGS from each start (the origin, the mode means, caller
+hints and scrambled Sobol points) on Q(alpha) with its exact gradient: for
+Fock-space states Q = e^{-|alpha|^2} sum_k w_k |P_k(conj alpha)|^2, with P_k
+the Bargmann polynomial of a pure component, and for classical ensembles the
+Gaussian and Bessel closed forms. The certificate is the exact gradient norm
+at the reported maximizers: it certifies stationarity, not that the best
+start found the global maximum. ``n_evaluations`` counts value-and-gradient
+evaluations.
 """
 
 from __future__ import annotations
@@ -14,15 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import gammaln, i0e
+from scipy.special import gammaln, i0e, i1e
 from scipy.stats import qmc
 
 from .errors import NumericalInconsistency, TruncationTooSmall
 from .fock import (
     DensityMatrix,
     FockVector,
-    _coherent_mode_amps,
-    coherent_amps,
     mean_total_energy,
     mode_means,
     poisson_tail,
@@ -31,7 +38,8 @@ from .states import CatParams, ClassicalEnsemble, CoherentFactor, RingFactor
 
 DEFAULT_SEED = 1729
 CERT_THRESHOLD = 1e-8  # gradient norm above which a result is flagged
-MAX_EVALS_PER_START = 2000  # multistart budget per start (Nelder-Mead takes 60%)
+MAX_EVALS_PER_START = 2000  # value-and-gradient evaluations per L-BFGS start
+GRADIENT_TOL = 1e-12  # L-BFGS stops once every gradient component is below
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +94,11 @@ def cat_q_tilde(params: CatParams, alpha: complex) -> float:
 class QSupremum:
     """Result of a Husimi-supremum computation.
 
-    ``certificate`` is the central-difference gradient norm at the reported
-    maximizer (0 for analytic results); values above 1e-8 mean the search
-    did not converge and the caller must not treat the value as the
-    supremum.
+    ``certificate`` is the exact gradient norm at the reported maximizers
+    (0 for analytic results); values above 1e-8 mean the search did not
+    converge and the caller must not treat the value as the supremum. A
+    small certificate shows stationarity only, not a global maximum.
+    ``n_evaluations`` counts value-and-gradient evaluations.
     """
 
     value: float
@@ -189,77 +198,138 @@ def cat_qmax(params: CatParams) -> QSupremum:
 
 # ---------------------------------------------------------------------------
 # pointwise evaluation
+#
+# Every target gives Q(alpha) = <alpha|rho|alpha> at x = (Re alpha_1..M,
+# Im alpha_1..M), alone (``value``) or with its exact gradient (``evaluate``).
 
 
-def _pure_overlap(amps: np.ndarray, cutoffs, alphas) -> complex:
-    """<alpha|psi> by per-mode tensor contraction."""
-    v = amps
-    for a, n in zip(alphas, cutoffs):
-        c = _coherent_mode_amps(a, n)
-        v = np.tensordot(c.conj(), v, axes=(0, 0))
-    return complex(v)
+class _BargmannTarget:
+    """Q of a FockVector or DensityMatrix through the Bargmann polynomial.
 
+    The state is a stack of K amplitude vectors with weights: the vector
+    itself (K = 1), or a density's eigenvectors above the rank cut. Each
+    term contributes |<alpha|psi_k>|^2 = e^{-|alpha|^2} |P_k(conj alpha)|^2,
+    where P_k is the Bargmann polynomial of psi_k, so
 
-class _PureTarget:
-    def __init__(self, psi: FockVector):
-        self.psi = psi
-        self.trunc = psi.trunc
+        dQ/dx_j = -2 x_j Q + 2 e^{-|alpha|^2} Re sum_k w_k conj(P_k) d_j P_k
 
-    def value(self, alphas: np.ndarray) -> float:
-        ov = _pure_overlap(self.psi.amps, self.trunc.cutoffs, alphas)
-        return abs(ov) ** 2
+    with Im in place of Re for y_j. The factor 1/sqrt(n!) of P and the
+    Gaussian e^{-|alpha_j|^2/2} enter per mode through the coherent-amplitude
+    recurrence, which keeps every factor bounded for any cutoff and any
+    alpha.
+    """
 
-
-class _DenseTarget:
-    """rho as a rank-truncated eigenmixture of pure targets."""
-
-    def __init__(self, rho: DensityMatrix):
-        self.trunc = rho.trunc
-        w, v = np.linalg.eigh(rho.mat)
-        keep = w > max(1e-15, 1e-14 * max(w.max(), 0.0))
-        self.weights = w[keep]
-        self.vectors = [
-            v[:, i].reshape(rho.trunc.shape) for i in np.flatnonzero(keep)
+    def __init__(self, state):
+        self.trunc = state.trunc
+        # amplitudes as (basis, K): the state's flat vector, or the kept
+        # eigenvectors of a density as columns
+        if isinstance(state, FockVector):
+            self.weights = np.ones(1)
+            self.stack = state.flat[:, None]
+        else:
+            w, v = np.linalg.eigh(state.mat)
+            keep = w > max(1e-15, 1e-14 * max(w.max(), 0.0))
+            self.weights = w[keep]
+            self.stack = v[:, keep]
+        self._sqrt = np.sqrt(np.arange(1, max(self.trunc.cutoffs) + 1))
+        self._step = 1.0 / self._sqrt
+        # each mode in turn is the middle axis of a 3-d view (patterns so
+        # far, this mode, later modes x K): one large matrix product a step
+        dims = self.trunc.shape
+        self._splits = [
+            (d, math.prod(dims[j + 1 :]) * len(self.weights)) for j, d in enumerate(dims)
         ]
+        # the gradient's contraction leaves d/dz_j at row 2^(m-1-j)
+        self._first = [1 << (len(dims) - 1 - j) for j in range(len(dims))]
 
-    def value(self, alphas: np.ndarray) -> float:
-        out = 0.0
-        for w, amps in zip(self.weights, self.vectors):
-            out += w * abs(_pure_overlap(amps, self.trunc.cutoffs, alphas)) ** 2
-        return float(out)
+    def _contract(self, x: np.ndarray, rows: int) -> np.ndarray:
+        """Contract every mode with u = <alpha_j|n> (rows = 1), or with u
+        and its z-derivative (rows = 2), giving a (rows^m, K) array."""
+        m = self.trunc.nmodes
+        re, im = x[:m], x[m:]
+        # u[n] = e^{-|alpha_j|^2/2} z^n / sqrt(n!) with z = conj(alpha_j) by
+        # the coherent recurrence, and du/dz[n] = sqrt(n) u[n - 1]
+        steps = np.empty((m, len(self._step) + 1), dtype=np.complex128)
+        steps[:, 0] = np.exp(-0.5 * (re * re + im * im))
+        steps[:, 1:] = (re - 1j * im)[:, None] * self._step
+        u = np.cumprod(steps, axis=1)
+        if rows == 1:
+            vecs = u[:, None]
+        else:
+            vecs = np.zeros((m, 2, u.shape[1]), dtype=np.complex128)
+            vecs[:, 0] = u
+            vecs[:, 1, 1:] = self._sqrt * u[:, :-1]
+        t = self.stack
+        for j, (d, rest) in enumerate(self._splits):
+            t = vecs[j, :, :d] @ t.reshape(rows**j, d, rest)
+        return t.reshape(rows**m, len(self.weights))
+
+    def value(self, x: np.ndarray) -> float:
+        ov = self._contract(x, 1)[0]
+        return float(np.vdot(ov, self.weights * ov).real)
+
+    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        t = self._contract(x, 2)
+        weighted = self.weights * t[0]
+        q = float(np.vdot(t[0], weighted).real)
+        s = t[self._first] @ weighted.conj()
+        return q, 2.0 * (np.concatenate((s.real, s.imag)) - x * q)
 
 
 class _EnsembleTarget:
+    """Q of a classical ensemble in closed form: a coherent factor at beta
+    gives e^{-|alpha - beta|^2}, a ring of energy E = s^2 gives
+    e^{-E-r^2} I0(2 s r) at r = |alpha|, whose r-derivative is
+    -2 r Q + 2 s e^{-E-r^2} I1(2 s r)."""
+
     def __init__(self, ens: ClassicalEnsemble):
         self.ens = ens
         self.trunc = None
 
-    def value(self, alphas: np.ndarray) -> float:
-        out = 0.0
+    def value(self, x: np.ndarray) -> float:
+        return self.evaluate(x)[0]
+
+    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        m = self.ens.nmodes
+        q = 0.0
+        grad = np.zeros(2 * m)
+        vals = np.empty(m)
+        dvals = np.empty((m, 2))
         for w, comp in self.ens.components:
-            term = w
-            for a, f in zip(alphas, comp.factors):
-                aa = abs(a) ** 2
+            for j, f in enumerate(comp.factors):
+                xj, yj = x[j], x[m + j]
                 if isinstance(f, RingFactor):
-                    # <a| ring(E) |a> = e^{-E-|a|^2} I0(2 sqrt(E |a|^2))
-                    z = 2.0 * math.sqrt(f.energy * aa)
-                    term *= float(i0e(z)) * math.exp(
-                        -((math.sqrt(f.energy) - math.sqrt(aa)) ** 2)
-                    )
+                    s = math.sqrt(f.energy)
+                    r = math.hypot(xj, yj)
+                    z = 2.0 * s * r
+                    g = math.exp(-((s - r) ** 2))
+                    vals[j] = float(i0e(z)) * g
+                    # e^{-E-r^2} I_k(2 s r) = i_ke(2 s r) e^{-(s - r)^2}
+                    dr = 2.0 * s * float(i1e(z)) * g / r - 2.0 * vals[j] if r > 0 else 0.0
+                    dvals[j] = dr * xj, dr * yj
                 else:
-                    term *= math.exp(-abs(a - f.alpha) ** 2)
-            out += term
-        return float(out)
+                    dx, dy = xj - f.alpha.real, yj - f.alpha.imag
+                    vals[j] = math.exp(-(dx * dx + dy * dy))
+                    dvals[j] = -2.0 * dx * vals[j], -2.0 * dy * vals[j]
+            q += w * float(np.prod(vals))
+            for j in range(m):
+                rest = w * float(np.prod(np.delete(vals, j)))
+                grad[j] += rest * dvals[j, 0]
+                grad[m + j] += rest * dvals[j, 1]
+        return q, grad
 
 
 def _make_target(state):
-    if isinstance(state, FockVector):
-        return _PureTarget(state)
-    if isinstance(state, DensityMatrix):
-        return _DenseTarget(state)
+    if isinstance(state, (FockVector, DensityMatrix)):
+        return _BargmannTarget(state)
     if isinstance(state, ClassicalEnsemble):
         return _EnsembleTarget(state)
     raise TypeError(f"unsupported state type {type(state)!r}")
+
+
+def _as_x(alphas) -> np.ndarray:
+    a = np.atleast_1d(np.asarray(alphas, dtype=np.complex128))
+    return np.concatenate([a.real, a.imag])
 
 
 def q_tilde(state, alpha) -> float:
@@ -281,70 +351,11 @@ def q_tilde(state, alpha) -> float:
                 f"evaluation point tail {1.0 - kept:.3e} exceeds "
                 f"tail_tol {target.trunc.tail_tol:.1e}"
             )
-    return max(0.0, target.value(alphas))
+    return max(0.0, target.value(_as_x(alphas)))
 
 
 # ---------------------------------------------------------------------------
 # multistart search
-
-
-def _central_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    g = np.zeros_like(x)
-    for i in range(len(x)):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return g
-
-
-def _newton_polish(f, x: np.ndarray, steps: int = 3, h: float = 1e-4):
-    """A few concave-subspace Newton steps to drive the gradient to ~0."""
-    d = len(x)
-    fx = f(x)
-    for _ in range(steps):
-        g = _central_gradient(f, x, h)
-        hess = np.zeros((d, d))
-        for i in range(d):
-            ei = np.zeros(d)
-            ei[i] = h
-            hess[i, i] = (f(x + ei) - 2.0 * fx + f(x - ei)) / (h * h)
-            for j in range(i + 1, d):
-                ej = np.zeros(d)
-                ej[j] = h
-                hess[i, j] = hess[j, i] = (
-                    f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-                ) / (4.0 * h * h)
-        w, v = np.linalg.eigh(hess)
-        # ascend only along directions of negative curvature; flat (ring)
-        # directions are left alone since the gradient vanishes along them
-        concave = w < -1e-9
-        if not np.any(concave):
-            break
-        gs = v.T @ g
-        step = -(v[:, concave] * (1.0 / w[concave])) @ gs[concave]
-        if np.linalg.norm(step) <= 1e-2:
-            # near stationarity the improvement is ~|g|^2, often below float
-            # resolution of f; take the step as long as it does not truly hurt
-            x2 = x + step
-            f2 = f(x2)
-            if f2 >= fx - 1e-12 * max(1.0, abs(fx)):
-                x, fx = x2, f2
-            else:
-                break
-        else:
-            scale = 1.0
-            accepted = False
-            for _ in range(6):
-                x2 = x + scale * step
-                f2 = f(x2)
-                if f2 >= fx:
-                    x, fx = x2, f2
-                    accepted = True
-                    break
-                scale *= 0.5
-            if not accepted:
-                break
-    return x, fx
 
 
 def _sobol_starts(n: int, dim: int, scale: float, seed: int) -> np.ndarray:
@@ -354,6 +365,30 @@ def _sobol_starts(n: int, dim: int, scale: float, seed: int) -> np.ndarray:
     m = max(1, int(math.ceil(math.log2(max(n, 2)))))
     pts = sampler.random_base2(m)[:n]
     return (2.0 * pts - 1.0) * scale
+
+
+def _newton_finish(evaluate, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Newton step toward the stationary point near ``x``, kept if it
+    lowers the gradient norm; the Hessian is the central difference of the
+    exact gradient, and flat (ring) directions are left alone.
+
+    L-BFGS stops where the value no longer resolves its progress: near a
+    peak a step gains about |g|^2 / curvature, below double resolution once
+    |g| is near 1e-8. The gradient still resolves it, so the step is judged
+    on the gradient alone.
+    """
+    grad = evaluate(x)[1]
+    if np.abs(grad).max() <= GRADIENT_TOL:
+        return x, grad
+    h = 1e-6
+    hess = np.array(
+        [(evaluate(x + e)[1] - evaluate(x - e)[1]) / (2.0 * h) for e in h * np.eye(len(x))]
+    )
+    x2 = x - np.linalg.lstsq(0.5 * (hess + hess.T), grad, rcond=1e-8)[0]
+    grad2 = evaluate(x2)[1]
+    if np.linalg.norm(grad2) < np.linalg.norm(grad):
+        return x2, grad2
+    return x, grad
 
 
 def q_sup(
@@ -366,10 +401,15 @@ def q_sup(
     """Husimi supremum by seeded multistart maximization.
 
     Starts at the origin, the mode-mean displacement, any caller hints, and
-    scrambled Sobol points scaled to the state's energy; each start runs a
-    Nelder-Mead phase and a short concave Newton polish. The returned value
-    is never below the best evaluated point, and the certificate is the
-    central-difference gradient norm at the winner.
+    scrambled Sobol points scaled to the state's energy; each start runs
+    L-BFGS on Q with its exact gradient (the Bargmann polynomial's for
+    Fock-space states, closed forms for classical ensembles), and a kept
+    maximizer at which L-BFGS stalled takes one Newton step on the exact
+    gradient (:func:`_newton_finish`). The returned value is never below
+    the best evaluated point. The certificate is the exact gradient norm at
+    the kept maximizers: it certifies stationarity, not that no other start
+    would have found a higher peak.
+    ``n_evaluations`` counts value-and-gradient evaluations.
     """
     target = _make_target(state)
     if isinstance(state, ClassicalEnsemble):
@@ -396,63 +436,60 @@ def q_sup(
         n_starts = 8 * m + 4
 
     evals = 0
+    best_eval = -np.inf
 
-    def f(x: np.ndarray) -> float:
-        nonlocal evals
+    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal evals, best_eval
         evals += 1
-        return target.value(x[:m] + 1j * x[m:])
+        q, grad = target.evaluate(x)
+        best_eval = max(best_eval, q)
+        return q, grad
 
-    def as_x(alphas) -> np.ndarray:
-        a = np.atleast_1d(np.asarray(alphas, dtype=np.complex128))
-        return np.concatenate([a.real, a.imag])
+    def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
+        q, grad = evaluate(x)
+        return -q, -grad
 
-    starts = [np.zeros(dim), as_x(means)]
+    starts = [np.zeros(dim), _as_x(means)]
     for hint in hints or []:
-        starts.append(as_x(hint))
+        starts.append(_as_x(hint))
     scale = math.sqrt(max(energy, 0.0)) + 2.0
     extra = n_starts - len(starts)
     for row in _sobol_starts(extra, dim, scale, seed):
         starts.append(row)
 
-    best_eval = -np.inf
     candidates: list[tuple[float, np.ndarray]] = []
     for x0 in starts:
-        v0 = f(x0)
-        best_eval = max(best_eval, v0)
         res = minimize(
-            lambda x: -f(x),
+            negated,
             x0,
-            method="Nelder-Mead",
+            jac=True,
+            method="L-BFGS-B",
             options={
-                "maxfev": int(MAX_EVALS_PER_START * 0.6),
-                "xatol": 1e-9,
-                "fatol": 1e-13,
+                "maxfun": MAX_EVALS_PER_START,
+                "maxiter": MAX_EVALS_PER_START,
+                "ftol": 0.0,
+                "gtol": GRADIENT_TOL,
             },
         )
-        x1, f1 = _newton_polish(f, res.x, steps=2, h=1e-4)
-        x1, f1 = _newton_polish(f, x1, steps=2, h=1e-5)
-        best_eval = max(best_eval, f1, -res.fun)
-        candidates.append((f1, x1))
+        candidates.append((-float(res.fun), res.x))
 
     candidates.sort(key=lambda t: -t[0])
-    top_val = max(candidates[0][0], best_eval)
 
-    # gather tied maximizers, deduplicated by location; the best polished
-    # point is always reported even if a raw evaluation edged it out
+    # gather tied maximizers, deduplicated by location; the best candidate
+    # is always kept even if another evaluation edged it out
     kept: list[np.ndarray] = []
     for k, (val, x) in enumerate(candidates):
-        if k > 0 and val < top_val - 1e-9 * max(1.0, abs(top_val)):
+        if k > 0 and val < best_eval - 1e-9 * max(1.0, abs(best_eval)):
             break
         if all(np.abs(x - y).max() > 1e-4 for y in kept):
             kept.append(x)
     kept.sort(key=lambda x: tuple(np.round(x, 8)))
 
-    cert = max(
-        float(np.linalg.norm(_central_gradient(f, x))) for x in kept
-    )
-    argmax = [x[:m] + 1j * x[m:] for x in kept]
+    finished = [_newton_finish(evaluate, x) for x in kept]
+    cert = max(float(np.linalg.norm(g)) for _, g in finished)
+    argmax = [x[:m] + 1j * x[m:] for x, _ in finished]
     return QSupremum(
-        value=float(top_val),
+        value=float(best_eval),
         argmax=argmax,
         certificate=cert,
         method="multistart",

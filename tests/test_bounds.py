@@ -219,6 +219,24 @@ def test_report_single_photon_any_direction():
         assert abs(rep.exact - (1.0 - G1)) < 1e-8
 
 
+def test_report_single_photon_rotates_only_the_one_photon_shell(monkeypatch):
+    m = 10
+    built = []
+
+    def recording(u, trunc, shells):
+        w = shells_builder(u, trunc, shells)
+        built.extend(b.shape for _, b in w.blocks)
+        return w
+
+    shells_builder = bounds._passive_shells
+    monkeypatch.setattr(bounds, "_passive_shells", recording)
+    rep = _spec_report("single_photon", {"c": (1.0 / math.sqrt(m),) * m})
+    assert abs(rep.exact - (1.0 - G1)) < 1e-12
+    # the state's truncation holds 2^10 amplitudes; only its one-photon
+    # shell, the 10 x 10 mode matrix, is built
+    assert built and set(built) == {(m, m)}
+
+
 def test_report_noon_equal_amplitudes_exact():
     inv2 = 1.0 / math.sqrt(2.0)
     rep = _spec_report("noon", {"n": 2, "c": (inv2, inv2)})

@@ -144,6 +144,14 @@ def test_tail_tol_outside_the_unit_interval_is_schema_error(tmp_path, capsys, st
     assert err.startswith("error: tail_tol must lie in (0, 1)")
 
 
+@pytest.mark.parametrize("tail_tol", ["-1", "0", "1.5", "nan"])
+def test_qsup_checks_tail_tol_without_trunc(tmp_path, capsys, tail_tol):
+    path = write_state(tmp_path, "one.json", {"kind": "number", "ns": [1]})
+    code, out, err = run_cli(capsys, "qsup", path, "--tail-tol", tail_tol)
+    assert code == 2 and out == ""
+    assert err.startswith("error: tail_tol must lie in (0, 1)")
+
+
 def test_figure_fig3(tmp_path, capsys):
     out = tmp_path / "f3.csv"
     code, stdout, _ = run_cli(capsys, "figure", "fig3", "--out", str(out))

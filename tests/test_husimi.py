@@ -3,8 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from ncdist.fock import TruncationSpec, coherent_amps, displacement, number_basis_vector, outer, tensor
+from ncdist.channels import AffineOptics, apply_affine
+from ncdist.fock import (
+    DensityMatrix,
+    FockVector,
+    TruncationSpec,
+    _coherent_mode_amps,
+    beam_splitter,
+    coherent_amps,
+    displacement,
+    number_basis_vector,
+    outer,
+    tensor,
+)
 from ncdist.husimi import (
+    _make_target,
     cat_q_tilde,
     cat_qmax,
     gamma_n,
@@ -14,6 +27,11 @@ from ncdist.husimi import (
 )
 from ncdist.states import (
     CatParams,
+    ClassicalEnsemble,
+    CoherentFactor,
+    ProductComponent,
+    RingFactor,
+    StateSpec,
     cat_vector,
     noon_vector,
     phase_ring,
@@ -242,3 +260,84 @@ def test_q_sup_coherent_state_trivial():
     v = coherent_amps(0.7, t)
     r = q_sup(v, hints=[np.array([0.7 + 0j])])
     assert r.value == pytest.approx(1.0, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the evaluator's exact gradient, and oracles from passive invariance
+
+
+def _random_vector(rng, shape):
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return amps / np.linalg.norm(amps)
+
+
+def _gradient_cases():
+    rng = np.random.default_rng(41)
+    one = FockVector(TruncationSpec((10,)), _random_vector(rng, (11,)))
+    two = FockVector(TruncationSpec((6, 5)), _random_vector(rng, (7, 6)))
+    q, _ = np.linalg.qr(rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3)))
+    mat = (q * np.array([0.5, 0.3, 0.2])) @ q.conj().T
+    dens = DensityMatrix(TruncationSpec((4, 3)), mat)
+    ens = ClassicalEnsemble((
+        (0.45, ProductComponent((RingFactor(1.3), CoherentFactor(0.4 - 0.2j)))),
+        (0.35, ProductComponent((CoherentFactor(-0.5 + 0.1j), RingFactor(0.7)))),
+        (0.2, ProductComponent((RingFactor(0.0), RingFactor(2.1)))),
+    ))
+    return {"vector-1-mode": one, "vector-2-modes": two, "density-rank-3": dens,
+            "ensemble": ens}
+
+
+@pytest.mark.parametrize("name", sorted(_gradient_cases()))
+def test_exact_gradient_matches_central_differences(name):
+    state = _gradient_cases()[name]
+    target = _make_target(state)
+    if name == "density-rank-3":
+        assert len(target.weights) == 3
+    dim = 2 * (state.nmodes if isinstance(state, ClassicalEnsemble) else state.trunc.nmodes)
+    rng = np.random.default_rng(7)
+    h = 1e-6
+    for _ in range(20):
+        x = rng.normal(size=dim)
+        grad = target.evaluate(x)[1]
+        fd = np.array([
+            (target.evaluate(x + e)[0] - target.evaluate(x - e)[0]) / (2.0 * h)
+            for e in h * np.eye(dim)
+        ])
+        assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
+
+
+@pytest.mark.parametrize("name", ["vector-1-mode", "vector-2-modes", "density-rank-3"])
+def test_bargmann_value_matches_the_coherent_amplitude_contraction(name):
+    # reference: <alpha|rho|alpha> with |alpha> from the per-mode recurrence
+    state = _gradient_cases()[name]
+    target = _make_target(state)
+    m = state.trunc.nmodes
+    rho = state.mat if isinstance(state, DensityMatrix) else np.outer(state.flat, state.flat.conj())
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        x = rng.normal(size=2 * m)
+        c = np.ones(1)
+        for a, n in zip(x[:m] + 1j * x[m:], state.trunc.cutoffs):
+            c = np.multiply.outer(c, _coherent_mode_amps(a, n)).ravel()
+        ref = float(np.vdot(c, rho @ c).real)
+        assert target.evaluate(x)[0] == pytest.approx(ref, abs=1e-14)
+
+
+@pytest.mark.parametrize("parity,beta,eta", [("even", 1.3, 0.3), ("odd", 0.8, 0.6)])
+def test_q_sup_of_a_split_cat_is_the_cat_supremum(parity, beta, eta):
+    cat = StateSpec("cat", {"parity": parity, "beta": beta}).build()
+    vac = number_basis_vector((0,), cat.trunc)
+    split = apply_affine(AffineOptics(beam_splitter(eta), np.zeros(2)), tensor(cat, vac))
+    r = q_sup(split)
+    assert r.converged
+    assert abs(r.value - cat_qmax(CatParams(parity, beta)).value) <= 1e-10
+
+
+def test_q_sup_of_an_interferometer_image_of_a_number_product():
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    psi = number_basis_vector((1, 2, 0), TruncationSpec((3, 3, 3)))
+    image = apply_affine(AffineOptics(u, np.zeros(3)), psi)
+    r = q_sup(image)
+    assert r.converged
+    assert abs(r.value - GAMMA_REF[1] * GAMMA_REF[2]) <= 1e-10
