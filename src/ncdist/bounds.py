@@ -268,10 +268,10 @@ class _WitnessCandidate:
 
 def _rotate_back(state, rotation: np.ndarray, trunc: TruncationSpec):
     """Apply the inverse interferometer on ``trunc`` and verify nothing
-    leaks past it (nothing can on complete photon-number shells, as a
-    single photon fills on its own truncation). Only the photon-number
-    shells the state occupies are built: a one-photon state needs just the
-    M x M mode matrix."""
+    leaks past it.  Only the shells the state occupies are returned, so a
+    one-photon state is rotated by the M x M mode matrix itself; a cropped
+    shell is the exact sub-block, so what it sends past the cutoffs shows
+    as lost norm."""
     diag = np.abs(state.flat) if isinstance(state, FockVector) else np.abs(state.mat.diagonal())
     shells = np.unique(trunc.totals()[diag > 0])
     w = _passive_shells(rotation, trunc, shells).dagger()
@@ -766,8 +766,8 @@ def _report_cat(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
     """Parity cats, and entangled-coherent states as the cat's beam-splitter
     image.  An entangled-coherent state is B(eta) applied to the cat and the
     vacuum; passive optics leaves every distance unchanged, so only the cat
-    is built (at its own truncation) and evaluated, and each of its
-    witnesses but the ring is carried through the splitter as ``-image``."""
+    is built and evaluated, and its witnesses are carried through the
+    splitter as ``-image`` (the ring only at eta 0 or 1: no modes mix)."""
     parity, beta = spec.params["parity"], float(spec.params["beta"])
     cat = spec if spec.kind == "cat" else StateSpec("cat", {"parity": parity, "beta": beta})
     psi = cat.build()
@@ -784,7 +784,7 @@ def _report_cat(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
         _point_upper(m, alpha_star),
         witness("sigma-beta", two_point_mixture([beta], [-beta])),
     ]
-    if spec.kind == "cat":
+    if spec.kind == "cat" or float(spec.params["eta"]) in (0.0, 1.0):
         # ring at the Husimi-peak energy; when the peak sits at the origin
         # the ring at the coherent-amplitude energy is still a usable
         # (looser) witness

@@ -37,6 +37,8 @@ FIGURES = ("fig1", "fig2", "fig3")
 
 
 def default_grid(which: str, steps: int | None = None):
+    if steps is not None and steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     if which == "fig1":
         return np.linspace(0.05, 3.0, steps or 60)
     if which == "fig2":

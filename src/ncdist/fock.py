@@ -15,8 +15,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -572,21 +572,20 @@ def passive_unitary(u: np.ndarray, trunc: TruncationSpec) -> BlockUnitary:
     """Fock-space representation of an M-mode passive interferometer.
 
     ``u`` is the M x M mode matrix: creation operators transform as
-    ``W a_m^+ W^+ = sum_j u[j, m] a_j^+``. The representation is assembled
-    per total-photon-number block by applying the transformed creation
-    monomial to the vacuum.
+    ``W a_m^+ W^+ = sum_j u[j, m] a_j^+``. ``W`` keeps the photon number:
+    ``blocks[t]`` is shell t, built as :func:`_passive_shells` says.
     """
-    if trunc.dim > _PASSIVE_DIM_CAP:
-        raise DimensionTooLarge(
-            f"passive_unitary at basis size {trunc.dim} exceeds {_PASSIVE_DIM_CAP}"
-        )
     return _passive_shells(u, trunc, range(sum(trunc.cutoffs) + 1))
 
 
 def _passive_shells(u: np.ndarray, trunc: TruncationSpec, shells) -> BlockUnitary:
-    """:func:`passive_unitary` on the listed photon-number shells only; the
-    operator is zero on the others. The interferometer keeps every shell,
-    so a state that occupies only these comes out exact."""
+    """:func:`passive_unitary` on the listed photon-number shells only, zero
+    on the others (W keeps every shell, so a state on these comes out exact).
+    Shell t comes from shell t - 1 by the ladder recurrence
+    ``<k|W|l> = sum_j u[j, m] sqrt(k_j / l_m) <k - e_j|W|l - e_m>``, m the
+    first occupied mode of l. Lowering never leaves the cutoffs, so a shell
+    they crop is the exact sub-block; only the complete shells are unitary.
+    """
     u = np.asarray(u, dtype=np.complex128)
     m = trunc.nmodes
     if u.shape != (m, m):
@@ -594,50 +593,41 @@ def _passive_shells(u: np.ndarray, trunc: TruncationSpec, shells) -> BlockUnitar
     defect = float(np.abs(u.conj().T @ u - np.eye(m)).max())
     if defect > 1e-12:
         raise ValueError(f"mode matrix is not unitary (defect {defect:.3e})")
+    wanted = [int(t) for t in shells]
+    top = max(wanted, default=-1)
     totals = trunc.totals()
-    block_idx = [np.flatnonzero(totals == t) for t in shells]
-    size = sum(len(idx) for idx in block_idx)
+    size = int(np.bincount(totals)[wanted].sum())
     if size > _PASSIVE_DIM_CAP:
         raise DimensionTooLarge(
             f"passive_unitary at basis size {size} exceeds {_PASSIVE_DIM_CAP}"
         )
-    cutoffs = trunc.cutoffs
-    log_fact = np.cumsum(np.log(np.arange(1, max(cutoffs) + 1)))
-
-    def fact_sqrt(ns):
-        s = 0.0
-        for n in ns:
-            if n > 0:
-                s += log_fact[n - 1]
-        return math.exp(0.5 * s)
-
-    mats = []
-    for idx in block_idx:
-        pos_in_block = {int(f): k for k, f in enumerate(idx)}
-        mat = np.zeros((len(idx), len(idx)), dtype=np.complex128)
-        for col_pos, flat in enumerate(idx):
-            ns = trunc.unravel(int(flat))
-            state: dict[tuple[int, ...], complex] = {(0,) * m: 1.0 + 0.0j}
-            for mode, n_m in enumerate(ns):
-                for _ in range(n_m):
-                    nxt: dict[tuple[int, ...], complex] = {}
-                    for k, amp in state.items():
-                        for j in range(m):
-                            if k[j] + 1 > cutoffs[j]:
-                                continue  # cropped: leaks out of the space
-                            coeff = amp * u[j, mode] * math.sqrt(k[j] + 1)
-                            k2 = k[:j] + (k[j] + 1,) + k[j + 1 :]
-                            nxt[k2] = nxt.get(k2, 0.0) + coeff
-                    state = nxt
-            norm = fact_sqrt(ns)
-            col = mat[:, col_pos]
-            for k, amp in state.items():
-                col[pos_in_block[trunc.index(k)]] = amp / norm
-        mats.append(mat)
+    rows = [np.flatnonzero(totals == t) for t in range(top + 1)]
+    strides = np.array(_strides(trunc.shape))
+    # shells below the top one are built on the way, each on all its rows
+    # but only on the columns l - e_m that some requested column lowers to
+    cols, lower = rows[:1] + [None] * top, {}
+    for t in range(top, 0, -1):
+        cols[t] = rows[t] if t in wanted else np.unique(lower[t + 1][0])
+        ls = np.array(np.unravel_index(cols[t], trunc.shape))
+        first = np.argmax(ls > 0, axis=0)
+        lower[t] = (cols[t] - strides[first], first, np.sqrt(ls[first, np.arange(len(first))]))
+    mat = np.ones((1, 1), dtype=np.complex128)
+    mats = {0: mat}
+    for t in range(1, top + 1):
+        down, first, norm = lower[t]
+        ks = np.array(np.unravel_index(rows[t], trunc.shape))
+        prev = mat[:, np.searchsorted(cols[t - 1], down)] / norm
+        mat = np.zeros((len(rows[t]), len(cols[t])), dtype=np.complex128)
+        for j in range(m):
+            r = np.flatnonzero(ks[j])
+            below = np.searchsorted(rows[t - 1], rows[t][r] - strides[j])
+            mat[r] += np.sqrt(ks[j, r])[:, None] * prev[below] * u[j, first]
+        if t in wanted:
+            mats[t] = mat
 
     return BlockUnitary(
         trunc,
-        list(zip(block_idx, mats)),
+        [(rows[t], mats[t]) for t in wanted],
         meta={"mode_matrix": u.copy()},
     )
 
@@ -669,6 +659,10 @@ def displacement(
     for g, n in zip(gs, trunc.cutoffs):
         extra = int(math.ceil(4.0 * abs(g) * math.sqrt(max(n, 1)))) + 10
         big = n + extra
+        # expm, not the ladder recurrence D[k, l] = (g D[k-1, l] + sqrt(l)
+        # D[k-1, l-1]) / sqrt(k), which against a 50-digit reference errs by
+        # 4.7e-8 at g = 2+1j, n = 40 and by 3e-2 at g = 3, n = 60; expm
+        # stays within 1e-15 there
         a = annihilation_matrix(big)
         gen = g * a.conj().T - np.conj(g) * a
         full = expm(gen)

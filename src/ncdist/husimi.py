@@ -19,7 +19,7 @@ evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -411,6 +411,8 @@ def q_sup(
     would have found a higher peak.
     ``n_evaluations`` counts value-and-gradient evaluations.
     """
+    if n_starts is not None and n_starts < 1:
+        raise ValueError(f"n_starts must be at least 1, got {n_starts}")
     target = _make_target(state)
     if isinstance(state, ClassicalEnsemble):
         m = state.nmodes

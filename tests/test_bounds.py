@@ -308,6 +308,23 @@ def test_report_entangled_coherent_matches_cat():
         assert ecs.best_upper == min(b.value for b in no_ring)
 
 
+@pytest.mark.parametrize("parity, beta", [("odd", 1e-5), ("odd", 0.3), ("odd", 2.5), ("even", 2.0)])
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+def test_report_entangled_coherent_keeps_the_ring_where_the_splitter_mixes_nothing(parity, beta, eta):
+    # at eta 0 or 1 the splitter only moves the cat to a mode, so every
+    # witness, the ring too, carries over and the report is the cat's
+    spec = StateSpec("entangled_coherent", {"parity": parity, "beta": beta, "eta": eta})
+    ecs = report(spec)
+    cat = report(StateSpec("cat", {"parity": parity, "beta": beta}))
+    assert (ecs.best_lower, ecs.best_upper, ecs.exact) == (cat.best_lower, cat.best_upper, cat.exact)
+    images = [b for b in ecs.uppers if b.name.endswith("-image")]
+    assert "dephased-ring-image" in {b.name for b in images}
+    psi = spec.build()
+    for b in images:
+        dense = upper_witness(psi, b.candidate.ensemble)
+        assert abs(b.value - dense.value) < 1e-14, b.name
+
+
 def test_report_entangled_coherent_builds_no_two_mode_state(monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("the report built the two-mode state")

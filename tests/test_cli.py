@@ -182,6 +182,23 @@ def test_figure_takes_no_seed(tmp_path):
             main(["figure", "fig3", flag, value, "--out", str(tmp_path / "f.csv")])
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_figure_steps_below_one_is_schema_error(tmp_path, capsys, steps):
+    out = tmp_path / "f3.csv"
+    code, stdout, err = run_cli(capsys, "figure", "fig3", "--steps", steps, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: steps must be at least 1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_qsup_steps_below_one_is_schema_error(tmp_path, capsys, steps):
+    path = write_state(tmp_path, "one.json", {"kind": "number", "ns": [1]})
+    code, out, err = run_cli(capsys, "qsup", path, "--steps", steps)
+    assert code == 2 and out == ""
+    assert err.startswith("error: n_starts must be at least 1")
+
+
 def test_qsup_number_state(tmp_path, capsys):
     path = write_state(tmp_path, "two.json", {"kind": "number", "ns": [2]})
     code, out, _ = run_cli(capsys, "qsup", path, "--trunc", "16")

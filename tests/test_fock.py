@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import poisson as sp_poisson
 
 from ncdist.errors import DimensionTooLarge, NumericalInconsistency, TruncationTooSmall
 from ncdist.fock import (
+    _passive_shells,
     DensityMatrix,
     FockVector,
     TruncationSpec,
@@ -166,11 +169,15 @@ def test_hong_ou_mandel():
     assert psi.norm() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_passive_unitary_blocks_are_unitary():
-    rng = np.random.default_rng(3)
-    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+def _random_unitary(m, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     q, r = np.linalg.qr(g)
-    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def test_passive_unitary_blocks_are_unitary():
+    u = _random_unitary(3, 3)
     t = TruncationSpec((3, 3, 3))
     w = passive_unitary(u, t)
     defects = w.block_unitarity_defects()
@@ -200,6 +207,57 @@ def test_passive_unitary_preserves_coherent_states():
     after = w.apply_vec(before)
     ref = coherent_amps(q @ alpha, t)
     assert np.linalg.norm(after.flat - ref.flat) < 1e-6
+
+
+def test_passive_unitary_cropped_shells_are_exact_sub_blocks():
+    # shells 4..9 at cutoff 3 lose basis states; what is left of each must
+    # be the matching sub-block of the same shell at cutoff 9
+    u = _random_unitary(3, 5)
+    small = passive_unitary(u, TruncationSpec((3, 3, 3)))
+    big = passive_unitary(u, TruncationSpec((9, 9, 9)))
+    assert len(small.blocks) == 10
+    for t, (idx, b) in enumerate(small.blocks):
+        big_idx, big_b = big.blocks[t]
+        ks = np.unravel_index(idx, (4, 4, 4))
+        pos = np.searchsorted(big_idx, np.ravel_multi_index(ks, (10, 10, 10)))
+        assert np.array_equal(big_idx[pos], np.ravel_multi_index(ks, (10, 10, 10)))
+        assert np.abs(b - big_b[np.ix_(pos, pos)]).max() < 1e-13, t
+
+
+def test_passive_unitary_two_modes_match_the_binomial_closed_form():
+    # W|l> expands (u00 a0^+ + u10 a1^+)^l0 (u01 a0^+ + u11 a1^+)^l1 |0>
+    u = _random_unitary(2, 7)
+    w = passive_unitary(u, TruncationSpec((8, 8)))
+    assert len(w.blocks) == 17
+
+    def amp(k0, k1, l0, l1):
+        s = sum(
+            math.comb(l0, p) * u[0, 0] ** p * u[1, 0] ** (l0 - p)
+            * math.comb(l1, k0 - p) * u[0, 1] ** (k0 - p) * u[1, 1] ** (l1 - k0 + p)
+            for p in range(max(0, k0 - l1), min(l0, k0) + 1)
+        )
+        return s * math.sqrt(
+            math.factorial(k0) * math.factorial(k1) / (math.factorial(l0) * math.factorial(l1))
+        )
+
+    for t, (idx, b) in enumerate(w.blocks):
+        ks = list(zip(*np.unravel_index(idx, (9, 9))))
+        assert all(sum(k) == t for k in ks)
+        ref = np.array([[amp(*k, *l) for l in ks] for k in ks])
+        assert np.abs(b - ref).max() < 1e-13, t
+
+
+@pytest.mark.parametrize("cutoffs, shells", [((3, 3, 3), [2, 7]), ((1,) * 10, [9])])
+def test_passive_shells_match_the_full_operator(cutoffs, shells):
+    # the shells below a requested one are built on fewer columns
+    u = _random_unitary(len(cutoffs), 2)
+    t = TruncationSpec(cutoffs)
+    part = _passive_shells(u, t, shells)
+    full = passive_unitary(u, t)
+    assert len(part.blocks) == len(shells)
+    for (idx, b), s in zip(part.blocks, shells):
+        assert np.array_equal(idx, full.blocks[s][0])
+        assert np.abs(b - full.blocks[s][1]).max() < 1e-13
 
 
 def test_displacement_moves_vacuum_and_inverts():
