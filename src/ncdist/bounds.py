@@ -18,8 +18,11 @@ assembly step keeps the best of each side, cross-checks the ordering, and
 marks the bracket exact only when a computed witness distance meets the
 best lower bound within ``EXACT_TOL`` (on pure states, by the saturation
 mechanism).  Number-diagonal witnesses are evaluated exactly on the
-state's support; the others on truncations whose certified tail mass
-bounds their error by the tail tolerance in play.
+state's support, and a cat's coherent-pair witnesses exactly on the span
+of the coherent vectors involved (the span route,
+:func:`.metrics.cat_span_distance`), neither with a truncation; the
+others, tensor products of factor witnesses, on truncations whose
+certified tail mass bounds their error by the tail tolerance in play.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .husimi import (
     q_sup,
 )
 from .metrics import (
+    cat_span_distance,
     trace_distance,
     trace_distance_diag,
     trace_distance_pure_diag,
@@ -172,10 +176,14 @@ class BoundReport:
 class ReportConfig:
     """Settings shared by every bound inside one report.
 
-    ``tail_tol`` is the tail budget of the witnesses that are not number
-    diagonal, and ``seed`` drives the multistart Husimi search on states
-    without an analytic supremum.  A state is built at its own truncation
-    (``StateSpec.trunc``, else the family default).
+    ``tail_tol`` is the tail budget of a witness realized densely on a
+    padded truncation, which only a ``factor-witness`` with coherent-point
+    factors still is: number-diagonal witnesses are exact on the state's
+    support and a cat's coherent pairs on their coherent span, so cats and
+    entangled-coherent states never read it.  ``seed`` drives the
+    multistart Husimi search on states without an analytic supremum.  A
+    state is built at its own truncation (``StateSpec.trunc``, else the
+    family default).
     """
 
     tail_tol: float = DEFAULT_TAIL_TOL
@@ -216,10 +224,14 @@ class _WitnessCandidate:
     """A classical witness: an ensemble, optionally conjugated by a passive
     interferometer (the rotation maps the ensemble's labels onto the
     state's frame; distances are evaluated by rotating the state back,
-    see :func:`_rotate_back`)."""
+    see :func:`_rotate_back`).  ``residual``, when set, is the eigenvector
+    residual of the state the witness was evaluated against, computed
+    exactly with its distance (a cat's coherent pairs); saturation reads it
+    instead of realizing the witness."""
 
     ensemble: ClassicalEnsemble
     rotation: np.ndarray | None = None
+    residual: float | None = None
 
     def frame(self, state, tail_tol: float):
         """The state rotated back into the ensemble's frame, with the
@@ -334,7 +346,10 @@ def upper_witness(rho, sigma, *, name: str = "witness",
     """Upper bound from one explicit classical state: the computed trace
     distance, with the witness attached."""
     cand = _WitnessCandidate(sigma, rotation)
-    d = _distance(*cand.frame(rho, tail_tol))
+    return _witness_bound(name, _distance(*cand.frame(rho, tail_tol)), cand)
+
+
+def _witness_bound(name: str, d: float, cand: _WitnessCandidate) -> Bound:
     return Bound(
         name,
         min(max(d, 0.0), _ONE_MINUS),
@@ -563,10 +578,12 @@ def _saturation_diagnostics(
                 attain_defect, abs(m_sup - overlap.value(_as_x(alpha)))
             )
 
-    s, sigma = cand.frame(psi, cfg.tail_tol)
-    f = s.flat / s.norm()
-    sigma_psi = sigma * f if isinstance(sigma, np.ndarray) else sigma.mat @ f
-    eigen_residual = float(np.linalg.norm(sigma_psi - np.vdot(f, sigma_psi).real * f))
+    eigen_residual = cand.residual
+    if eigen_residual is None:
+        s, sigma = cand.frame(psi, cfg.tail_tol)
+        f = s.flat / s.norm()
+        sigma_psi = sigma * f if isinstance(sigma, np.ndarray) else sigma.mat @ f
+        eigen_residual = float(np.linalg.norm(sigma_psi - np.vdot(f, sigma_psi).real * f))
     return {
         "checked": True,
         "eigenvector_residual": eigen_residual,
@@ -767,7 +784,10 @@ def _report_cat(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
     image.  An entangled-coherent state is B(eta) applied to the cat and the
     vacuum; passive optics leaves every distance unchanged, so only the cat
     is built and evaluated, and its witnesses are carried through the
-    splitter as ``-image`` (the ring only at eta 0 or 1: no modes mix)."""
+    splitter as ``-image`` (the ring only at eta 0 or 1: no modes mix).
+    The coherent pairs sigma_beta and sigma_alpha* are evaluated, with their
+    saturation residuals, on the cat's coherent span; the ring on the cat's
+    support."""
     parity, beta = spec.params["parity"], float(spec.params["beta"])
     cat = spec if spec.kind == "cat" else StateSpec("cat", {"parity": parity, "beta": beta})
     psi = cat.build()
@@ -776,25 +796,20 @@ def _report_cat(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
     alpha_star = float(np.real(sup.argmax[0][0]))
     _check_attained(psi, alpha_star, m, spec.state_id())
 
-    def witness(name, ens):
-        return upper_witness(psi, ens, name=name, tail_tol=cfg.tail_tol)
+    def pair(name, a):
+        # the pair +-a (the vacuum at a = 0), exact on the coherent span
+        ens = two_point_mixture([a], [-a]) if a else coherent_point_ensemble([0.0])
+        d, residual = cat_span_distance(parity, beta, [1.0], [a])
+        return _witness_bound(name, d, _WitnessCandidate(ens, residual=residual))
 
-    uppers = [
-        upper_q(m),
-        _point_upper(m, alpha_star),
-        witness("sigma-beta", two_point_mixture([beta], [-beta])),
-    ]
+    uppers = [upper_q(m), _point_upper(m, alpha_star), pair("sigma-beta", beta)]
     if spec.kind == "cat" or float(spec.params["eta"]) in (0.0, 1.0):
         # ring at the Husimi-peak energy; when the peak sits at the origin
         # the ring at the coherent-amplitude energy is still a usable
         # (looser) witness
         ring_energy = alpha_star**2 if alpha_star > 1e-9 else beta * beta
-        uppers.append(witness("dephased-ring", phase_ring(ring_energy)))
-    if alpha_star > 1e-9:
-        star = two_point_mixture([alpha_star], [-alpha_star])
-    else:
-        star = coherent_point_ensemble([0.0])
-    uppers.append(witness("sigma-alpha-star", star))
+        uppers.append(upper_witness(psi, phase_ring(ring_energy), name="dephased-ring"))
+    uppers.append(pair("sigma-alpha-star", alpha_star if alpha_star > 1e-9 else 0.0))
     rep = _assemble(spec.state_id(), _pure_lowers(m), uppers, psi, cfg, sup_overlap=m)
     if spec.kind == "cat":
         return rep

@@ -565,7 +565,9 @@ def beam_splitter(eta: float) -> np.ndarray:
     return np.array([[t, r], [-r, t]], dtype=np.complex128)
 
 
-_PASSIVE_DIM_CAP = 250_000
+# entries of the shell blocks one interferometer build may allocate: as
+# many as one dense matrix at the dense-dimension cap
+_PASSIVE_ENTRY_CAP = MAX_DENSE_DIM**2
 
 
 def passive_unitary(u: np.ndarray, trunc: TruncationSpec) -> BlockUnitary:
@@ -596,11 +598,6 @@ def _passive_shells(u: np.ndarray, trunc: TruncationSpec, shells) -> BlockUnitar
     wanted = [int(t) for t in shells]
     top = max(wanted, default=-1)
     totals = trunc.totals()
-    size = int(np.bincount(totals)[wanted].sum())
-    if size > _PASSIVE_DIM_CAP:
-        raise DimensionTooLarge(
-            f"passive_unitary at basis size {size} exceeds {_PASSIVE_DIM_CAP}"
-        )
     rows = [np.flatnonzero(totals == t) for t in range(top + 1)]
     strides = np.array(_strides(trunc.shape))
     # shells below the top one are built on the way, each on all its rows
@@ -611,6 +608,13 @@ def _passive_shells(u: np.ndarray, trunc: TruncationSpec, shells) -> BlockUnitar
         ls = np.array(np.unravel_index(cols[t], trunc.shape))
         first = np.argmax(ls > 0, axis=0)
         lower[t] = (cols[t] - strides[first], first, np.sqrt(ls[first, np.arange(len(first))]))
+    # a requested shell is a square block, a shell on the way a slice of one
+    entries = sum(len(rows[t]) * len(cols[t]) for t in range(1, top + 1))
+    if entries > _PASSIVE_ENTRY_CAP:
+        raise DimensionTooLarge(
+            f"passive_unitary would build {entries} shell-block entries, "
+            f"past the cap of {_PASSIVE_ENTRY_CAP}"
+        )
     mat = np.ones((1, 1), dtype=np.complex128)
     mats = {0: mat}
     for t in range(1, top + 1):

@@ -1,18 +1,25 @@
 """Distance and fidelity computations on truncated Fock spaces.
 
-Besides the dense routes this module carries two structured trace-distance
-paths that stay exact while avoiding dense matrices:
+Besides the dense routes this module carries three structured
+trace-distance paths that stay exact while avoiding dense matrices:
 
 * diagonal vs diagonal: half the l1 distance of the probability vectors;
 * pure vs diagonal: the difference operator splits over the exact support
   of the pure state, leaving one small Hermitian block plus the unmatched
-  diagonal mass.
+  diagonal mass;
+* a parity cat vs a mixture of symmetric coherent pairs: both live on the
+  span of a few coherent vectors, so the distance is a small eigenproblem
+  on that span, with no truncation at all.
 
-Both are used for the large multimode witness computations where a dense
-realization would be far past the dimension cap.
+The first two serve the large multimode witness computations where a
+dense realization would be far past the dimension cap, the third the cat
+and entangled-coherent reports.
 """
 
 from __future__ import annotations
+
+import cmath
+import math
 
 import numpy as np
 
@@ -72,6 +79,87 @@ def trace_distance_pure_diag(psi: FockVector, q: np.ndarray) -> float:
     ev = np.linalg.eigvalsh(block)
     off_mass = float(q.sum() - q[s].sum())
     return 0.5 * (float(np.abs(ev).sum()) + off_mass)
+
+
+def _scaled_f(sign: float, p: complex, q: complex) -> complex:
+    """e^{-(|p|^2 + |q|^2) / 2} f(conj(p) q), f = cosh (sign 1) or sinh
+    (sign -1), with no overflow and no cancellation.
+
+    With z = conj(p) q, t = +-1 making Re(t z) >= 0, and f(-z) = sign f(z),
+    it is e^{-|p - t q|^2 / 2 + i Im(t z)} (1 + sign e^{-2 t z}) / 2, times
+    sign where t = -1; the odd factor goes through ``expm1``, as in
+    ``CatParams.normalization``.  At p = q it is p^+- = (1 +- e^{-2|p|^2}) / 2.
+    """
+    z = p.conjugate() * q
+    t = -1.0 if z.real < 0 else 1.0
+    tz = t * z
+    v = 0.5 * (1.0 + cmath.exp(-2.0 * tz)) if sign > 0 else -0.5 * complex(np.expm1(-2.0 * tz))
+    out = cmath.exp(complex(-0.5 * abs(p - t * q) ** 2, tz.imag)) * v
+    return sign * out if t < 0 else out
+
+
+def cat_span_distance(parity: str, beta: complex, weights, amps) -> tuple[float, float]:
+    """Trace distance from a parity cat to a mixture of symmetric coherent
+    pairs, and the cat's eigenvector residual under that mixture; exact,
+    with no truncation.
+
+    The mixture is sum_k w_k (|a_k><a_k| + |-a_k><-a_k|) / 2.  Each pair
+    splits by parity as p_k^+ |cat_k^+><cat_k^+| + p_k^- |cat_k^-><cat_k^-|,
+    p^+- = (1 +- e^{-2|a|^2}) / 2, and the cat psi lies wholly in its own
+    sector s.  Off that sector the difference is minus a state of trace
+    sum_k w_k p_k^{-s}; on it, it is V C V^+ with V the normalized cats
+    [psi, cat_{a_k}^s] and C = diag(1, -w_k p_k^s), whose nonzero spectrum
+    is that of G^{1/2} C G^{1/2}, G = V^+ V.  Here G^{1/2} is replaced by
+    the factor B = [[1, g], [0, Q^{1/2}]] with B^+ B = G: g_k = <psi|cat_k>
+    and Q the Gram matrix of the cats' parts orthogonal to psi, both in
+    closed form, so cats nearly parallel to psi keep their relative
+    accuracy.  The columns of B are the span vectors in an orthonormal
+    basis, so the residual ||sigma psi - <psi|sigma|psi> psi|| =
+    ||Q^{1/2} (c conj(g))|| is a vector norm there, c_k = w_k p_k^s.  The
+    span holds a few vectors, so its entries are scalar arithmetic.
+    """
+    sign = {"even": 1.0, "odd": -1.0}[parity]
+    w = [float(x) for x in weights]
+    a = [complex(x) for x in amps]
+    if len(w) != len(a) or min(w, default=-1.0) < 0 or abs(sum(w) - 1.0) > 1e-9:
+        raise ValueError("pair weights must be >= 0, sum to 1 and match the amplitudes")
+    other = sum(wk * _scaled_f(-sign, ak, ak).real for wk, ak in zip(w, a))
+    p = [_scaled_f(sign, ak, ak).real for ak in a]
+    # an odd sector holds nothing of a pair at a = 0
+    span = [(wk * pk, pk, ak) for wk, pk, ak in zip(w, p, a) if wk * pk > 0]
+    c = np.array([ck for ck, _, _ in span])
+    b = complex(beta)
+    pb = _scaled_f(sign, b, b).real
+    g = np.array([_scaled_f(sign, b, ak) / math.sqrt(pb * pk) for _, pk, ak in span])
+    # Q_kl = G_kl - conj(g_k) g_l, from whichever of two exact forms has
+    # the smaller terms: that difference itself, or (times sqrt(p_k p_l)
+    # p_beta) the identity f(a_k' a_l) f(b' b) - f(a_k' b) f(b' a_l) =
+    # sinh(u_k' u_l) sinh(v_k' v_l) + sign sinh(v_k' u_l) sinh(u_k' v_l),
+    # u, v = (a +- b) / sqrt 2 (' the conjugate), which keeps the small Q
+    # of cats nearly parallel to psi but cancels where p_beta is small
+    uv = [((ak + b) / math.sqrt(2.0), (ak - b) / math.sqrt(2.0)) for _, _, ak in span]
+    q = np.empty((len(span), len(span)), dtype=np.complex128)
+    for k, (_, pk, ak) in enumerate(span):
+        uk, vk = uv[k]
+        for l, (_, pl, al) in enumerate(span):
+            ul, vl = uv[l]
+            gram, ggt = _scaled_f(sign, ak, al) / math.sqrt(pk * pl), g[k].conjugate() * g[l]
+            scale = math.sqrt(pk * pl) * pb
+            t1 = _scaled_f(-1.0, uk, ul) * _scaled_f(-1.0, vk, vl)
+            t2 = sign * _scaled_f(-1.0, vk, ul) * _scaled_f(-1.0, uk, vl)
+            if abs(t1) + abs(t2) < scale * (abs(gram) + abs(ggt)):
+                q[k, l] = (t1 + t2) / scale
+            else:
+                q[k, l] = gram - ggt
+    root = _psd_sqrt(q) if span else q
+    cols = np.vstack([g, root])
+    m = -(cols * c) @ cols.conj().T
+    m[0, 0] += 1.0
+    d = 0.5 * (float(np.abs(np.linalg.eigvalsh(m)).sum()) + other)
+    if d > 1.0 + 1e-12:
+        raise NumericalInconsistency(f"coherent-span distance {d} exceeds 1")
+    residual = float(np.linalg.norm(root @ (c * g.conj())))
+    return min(d, 1.0), residual
 
 
 def _psd_sqrt(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:

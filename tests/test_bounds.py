@@ -32,9 +32,11 @@ from ncdist import (
     upper_witness,
     vacuum_number_diag,
 )
-from ncdist import bounds, states
+from ncdist import bounds, metrics, states
 from ncdist.fock import poisson_pmf
-from ncdist.metrics import trace_distance
+from ncdist.husimi import cat_qmax
+from ncdist.metrics import cat_span_distance, trace_distance
+from ncdist.states import CatParams
 
 G1 = math.exp(-1.0)
 G2 = 2.0 * math.exp(-2.0)
@@ -587,6 +589,72 @@ def test_support_route_matches_dense_on_a_padded_truncation(state, ens):
     rho = outer(rho) if isinstance(rho, FockVector) else rho
     dense = trace_distance(rho, ens.realize(big))
     assert -1e-15 <= value - dense <= tail
+
+
+# ---------------------------------------------------------------------------
+# coherent-pair witnesses of cats on their coherent span
+
+
+def _padded_pair_reference(parity, beta, weights, amps):
+    """Distance and eigenvector residual of the cat against the pair
+    mixture by the padded route: the cat and the witness realized to 1e-15."""
+    tail = 1e-15
+    ens = ClassicalEnsemble(
+        tuple(
+            (w / 2, states.ProductComponent((states.CoherentFactor(sgn * a),)))
+            for w, a in zip(weights, amps)
+            for sgn in (1, -1)
+        )
+    )
+    trunc = TruncationSpec((int(beta * beta + 10 * beta + 30),), tail)
+    psi = StateSpec("cat", {"parity": parity, "beta": beta}, trunc).build()
+    b = upper_witness(psi, ens, tail_tol=tail)
+    sat = bounds._saturation_diagnostics(psi, b.candidate, 0.0, ReportConfig(tail_tol=tail))
+    return b.value, sat["eigenvector_residual"]
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("beta", [0.001, 0.05, 0.3, 1.0, 2.0, 3.0, 4.5])
+def test_cat_span_kernel_matches_the_padded_route(parity, beta):
+    alpha_star = float(np.real(cat_qmax(CatParams(parity, beta)).argmax[0][0]))
+    mixtures = [
+        ([1.0], [beta]),
+        ([1.0], [alpha_star if alpha_star > 1e-9 else 0.0]),
+        ([1.0], [0.8 * beta * np.exp(0.7j)]),
+        ([0.3, 0.7], [beta, 1.3 * beta * np.exp(2.0j)]),
+    ]
+    for weights, amps in mixtures:
+        d, residual = cat_span_distance(parity, beta, weights, amps)
+        d_ref, residual_ref = _padded_pair_reference(parity, beta, weights, amps)
+        assert abs(d - d_ref) <= 1e-12, amps
+        assert abs(residual - residual_ref) <= 1e-10, amps
+
+
+def _refuse_dense(*args, **kwargs):
+    raise AssertionError("a cat witness was realized densely")
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("cat", {"parity": "odd", "beta": 0.001}),
+        ("cat", {"parity": "even", "beta": 0.05}),
+        ("cat", {"parity": "even", "beta": 1.0}),
+        ("cat", {"parity": "odd", "beta": 2.5}),
+        ("entangled_coherent", {"parity": "odd", "beta": 0.001, "eta": 0.4}),
+        ("entangled_coherent", {"parity": "odd", "beta": 2.5, "eta": 0.3}),
+        ("entangled_coherent", {"parity": "even", "beta": 2.0, "eta": 1.0}),
+    ],
+)
+def test_cat_witnesses_are_not_realized(monkeypatch, kind, params):
+    monkeypatch.setattr(ClassicalEnsemble, "realize", _refuse_dense)
+    monkeypatch.setattr(metrics, "trace_distance", _refuse_dense)
+    monkeypatch.setattr(bounds, "trace_distance", _refuse_dense)
+    rep = report(StateSpec(kind, params))
+    assert rep.best_lower <= rep.best_upper + bounds.ORDERING_SLACK
+    if params["beta"] > 2.0:
+        # the bracket closes, so the saturation check ran on the span
+        assert rep.exact is not None and rep.saturation["ok"]
 
 
 # ---------------------------------------------------------------------------

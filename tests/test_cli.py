@@ -85,14 +85,28 @@ def test_small_cutoff_exits_three(tmp_path, capsys):
     assert "cutoff" in err or "trunc" in err.lower()
 
 
-def test_oversized_dense_witness_exits_three(tmp_path, capsys):
-    # at this cutoff the coherent-pair witnesses would be dense matrices of
-    # dimension 4201
-    state = {"kind": "cat", "parity": "even", "beta": 1.0}
-    path = write_state(tmp_path, "wide.json", state)
-    code, _, err = run_cli(capsys, "report", path, "--trunc", "4200")
+def test_wide_cat_reports_its_default_bracket(tmp_path, capsys):
+    # the coherent-pair witnesses are evaluated on their coherent span, so
+    # a 4201-level truncation of the cat realizes no dense witness
+    path = write_state(tmp_path, "cat.json", {"kind": "cat", "parity": "even", "beta": 1.0})
+    reps = []
+    for extra in ((), ("--trunc", "4200")):
+        code, out, _ = run_cli(capsys, "report", path, *extra)
+        assert code == 0
+        reps.append(json.loads(out))
+    for key in ("best_lower", "best_upper"):
+        assert abs(reps[1][key] - reps[0][key]) <= 1e-12
+    assert reps[1]["exact"] is None
+
+
+def test_oversized_dense_state_exits_three(tmp_path, capsys):
+    # a two-mode mixture of number states is reported densely: at 71 levels
+    # per mode its density matrix would be 5041 x 5041
+    terms = [{"w": 0.5, "state": {"kind": "number", "ns": ns}} for ns in ([1, 0], [0, 2])]
+    path = write_state(tmp_path, "wide.json", {"kind": "mixture", "terms": terms})
+    code, _, err = run_cli(capsys, "report", path, "--trunc", "70")
     assert code == 3
-    assert "dense dimension" in err
+    assert "5041x5041 dense" in err
 
 
 def test_wide_entangled_coherent_reports_as_its_cat(tmp_path, capsys):
@@ -142,6 +156,27 @@ def test_tail_tol_outside_the_unit_interval_is_schema_error(tmp_path, capsys, st
     code, _, err = run_cli(capsys, "report", path, "--tail-tol", tail_tol)
     assert code == 2
     assert err.startswith("error: tail_tol must lie in (0, 1)")
+
+
+@pytest.mark.parametrize(
+    "state, trunc",
+    [
+        # 11 levels just hold this cat to 1e-12, so a witness padded to the
+        # budget would have moved with it
+        ({"kind": "cat", "parity": "odd", "beta": 0.7}, ("--trunc", "11")),
+        ({"kind": "cat", "parity": "even", "beta": 3.0}, ()),
+        ({"kind": "entangled_coherent", "parity": "even", "beta": 1.5, "eta": 0.3}, ()),
+    ],
+)
+def test_cat_reports_do_not_depend_on_tail_tol(tmp_path, capsys, state, trunc):
+    # every cat witness is exact with no truncation, so no tail budget enters
+    path = write_state(tmp_path, "state.json", state)
+    outs = []
+    for extra in ((), ("--tail-tol", "1e-6")):
+        code, out, _ = run_cli(capsys, "report", path, *trunc, *extra)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("tail_tol", ["-1", "0", "1.5", "nan"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,19 @@ def test_passive_shells_match_the_full_operator(cutoffs, shells):
     for (idx, b), s in zip(part.blocks, shells):
         assert np.array_equal(idx, full.blocks[s][0])
         assert np.abs(b - full.blocks[s][1]).max() < 1e-13
+
+
+def test_passive_unitary_caps_the_shell_entries_before_building():
+    # 59,049 basis states, but the 10-photon shell alone has 8,953: its block
+    # would take 1.3 GB, the whole operator 6 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionTooLarge):
+            passive_unitary(_random_unitary(10, 3), TruncationSpec((2,) * 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e7
 
 
 def test_displacement_moves_vacuum_and_inverts():
