@@ -567,16 +567,16 @@ def _saturation_diagnostics(
     # a component of weight w moves the witness by at most w in trace
     # distance, so one lighter than the tolerance need not attain the peak
     # (the weighted axis rings give a zero weight to an empty mode)
+    points = [
+        _as_x(pt if cand.rotation is None else cand.rotation @ pt)
+        for w, comp in cand.ensemble.components
+        if w > SATURATION_TOL
+        for pt in comp.representative_points()
+    ]
     attain_defect = 0.0
-    overlap = _BargmannTarget(psi)
-    for w, comp in cand.ensemble.components:
-        if w <= SATURATION_TOL:
-            continue
-        for pt in comp.representative_points():
-            alpha = pt if cand.rotation is None else cand.rotation @ pt
-            attain_defect = max(
-                attain_defect, abs(m_sup - overlap.value(_as_x(alpha)))
-            )
+    if points:
+        overlaps = _BargmannTarget(psi).evaluate(np.array(points))[0]
+        attain_defect = float(np.abs(m_sup - overlaps).max())
 
     eigen_residual = cand.residual
     if eigen_residual is None:
@@ -689,7 +689,7 @@ def _point_upper(m_sup: float, points) -> Bound:
 def _check_attained(state: FockVector, alpha, claimed: float, what: str):
     # on the state's own truncation: exact, since only amplitudes on the
     # state's support enter |<alpha|psi>|^2
-    got = _BargmannTarget(state).value(_as_x(alpha))
+    got = _BargmannTarget(state).evaluate(_as_x(alpha)[None])[0][0]
     if abs(got - claimed) > 1e-8:
         raise NumericalInconsistency(
             f"{what}: claimed peak overlap {claimed} but the state gives "

@@ -8,6 +8,7 @@ inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -135,8 +136,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the parser costs many parses; each parse fills a fresh
+    # namespace from the defaults, so one parser serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (TruncationTooSmall, DimensionTooLarge) as err:

@@ -6,23 +6,25 @@ e^{-n} n^n / n!, for N00N-type states gamma_n max_m |c_m|^2, and for the
 parity cats a one-dimensional root find; everything else goes through a
 seeded multistart search whose result carries a stationarity certificate.
 
-The search runs L-BFGS from each start (the origin, the mode means, caller
-hints and scrambled Sobol points) on Q(alpha) with its exact gradient: for
-Fock-space states Q = e^{-|alpha|^2} sum_k w_k |P_k(conj alpha)|^2, with P_k
-the Bargmann polynomial of a pure component, and for classical ensembles the
-Gaussian and Bessel closed forms. The certificate is the exact gradient norm
-at the reported maximizers: it certifies stationarity, not that the best
-start found the global maximum. ``n_evaluations`` counts value-and-gradient
-evaluations.
+The search advances every start (the origin, the mode means, caller hints
+and scrambled Sobol points) in lockstep: each round evaluates Q(alpha), its
+exact gradient and its exact Hessian at all starts still moving in one
+batched call and takes one saddle-free trust-region Newton step per start.
+For Fock-space states Q = e^{-|alpha|^2} sum_k w_k |P_k(conj alpha)|^2, with
+P_k the Bargmann polynomial of a pure component, and for classical
+ensembles the Gaussian and Bessel closed forms. The certificate is the exact
+gradient norm at the reported maximizers: it certifies stationarity, not
+that the best start found the global maximum. ``n_evaluations`` counts
+point evaluations of Q, its gradient and its Hessian.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import gammaln, i0e, i1e
 from scipy.stats import qmc
 
@@ -38,8 +40,8 @@ from .states import CatParams, ClassicalEnsemble, CoherentFactor, RingFactor
 
 DEFAULT_SEED = 1729
 CERT_THRESHOLD = 1e-8  # gradient norm above which a result is flagged
-MAX_EVALS_PER_START = 2000  # value-and-gradient evaluations per L-BFGS start
-GRADIENT_TOL = 1e-12  # L-BFGS stops once every gradient component is below
+MAX_EVALS_PER_START = 2000  # point evaluations (Q, gradient, Hessian) per start
+GRADIENT_TOL = 1e-12  # a start stops once every gradient component is below
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +100,8 @@ class QSupremum:
     (0 for analytic results); values above 1e-8 mean the search did not
     converge and the caller must not treat the value as the supremum. A
     small certificate shows stationarity only, not a global maximum.
-    ``n_evaluations`` counts value-and-gradient evaluations.
+    ``n_evaluations`` counts point evaluations of Q, its gradient and its
+    Hessian.
     """
 
     value: float
@@ -199,8 +202,40 @@ def cat_qmax(params: CatParams) -> QSupremum:
 # ---------------------------------------------------------------------------
 # pointwise evaluation
 #
-# Every target gives Q(alpha) = <alpha|rho|alpha> at x = (Re alpha_1..M,
-# Im alpha_1..M), alone (``value``) or with its exact gradient (``evaluate``).
+# Every target evaluates Q(alpha) = <alpha|rho|alpha> at a batch of rows x =
+# (Re alpha_1..M, Im alpha_1..M), with its exact gradient and Hessian.
+
+# entries an intermediate of the Bargmann contraction may hold, unless the
+# state itself holds more
+_CONTRACTION_BUDGET = 1 << 20
+
+
+@functools.cache
+def _derivative_patterns(m: int):
+    """Which derivative patterns a contraction over m modes carries: those
+    of total order <= 2, 1 + m + m (m + 1) / 2 of them.
+
+    A pattern gives each mode's derivative order. Returns, for each mode
+    after the first, the (pattern, order) products to keep; the pattern
+    count after each mode; and the row of each d2/dz_j dz_l. Rows run by
+    total order: the value, d/dz_j at row 1 + j, then the second
+    derivatives.
+    """
+    patterns = [(0,), (1,), (2,)]
+    keeps, counts = [], [3]
+    for _ in range(1, m):
+        grown = [p + (o,) for p in patterns for o in range(3)]
+        keep = sorted(
+            (i for i, p in enumerate(grown) if sum(p) <= 2),
+            key=lambda i: (sum(grown[i]), [-o for o in grown[i]]),
+        )
+        keeps.append(np.array(keep))
+        patterns = [grown[i] for i in keep]
+        counts.append(len(patterns))
+    unit = np.eye(m, dtype=int)
+    row = {p: i for i, p in enumerate(patterns)}
+    second = np.array([[row[tuple(a + b)] for b in unit] for a in unit])
+    return keeps, counts, second
 
 
 class _BargmannTarget:
@@ -209,12 +244,17 @@ class _BargmannTarget:
     The state is a stack of K amplitude vectors with weights: the vector
     itself (K = 1), or a density's eigenvectors above the rank cut. Each
     term contributes |<alpha|psi_k>|^2 = e^{-|alpha|^2} |P_k(conj alpha)|^2,
-    where P_k is the Bargmann polynomial of psi_k, so
+    where P_k is the Bargmann polynomial of psi_k, holomorphic in
+    z = conj(alpha). With A = <alpha|psi_k>, D_j and D_jl its z-derivatives
+    (the Gaussian held fixed), S_j = sum_k w_k conj(A) D_j,
+    M_jl = sum_k w_k conj(D_j) D_l and N_jl = sum_k w_k conj(A) D_jl:
 
-        dQ/dx_j = -2 x_j Q + 2 e^{-|alpha|^2} Re sum_k w_k conj(P_k) d_j P_k
+        dQ/dx = 2 Re S - 2 x Q,  dQ/dy = 2 Im S - 2 y Q,
 
-    with Im in place of Re for y_j. The factor 1/sqrt(n!) of P and the
-    Gaussian e^{-|alpha_j|^2/2} enter per mode through the coherent-amplitude
+    and the Hessian is g f'' - 2 x grad^T - 2 grad x^T - 4 x x^T Q - 2 Q,
+    where g f'' has blocks 2 Re(M + N) (xx), 2 Im(M + N) (xy) and
+    2 Re(M - N) (yy). The factor 1/sqrt(n!) of P and the Gaussian
+    e^{-|alpha_j|^2/2} enter per mode through the coherent-amplitude
     recurrence, which keeps every factor bounded for any cutoff and any
     alpha.
     """
@@ -231,92 +271,146 @@ class _BargmannTarget:
             keep = w > max(1e-15, 1e-14 * max(w.max(), 0.0))
             self.weights = w[keep]
             self.stack = v[:, keep]
-        self._sqrt = np.sqrt(np.arange(1, max(self.trunc.cutoffs) + 1))
+        n = np.arange(max(self.trunc.cutoffs) + 1)
+        self._sqrt = np.sqrt(n[1:])
         self._step = 1.0 / self._sqrt
-        # each mode in turn is the middle axis of a 3-d view (patterns so
-        # far, this mode, later modes x K): one large matrix product a step
+        self._sqrt2 = np.sqrt(n[2:] * (n[2:] - 1.0))
+        # each mode in turn is contracted with u = <alpha_j|n> and its first
+        # and second z-derivatives: after mode j, (patterns so far, later
+        # modes x K)
         dims = self.trunc.shape
         self._splits = [
             (d, math.prod(dims[j + 1 :]) * len(self.weights)) for j, d in enumerate(dims)
         ]
-        # the gradient's contraction leaves d/dz_j at row 2^(m-1-j)
-        self._first = [1 << (len(dims) - 1 - j) for j in range(len(dims))]
+        self._keep, counts, self._second = _derivative_patterns(len(dims))
+        # entries one row needs at once: a mode's product and its kept part
+        per_row = max(
+            [3 * self._splits[0][1]]
+            + [(3 * p + k) * rest for p, k, (_, rest) in zip(counts, counts[1:], self._splits[1:])]
+        )
+        self._chunk = max(1, max(_CONTRACTION_BUDGET, self.stack.size) // per_row)
 
-    def _contract(self, x: np.ndarray, rows: int) -> np.ndarray:
-        """Contract every mode with u = <alpha_j|n> (rows = 1), or with u
-        and its z-derivative (rows = 2), giving a (rows^m, K) array."""
+    def _contract(self, x: np.ndarray) -> np.ndarray:
+        """The (rows, patterns, K) contraction of every mode's amplitude
+        vector, or of its derivatives as each pattern says."""
+        b = len(x)
         m = self.trunc.nmodes
-        re, im = x[:m], x[m:]
+        re, im = x[:, :m], x[:, m:]
         # u[n] = e^{-|alpha_j|^2/2} z^n / sqrt(n!) with z = conj(alpha_j) by
-        # the coherent recurrence, and du/dz[n] = sqrt(n) u[n - 1]
-        steps = np.empty((m, len(self._step) + 1), dtype=np.complex128)
-        steps[:, 0] = np.exp(-0.5 * (re * re + im * im))
-        steps[:, 1:] = (re - 1j * im)[:, None] * self._step
-        u = np.cumprod(steps, axis=1)
-        if rows == 1:
-            vecs = u[:, None]
-        else:
-            vecs = np.zeros((m, 2, u.shape[1]), dtype=np.complex128)
-            vecs[:, 0] = u
-            vecs[:, 1, 1:] = self._sqrt * u[:, :-1]
-        t = self.stack
-        for j, (d, rest) in enumerate(self._splits):
-            t = vecs[j, :, :d] @ t.reshape(rows**j, d, rest)
-        return t.reshape(rows**m, len(self.weights))
+        # the coherent recurrence; du/dz[n] = sqrt(n) u[n - 1] and
+        # d2u/dz2[n] = sqrt(n (n - 1)) u[n - 2]
+        vecs = np.zeros((b, m, 3, len(self._sqrt) + 1), dtype=np.complex128)
+        u = vecs[:, :, 0]
+        u[:, :, 0] = np.exp(-0.5 * (re * re + im * im))
+        u[:, :, 1:] = (re - 1j * im)[:, :, None] * self._step
+        np.cumprod(u, axis=2, out=u)
+        vecs[:, :, 1, 1:] = self._sqrt * u[:, :, :-1]
+        vecs[:, :, 2, 2:] = self._sqrt2 * u[:, :, :-2]
+        d, rest = self._splits[0]
+        t = vecs[:, 0, :, :d].reshape(3 * b, d) @ self.stack.reshape(d, rest)
+        t = t.reshape(b, 3, rest)
+        for j, ((d, rest), keep) in enumerate(zip(self._splits[1:], self._keep), 1):
+            t = vecs[:, j, None, :, :d] @ t.reshape(b, -1, d, rest)
+            t = t.reshape(b, -1, rest)[:, keep]
+        return t
 
-    def value(self, x: np.ndarray) -> float:
-        ov = self._contract(x, 1)[0]
-        return float(np.vdot(ov, self.weights * ov).real)
+    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Q, its gradient and its Hessian at each row of ``x``."""
+        if len(x) > self._chunk:
+            chunks = [self.evaluate(x[i : i + self._chunk]) for i in range(0, len(x), self._chunk)]
+            return tuple(np.concatenate(part) for part in zip(*chunks))
+        t = self._contract(x)
+        m = self.trunc.nmodes
+        # gram[r, s] = sum_k w_k conj(t_r) t_s: Q, S and N in row 0, M in
+        # the first-derivative block
+        gram = (t.conj() * self.weights) @ t.transpose(0, 2, 1)
+        q = gram[:, 0, 0].real
+        s = gram[:, 0, 1 : m + 1]
+        n = gram[:, 0, self._second]
+        mm = gram[:, 1 : m + 1, 1 : m + 1]
+        # with v = (Re S, Im S), grad = 2 v - 2 x Q, and the Gaussian product
+        # rule gives the Hessian g f'' - 2 (x w^T + w x^T) - 2 Q with
+        # w = grad + x Q
+        v = np.concatenate((s.real, s.imag), axis=1)
+        xq = x * q[:, None]
+        grad = 2.0 * (v - xq)
+        w = 2.0 * v - xq
+        plus, minus = mm + n, mm - n
+        hess = np.concatenate(
+            (
+                np.concatenate((plus.real, plus.imag), axis=2),
+                np.concatenate((-minus.imag, minus.real), axis=2),
+            ),
+            axis=1,
+        )
+        xw = x[:, :, None] * w[:, None, :]
+        hess -= xw + xw.transpose(0, 2, 1)
+        hess *= 2.0
+        hess.reshape(len(x), -1)[:, :: 2 * m + 1] -= 2.0 * q[:, None]
+        return q, grad, hess
 
-    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        t = self._contract(x, 2)
-        weighted = self.weights * t[0]
-        q = float(np.vdot(t[0], weighted).real)
-        s = t[self._first] @ weighted.conj()
-        return q, 2.0 * (np.concatenate((s.real, s.imag)) - x * q)
+
+def _factor_derivatives(f, re: np.ndarray, im: np.ndarray):
+    """Value, gradient (rows, 2) and Hessian (rows, 2, 2) of one mode factor
+    in (Re alpha, Im alpha)."""
+    if isinstance(f, RingFactor):
+        # h(r) = e^{-E-r^2} I0(z) with z = 2 s r and s^2 = E, where
+        # e^{-E-r^2} I_k(z) = i_ke(z) e^{-(s - r)^2}. With
+        # ratio = e^{-E-r^2} I1(z) / z (its limit 1/2 e^{-E-r^2} where z = 0):
+        #   h'/r = 4 E ratio - 2 h, which is h''(0) at r = 0, and by
+        #   I1' = I0 - I1 / z, h'' = -2 h - 2 r h' - 8 E r^2 ratio + 4 E (h - ratio)
+        e = f.energy
+        s = math.sqrt(e)
+        r = np.hypot(re, im)
+        z = 2.0 * s * r
+        g = np.exp(-((s - r) ** 2))
+        h = i0e(z) * g
+        ratio = np.divide(i1e(z), z, out=np.full_like(z, 0.5), where=z > 0) * g
+        dr_r = 4.0 * e * ratio - 2.0 * h
+        d2r = -2.0 * h - 2.0 * r * r * (dr_r + 4.0 * e * ratio) + 4.0 * e * (h - ratio)
+        p = np.stack((re, im), axis=1)
+        unit = np.divide(p, r[:, None], out=np.zeros_like(p), where=r[:, None] > 0)
+        hess = dr_r[:, None, None] * np.eye(2) + (d2r - dr_r)[:, None, None] * (
+            unit[:, :, None] * unit[:, None, :]
+        )
+        return h, dr_r[:, None] * p, hess
+    d = np.stack((re - f.alpha.real, im - f.alpha.imag), axis=1)
+    val = np.exp(-(d * d).sum(axis=1))
+    hess = (4.0 * d[:, :, None] * d[:, None, :] - 2.0 * np.eye(2)) * val[:, None, None]
+    return val, -2.0 * d * val[:, None], hess
 
 
 class _EnsembleTarget:
-    """Q of a classical ensemble in closed form: a coherent factor at beta
-    gives e^{-|alpha - beta|^2}, a ring of energy E = s^2 gives
-    e^{-E-r^2} I0(2 s r) at r = |alpha|, whose r-derivative is
-    -2 r Q + 2 s e^{-E-r^2} I1(2 s r)."""
+    """Q of a classical ensemble in closed form: each component is a
+    product over modes of e^{-|alpha - beta|^2} (a coherent factor at beta)
+    or e^{-E-r^2} I0(2 s r) at r = |alpha| (a ring of energy E = s^2)."""
 
     def __init__(self, ens: ClassicalEnsemble):
         self.ens = ens
         self.trunc = None
 
-    def value(self, x: np.ndarray) -> float:
-        return self.evaluate(x)[0]
-
-    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        m = self.ens.nmodes
-        q = 0.0
-        grad = np.zeros(2 * m)
-        vals = np.empty(m)
-        dvals = np.empty((m, 2))
+    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Q, its gradient and its Hessian at each row of ``x``."""
+        b, m = len(x), self.ens.nmodes
+        q = np.zeros(b)
+        grad = np.zeros((b, 2, m))
+        hess = np.zeros((b, 2, m, 2, m))
         for w, comp in self.ens.components:
-            for j, f in enumerate(comp.factors):
-                xj, yj = x[j], x[m + j]
-                if isinstance(f, RingFactor):
-                    s = math.sqrt(f.energy)
-                    r = math.hypot(xj, yj)
-                    z = 2.0 * s * r
-                    g = math.exp(-((s - r) ** 2))
-                    vals[j] = float(i0e(z)) * g
-                    # e^{-E-r^2} I_k(2 s r) = i_ke(2 s r) e^{-(s - r)^2}
-                    dr = 2.0 * s * float(i1e(z)) * g / r - 2.0 * vals[j] if r > 0 else 0.0
-                    dvals[j] = dr * xj, dr * yj
-                else:
-                    dx, dy = xj - f.alpha.real, yj - f.alpha.imag
-                    vals[j] = math.exp(-(dx * dx + dy * dy))
-                    dvals[j] = -2.0 * dx * vals[j], -2.0 * dy * vals[j]
-            q += w * float(np.prod(vals))
-            for j in range(m):
-                rest = w * float(np.prod(np.delete(vals, j)))
-                grad[j] += rest * dvals[j, 0]
-                grad[m + j] += rest * dvals[j, 1]
-        return q, grad
+            parts = [
+                _factor_derivatives(f, x[:, j], x[:, m + j]) for j, f in enumerate(comp.factors)
+            ]
+            vals = np.stack([p[0] for p in parts], axis=1)
+            q += w * vals.prod(axis=1)
+            for j, (_, dj, hj) in enumerate(parts):
+                rest = w * np.delete(vals, j, axis=1).prod(axis=1)
+                grad[:, :, j] += rest[:, None] * dj
+                hess[:, :, j, :, j] += rest[:, None, None] * hj
+                for l in range(j + 1, m):
+                    both = w * np.delete(vals, (j, l), axis=1).prod(axis=1)
+                    cross = both[:, None, None] * dj[:, :, None] * parts[l][1][:, None, :]
+                    hess[:, :, j, :, l] += cross
+                    hess[:, :, l, :, j] += cross.transpose(0, 2, 1)
+        return q, grad.reshape(b, 2 * m), hess.reshape(b, 2 * m, 2 * m)
 
 
 def _make_target(state):
@@ -351,7 +445,7 @@ def q_tilde(state, alpha) -> float:
                 f"evaluation point tail {1.0 - kept:.3e} exceeds "
                 f"tail_tol {target.trunc.tail_tol:.1e}"
             )
-    return max(0.0, target.value(_as_x(alphas)))
+    return max(0.0, float(target.evaluate(_as_x(alphas)[None])[0][0]))
 
 
 # ---------------------------------------------------------------------------
@@ -367,28 +461,28 @@ def _sobol_starts(n: int, dim: int, scale: float, seed: int) -> np.ndarray:
     return (2.0 * pts - 1.0) * scale
 
 
-def _newton_finish(evaluate, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One Newton step toward the stationary point near ``x``, kept if it
-    lowers the gradient norm; the Hessian is the central difference of the
-    exact gradient, and flat (ring) directions are left alone.
+_RESOLUTION = 16.0 * np.finfo(float).eps
 
-    L-BFGS stops where the value no longer resolves its progress: near a
-    peak a step gains about |g|^2 / curvature, below double resolution once
-    |g| is near 1e-8. The gradient still resolves it, so the step is judged
-    on the gradient alone.
+
+def _ascent_steps(grad, hess, radius):
+    """Saddle-free Newton steps p = V |L|^-1 V^T grad for H = V L V^T, with
+    |L| floored at 1e-8 of its largest entry, clipped to the trust radius.
+
+    Returns the steps, the gain the quadratic model predicts for each, their
+    lengths, and whether each was clipped.
     """
-    grad = evaluate(x)[1]
-    if np.abs(grad).max() <= GRADIENT_TOL:
-        return x, grad
-    h = 1e-6
-    hess = np.array(
-        [(evaluate(x + e)[1] - evaluate(x - e)[1]) / (2.0 * h) for e in h * np.eye(len(x))]
-    )
-    x2 = x - np.linalg.lstsq(0.5 * (hess + hess.T), grad, rcond=1e-8)[0]
-    grad2 = evaluate(x2)[1]
-    if np.linalg.norm(grad2) < np.linalg.norm(grad):
-        return x2, grad2
-    return x, grad
+    lam, vec = np.linalg.eigh(hess)
+    mag = np.abs(lam)
+    # far out in the Gaussian tail the Hessian can vanish outright; the
+    # radius then bounds the gradient step
+    mag = np.maximum(mag, np.maximum(1e-8 * mag.max(axis=1, keepdims=True), 1e-300))
+    gc = (grad[:, None, :] @ vec)[:, 0]
+    c = gc / mag
+    full = np.sqrt((c * c).sum(axis=1))
+    clipped = full > radius
+    c[clipped] *= (radius[clipped] / full[clipped])[:, None]
+    pred = (gc * c + 0.5 * lam * c * c).sum(axis=1)
+    return (vec @ c[:, :, None])[:, :, 0], pred, np.minimum(full, radius), clipped
 
 
 def q_sup(
@@ -401,15 +495,23 @@ def q_sup(
     """Husimi supremum by seeded multistart maximization.
 
     Starts at the origin, the mode-mean displacement, any caller hints, and
-    scrambled Sobol points scaled to the state's energy; each start runs
-    L-BFGS on Q with its exact gradient (the Bargmann polynomial's for
-    Fock-space states, closed forms for classical ensembles), and a kept
-    maximizer at which L-BFGS stalled takes one Newton step on the exact
-    gradient (:func:`_newton_finish`). The returned value is never below
-    the best evaluated point. The certificate is the exact gradient norm at
-    the kept maximizers: it certifies stationarity, not that no other start
-    would have found a higher peak.
-    ``n_evaluations`` counts value-and-gradient evaluations.
+    scrambled Sobol points scaled to the state's energy. All starts advance
+    together: each round evaluates Q, its exact gradient and its exact
+    Hessian at every start still moving in one batched call (the Bargmann
+    polynomial's for Fock-space states, closed forms for classical
+    ensembles) and takes one trust-region Newton step per start. The step
+    is p = V |L|^-1 V^T grad, which ascends also where the Hessian is
+    indefinite; it is accepted when the gain is at least 1e-4 of the
+    quadratic model's, or, where the model's gain is below the resolution
+    of Q, when the gradient norm falls. A start stops once every gradient
+    component is at most ``GRADIENT_TOL``, after ``MAX_EVALS_PER_START``
+    evaluations, or when its trust radius falls below 1e-15.
+
+    The returned value is never below the best evaluated point. The
+    certificate is the exact gradient norm at the kept maximizers: it
+    certifies stationarity, not that no other start would have found a
+    higher peak. ``n_evaluations`` counts point evaluations of Q, its
+    gradient and its Hessian.
     """
     if n_starts is not None and n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
@@ -437,20 +539,6 @@ def q_sup(
     if n_starts is None:
         n_starts = 8 * m + 4
 
-    evals = 0
-    best_eval = -np.inf
-
-    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal evals, best_eval
-        evals += 1
-        q, grad = target.evaluate(x)
-        best_eval = max(best_eval, q)
-        return q, grad
-
-    def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
-        q, grad = evaluate(x)
-        return -q, -grad
-
     starts = [np.zeros(dim), _as_x(means)]
     for hint in hints or []:
         starts.append(_as_x(hint))
@@ -459,42 +547,53 @@ def q_sup(
     for row in _sobol_starts(extra, dim, scale, seed):
         starts.append(row)
 
-    candidates: list[tuple[float, np.ndarray]] = []
-    for x0 in starts:
-        res = minimize(
-            negated,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={
-                "maxfun": MAX_EVALS_PER_START,
-                "maxiter": MAX_EVALS_PER_START,
-                "ftol": 0.0,
-                "gtol": GRADIENT_TOL,
-            },
+    x = np.array(starts)
+    q, grad, hess = target.evaluate(x)
+    best_eval = q.max()
+    used = np.ones(len(x), dtype=int)
+    radius = np.ones(len(x))
+    active = np.abs(grad).max(axis=1) > GRADIENT_TOL
+    while active.any():
+        idx = np.flatnonzero(active)
+        step, pred, length, clipped = _ascent_steps(grad[idx], hess[idx], radius[idx])
+        trial = x[idx] + step
+        q1, grad1, hess1 = target.evaluate(trial)
+        used[idx] += 1
+        best_eval = max(best_eval, q1.max())
+        gain = q1 - q[idx]
+        # below 16 ulps of Q the gain no longer resolves the step; the
+        # gradient still does
+        resolved = pred > _RESOLUTION * np.abs(q[idx])
+        ok = np.where(
+            resolved,
+            gain >= 1e-4 * pred,
+            (grad1 * grad1).sum(axis=1) < (grad[idx] * grad[idx]).sum(axis=1),
         )
-        candidates.append((-float(res.fun), res.x))
-
-    candidates.sort(key=lambda t: -t[0])
+        moved = idx[ok]
+        x[moved], q[moved], grad[moved], hess[moved] = trial[ok], q1[ok], grad1[ok], hess1[ok]
+        radius[idx[ok & clipped & (gain >= 0.75 * pred)]] *= 2.0
+        radius[idx[~ok]] = 0.25 * length[~ok]
+        active[idx] = (
+            (np.abs(grad[idx]).max(axis=1) > GRADIENT_TOL)
+            & (used[idx] < MAX_EVALS_PER_START)
+            & (radius[idx] >= 1e-15)
+        )
 
     # gather tied maximizers, deduplicated by location; the best candidate
     # is always kept even if another evaluation edged it out
-    kept: list[np.ndarray] = []
-    for k, (val, x) in enumerate(candidates):
-        if k > 0 and val < best_eval - 1e-9 * max(1.0, abs(best_eval)):
+    kept: list[int] = []
+    for k, i in enumerate(np.argsort(-q, kind="stable")):
+        if k > 0 and q[i] < best_eval - 1e-9 * max(1.0, abs(best_eval)):
             break
-        if all(np.abs(x - y).max() > 1e-4 for y in kept):
-            kept.append(x)
-    kept.sort(key=lambda x: tuple(np.round(x, 8)))
+        if all(np.abs(x[i] - x[j]).max() > 1e-4 for j in kept):
+            kept.append(i)
+    kept.sort(key=lambda i: tuple(np.round(x[i], 8)))
 
-    finished = [_newton_finish(evaluate, x) for x in kept]
-    cert = max(float(np.linalg.norm(g)) for _, g in finished)
-    argmax = [x[:m] + 1j * x[m:] for x, _ in finished]
     return QSupremum(
         value=float(best_eval),
-        argmax=argmax,
-        certificate=cert,
+        argmax=[x[i, :m] + 1j * x[i, m:] for i in kept],
+        certificate=max(float(np.linalg.norm(grad[i])) for i in kept),
         method="multistart",
-        n_evaluations=evals,
+        n_evaluations=int(used.sum()),
         ties=len(kept) > 1,
     )

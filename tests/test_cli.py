@@ -269,3 +269,28 @@ def test_verify_unknown_filter(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "nonesuch")
     assert code == 2
     assert "nonesuch" in err
+
+
+def test_consecutive_calls_do_not_share_flags(tmp_path, capsys, monkeypatch):
+    # main reuses one parser: a flag given to one call must not reach the next
+    from ncdist import cli
+
+    seen = []
+    load = cli._load_spec
+
+    def spy(args):
+        seen.append((args.trunc, args.tail_tol, args.seed, args.out))
+        return load(args)
+
+    monkeypatch.setattr(cli, "_load_spec", spy)
+    path = write_state(tmp_path, "one.json", {"kind": "number", "ns": [1]})
+    out = str(tmp_path / "rep.json")
+    code, plain, _ = run_cli(capsys, "report", path)
+    assert code == 0
+    code, _, _ = run_cli(capsys, "report", path, "--trunc", "4", "--tail-tol", "0.5",
+                         "--seed", "3", "--out", out)
+    assert code == 0
+    code, again, _ = run_cli(capsys, "report", path)
+    assert code == 0 and again == plain
+    assert seen[0] == seen[2] == (None, cli.DEFAULT_TAIL_TOL, cli.DEFAULT_SEED, None)
+    assert seen[1] == (4, 0.5, 3, out)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,13 +279,24 @@ def _gradient_cases():
     q, _ = np.linalg.qr(rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3)))
     mat = (q * np.array([0.5, 0.3, 0.2])) @ q.conj().T
     dens = DensityMatrix(TruncationSpec((4, 3)), mat)
+    three = FockVector(TruncationSpec((3, 4, 2)), _random_vector(rng, (4, 5, 3)))
     ens = ClassicalEnsemble((
         (0.45, ProductComponent((RingFactor(1.3), CoherentFactor(0.4 - 0.2j)))),
         (0.35, ProductComponent((CoherentFactor(-0.5 + 0.1j), RingFactor(0.7)))),
         (0.2, ProductComponent((RingFactor(0.0), RingFactor(2.1)))),
     ))
-    return {"vector-1-mode": one, "vector-2-modes": two, "density-rank-3": dens,
-            "ensemble": ens}
+    return {"vector-1-mode": one, "vector-2-modes": two, "vector-3-modes": three,
+            "density-rank-3": dens, "ensemble": ens}
+
+
+def _dim(state):
+    return 2 * (state.nmodes if isinstance(state, ClassicalEnsemble) else state.trunc.nmodes)
+
+
+def _at(target, x):
+    """Q, gradient and Hessian at one point, through the batched evaluator."""
+    q, grad, hess = target.evaluate(np.asarray(x, dtype=float)[None])
+    return q[0], grad[0], hess[0]
 
 
 @pytest.mark.parametrize("name", sorted(_gradient_cases()))
@@ -293,17 +305,78 @@ def test_exact_gradient_matches_central_differences(name):
     target = _make_target(state)
     if name == "density-rank-3":
         assert len(target.weights) == 3
-    dim = 2 * (state.nmodes if isinstance(state, ClassicalEnsemble) else state.trunc.nmodes)
+    dim = _dim(state)
     rng = np.random.default_rng(7)
     h = 1e-6
     for _ in range(20):
         x = rng.normal(size=dim)
-        grad = target.evaluate(x)[1]
+        grad = _at(target, x)[1]
         fd = np.array([
-            (target.evaluate(x + e)[0] - target.evaluate(x - e)[0]) / (2.0 * h)
+            (_at(target, x + e)[0] - _at(target, x - e)[0]) / (2.0 * h)
             for e in h * np.eye(dim)
         ])
         assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
+
+
+@pytest.mark.parametrize("name", sorted(_gradient_cases()))
+def test_exact_hessian_matches_central_differences_of_the_gradient(name):
+    state = _gradient_cases()[name]
+    target = _make_target(state)
+    dim = _dim(state)
+    rng = np.random.default_rng(8)
+    points = list(rng.normal(size=(10, dim)))
+    if name == "ensemble":
+        # alpha = 0, where every ring takes its isotropic limit, and a point
+        # on the first component's ring (|alpha_1|^2 = 1.3)
+        s = math.sqrt(1.3)
+        points += [np.zeros(dim), np.array([s * math.cos(0.4), 0.3, s * math.sin(0.4), -0.2])]
+    h = 1e-6
+    for x in points:
+        hess = _at(target, x)[2]
+        fd = np.array([
+            (_at(target, x + e)[1] - _at(target, x - e)[1]) / (2.0 * h)
+            for e in h * np.eye(dim)
+        ])
+        assert np.linalg.norm(fd - hess) <= 1e-6 * np.linalg.norm(hess)
+
+
+@pytest.mark.parametrize("name", sorted(_gradient_cases()))
+def test_batched_rows_match_single_rows(name):
+    state = _gradient_cases()[name]
+    target = _make_target(state)
+    xs = np.random.default_rng(9).normal(size=(7, _dim(state)))
+    batched = target.evaluate(xs)
+    for i, x in enumerate(xs):
+        for got, ref in zip(batched, _at(target, x)):
+            assert np.abs(got[i] - ref).max() <= 1e-15 * max(1.0, np.abs(ref).max())
+    if name.startswith(("vector", "density")):
+        # chunks of two rows give the same rows
+        target._chunk = 2
+        for got, ref in zip(target.evaluate(xs), batched):
+            assert np.abs(got - ref).max() <= 1e-15 * max(1.0, np.abs(ref).max())
+
+
+def test_contraction_carries_only_derivative_patterns_up_to_order_two():
+    # 1 + 6 + 21 patterns on 6 modes, not 3^6 = 729
+    psi = noon_vector(1, np.full(6, 1.0 / math.sqrt(6.0)), TruncationSpec((1,) * 6))
+    target = _make_target(psi)
+    assert target._contract(np.zeros((2, 12))).shape == (2, 28, 1)
+
+
+def test_one_batched_evaluation_of_a_large_state_stays_small():
+    # uniform N00N n = 2 on 12 modes: 3^12 amplitudes (8.5 MB)
+    m = 12
+    psi = noon_vector(2, np.full(m, 1.0 / math.sqrt(m)), TruncationSpec((2,) * m))
+    target = _make_target(psi)
+    xs = np.random.default_rng(5).normal(scale=0.3, size=(8, 2 * m))
+    tracemalloc.start()
+    try:
+        q = target.evaluate(xs)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * psi.flat.nbytes
+    assert q[0] == pytest.approx(_at(target, xs[0])[0], abs=1e-15)
 
 
 @pytest.mark.parametrize("name", ["vector-1-mode", "vector-2-modes", "density-rank-3"])
@@ -320,7 +393,7 @@ def test_bargmann_value_matches_the_coherent_amplitude_contraction(name):
         for a, n in zip(x[:m] + 1j * x[m:], state.trunc.cutoffs):
             c = np.multiply.outer(c, _coherent_mode_amps(a, n)).ravel()
         ref = float(np.vdot(c, rho @ c).real)
-        assert target.evaluate(x)[0] == pytest.approx(ref, abs=1e-14)
+        assert _at(target, x)[0] == pytest.approx(ref, abs=1e-14)
 
 
 @pytest.mark.parametrize("parity,beta,eta", [("even", 1.3, 0.3), ("odd", 0.8, 0.6)])
@@ -341,3 +414,16 @@ def test_q_sup_of_an_interferometer_image_of_a_number_product():
     r = q_sup(image)
     assert r.converged
     assert abs(r.value - GAMMA_REF[1] * GAMMA_REF[2]) <= 1e-10
+
+
+def test_q_sup_finds_the_peak_of_a_sparse_three_mode_vector():
+    # the default starts once stopped at a local maximum 0.050937 here; the
+    # peak is the value 300 starts find
+    rng = np.random.default_rng(14)
+    amps = (rng.normal(size=(5, 5, 5)) + 1j * rng.normal(size=(5, 5, 5))) * (
+        rng.random((5, 5, 5)) < 0.4
+    )
+    psi = FockVector(TruncationSpec((4, 4, 4)), amps / np.linalg.norm(amps))
+    r = q_sup(psi)
+    assert r.converged
+    assert r.value == pytest.approx(0.06274351925369401, abs=1e-12)
