@@ -61,27 +61,32 @@ class AffineOptics:
 def apply_affine(channel: AffineOptics, state):
     """Apply the channel to a FockVector or DensityMatrix on its truncation.
 
-    The interferometer acts first, then the displacements. Probability lost
-    past the cutoffs must stay within 10x the truncation budget; otherwise
-    the cutoffs are too tight for the displaced state and the call fails
-    with a suggestion.
+    The interferometer acts first, then the displacements. The
+    interferometer keeps the photon number, so it is built only on the
+    shells the state's diagonal occupies, and D(0) = I is skipped.
+    Probability lost past the cutoffs must stay within 10x the truncation
+    budget; otherwise the cutoffs are too tight for the moved state and the
+    call fails with a suggestion.
     """
+    if not isinstance(state, (FockVector, DensityMatrix)):
+        raise TypeError(f"unsupported state type {type(state)!r}")
     trunc = state.trunc
     if channel.nmodes != trunc.nmodes:
         raise ValueError("channel/state mode count mismatch")
-    w = passive_unitary(channel.mode_matrix, trunc)
-    d = displacement(channel.displacements, trunc)
-    if isinstance(state, FockVector):
-        out = d.apply_vec(w.apply_vec(state))
-        before = 1.0 - state.norm_defect()
-        after = 1.0 - out.norm_defect()
-    elif isinstance(state, DensityMatrix):
-        out = d.apply_density(w.apply_density(state))
-        before, after = state.trace(), out.trace()
-    else:
-        raise TypeError(f"unsupported state type {type(state)!r}")
+    vec = isinstance(state, FockVector)
+    diag = state.flat if vec else state.mat.diagonal()
+    shells = np.unique(trunc.totals()[diag != 0])
+    ops = [passive_unitary(channel.mode_matrix, trunc, shells)]
+    if np.any(channel.displacements):
+        ops.append(displacement(channel.displacements, trunc))
+    out = state
+    for op in ops:
+        out = op.apply_vec(out) if vec else op.apply_density(out)
 
-    leak = abs(before - after)
+    if vec:
+        leak = abs(out.norm_defect() - state.norm_defect())
+    else:
+        leak = abs(state.trace() - out.trace())
     if leak > 10.0 * trunc.tail_tol:
         grow = max(4, int(math.ceil(4.0 * float(np.abs(channel.displacements).max() + 1.0)
                                     * math.sqrt(max(trunc.cutoffs)))))
@@ -89,10 +94,8 @@ def apply_affine(channel: AffineOptics, state):
             f"channel leaked {leak:.3e} probability past the cutoffs",
             suggested_cutoffs=tuple(n + grow for n in trunc.cutoffs),
         )
-    meta = dict(out.meta or {}) if isinstance(out, DensityMatrix) else None
-    if isinstance(out, DensityMatrix):
-        meta["leakage_bound"] = leak
-        out.meta = meta
+    if not vec:
+        out.meta = {**(out.meta or {}), "leakage_bound": leak}
     return out
 
 

@@ -492,28 +492,19 @@ class ModewiseUnitary:
         d = rho.trunc.dim
         return DensityMatrix(rho.trunc, t.reshape(d, d), meta=rho.meta)
 
-    def dagger(self) -> "ModewiseUnitary":
-        return ModewiseUnitary(self.trunc, [u.conj().T for u in self.mats], self.meta)
-
-    def unitarity_defect(self) -> float:
-        out = 0.0
-        for u in self.mats:
-            out = max(out, float(np.abs(u.conj().T @ u - np.eye(len(u))).max()))
-        return out
-
 
 @dataclass
 class BlockUnitary:
     """Operator block-diagonal over total photon number.
 
-    ``blocks`` maps each total t to (flat basis indices, matrix). Blocks
+    ``blocks`` holds (flat basis indices, matrix) for each photon-number
+    shell built, in order; the operator is zero on the others. Blocks
     whose photon number exceeds some per-mode cutoff are cropped and then
     only sub-unitary; the complete blocks are exactly unitary.
     """
 
     trunc: TruncationSpec
     blocks: list[tuple[np.ndarray, np.ndarray]]
-    meta: dict | None = field(default=None, compare=False)
 
     def apply_vec(self, psi: FockVector) -> FockVector:
         _require_same_trunc(self, psi)
@@ -533,13 +524,6 @@ class BlockUnitary:
         for idx_j, bj in self.blocks:
             res[:, idx_j] = out[:, idx_j] @ bj.conj().T
         return DensityMatrix(rho.trunc, res, meta=rho.meta)
-
-    def dagger(self) -> "BlockUnitary":
-        return BlockUnitary(
-            self.trunc,
-            [(idx, b.conj().T) for idx, b in self.blocks],
-            self.meta,
-        )
 
     def block_unitarity_defects(self) -> list[float]:
         return [
@@ -570,19 +554,13 @@ def beam_splitter(eta: float) -> np.ndarray:
 _PASSIVE_ENTRY_CAP = MAX_DENSE_DIM**2
 
 
-def passive_unitary(u: np.ndarray, trunc: TruncationSpec) -> BlockUnitary:
+def passive_unitary(u: np.ndarray, trunc: TruncationSpec, shells=None) -> BlockUnitary:
     """Fock-space representation of an M-mode passive interferometer.
 
     ``u`` is the M x M mode matrix: creation operators transform as
-    ``W a_m^+ W^+ = sum_j u[j, m] a_j^+``. ``W`` keeps the photon number:
-    ``blocks[t]`` is shell t, built as :func:`_passive_shells` says.
-    """
-    return _passive_shells(u, trunc, range(sum(trunc.cutoffs) + 1))
-
-
-def _passive_shells(u: np.ndarray, trunc: TruncationSpec, shells) -> BlockUnitary:
-    """:func:`passive_unitary` on the listed photon-number shells only, zero
-    on the others (W keeps every shell, so a state on these comes out exact).
+    ``W a_m^+ W^+ = sum_j u[j, m] a_j^+``. ``W`` keeps the photon number, so
+    it is built on the listed photon-number ``shells`` only (default: all of
+    them) and is zero on the others; a state on these comes out exact.
     Shell t comes from shell t - 1 by the ladder recurrence
     ``<k|W|l> = sum_j u[j, m] sqrt(k_j / l_m) <k - e_j|W|l - e_m>``, m the
     first occupied mode of l. Lowering never leaves the cutoffs, so a shell
@@ -595,6 +573,8 @@ def _passive_shells(u: np.ndarray, trunc: TruncationSpec, shells) -> BlockUnitar
     defect = float(np.abs(u.conj().T @ u - np.eye(m)).max())
     if defect > 1e-12:
         raise ValueError(f"mode matrix is not unitary (defect {defect:.3e})")
+    if shells is None:
+        shells = range(sum(trunc.cutoffs) + 1)
     wanted = [int(t) for t in shells]
     top = max(wanted, default=-1)
     totals = trunc.totals()
@@ -629,11 +609,7 @@ def _passive_shells(u: np.ndarray, trunc: TruncationSpec, shells) -> BlockUnitar
         if t in wanted:
             mats[t] = mat
 
-    return BlockUnitary(
-        trunc,
-        [(rows[t], mats[t]) for t in wanted],
-        meta={"mode_matrix": u.copy()},
-    )
+    return BlockUnitary(trunc, [(rows[t], mats[t]) for t in wanted])
 
 
 def displacement(
@@ -681,9 +657,5 @@ def displacement(
             f"displaced vacuum deviates from the coherent recurrence "
             f"(squared error {err2:.3e} > 10*tail_tol)"
         )
-    op.meta = {
-        "gammas": gs.copy(),
-        "unitarity_defect": op.unitarity_defect(),
-        "vacuum_check_sq_error": err2,
-    }
+    op.meta = {"vacuum_check_sq_error": err2}
     return op

@@ -32,9 +32,9 @@ from ncdist import (
     upper_witness,
     vacuum_number_diag,
 )
-from ncdist import bounds, metrics, states
+from ncdist import bounds, channels, metrics, states
 from ncdist.fock import poisson_pmf
-from ncdist.husimi import cat_qmax
+from ncdist.husimi import cat_qmax, q_sup
 from ncdist.metrics import cat_span_distance, trace_distance
 from ncdist.states import CatParams
 
@@ -225,13 +225,13 @@ def test_report_single_photon_rotates_only_the_one_photon_shell(monkeypatch):
     m = 10
     built = []
 
-    def recording(u, trunc, shells):
-        w = shells_builder(u, trunc, shells)
+    def recording(u, trunc, shells=None):
+        w = builder(u, trunc, shells)
         built.extend(b.shape for _, b in w.blocks)
         return w
 
-    shells_builder = bounds._passive_shells
-    monkeypatch.setattr(bounds, "_passive_shells", recording)
+    builder = channels.passive_unitary
+    monkeypatch.setattr(channels, "passive_unitary", recording)
     rep = _spec_report("single_photon", {"c": (1.0 / math.sqrt(m),) * m})
     assert abs(rep.exact - (1.0 - G1)) < 1e-12
     # the state's truncation holds 2^10 amplitudes; only its one-photon
@@ -410,6 +410,32 @@ def test_report_unrecognized_vector_is_consistent():
     assert rep.best_lower <= rep.best_upper + 1e-8
     assert rep.exact is None
     assert abs(rep.best_lower - (1.0 - rep.sup_overlap)) < 1e-12
+
+
+def _coherent_overlap_sq(psi: FockVector, alpha) -> float:
+    """|<alpha|psi>|^2 from the coherent amplitudes on psi's truncation."""
+    amp = np.ones(())
+    for a, n in zip(np.atleast_1d(alpha), psi.trunc.cutoffs):
+        ks = np.arange(n + 1)
+        mode = np.exp(-0.5 * abs(a) ** 2) * np.array(
+            [a**k / math.sqrt(math.factorial(k)) for k in ks], dtype=np.complex128
+        )
+        amp = np.multiply.outer(amp, mode)
+    return abs(np.vdot(amp.ravel(), psi.flat)) ** 2
+
+
+# s = 32 is a draw whose peak the default starts of q_sup miss
+@pytest.mark.parametrize("s", [0, 1, 4, 5, 7, 14, 27, 32, 34, 37])
+def test_report_lower_bound_holds_at_the_best_searched_point(s):
+    # any true lower bound lies below 1 - Q(alpha) at every alpha, whatever
+    # point a wider search lands on
+    rng = np.random.default_rng(s)
+    m, c = 1 + s % 3, int(rng.integers(2, 6))
+    shape = (c + 1,) * m
+    amps = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.4)
+    psi = FockVector(TruncationSpec((c,) * m), amps / np.linalg.norm(amps))
+    best = q_sup(psi, n_starts=300, seed=7).argmax[0]
+    assert report(psi).best_lower <= 1.0 - _coherent_overlap_sq(psi, best) + 1e-12
 
 
 def test_report_adjoining_a_classical_factor():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ncdist import channels
 from ncdist import (
     AffineOptics,
     CatParams,
@@ -89,6 +90,34 @@ def test_affine_leak_raises_with_suggestion():
     with pytest.raises(TruncationTooSmall) as exc:
         apply_affine(ch, psi)
     assert exc.value.suggested_cutoffs[0] > 12
+
+
+def test_affine_builds_only_the_shells_the_state_occupies(monkeypatch):
+    # a uniform 10-mode single photon: 2^10 amplitudes, one occupied shell
+    m = 10
+    trunc = TruncationSpec((1,) * m)
+    amps = np.zeros(trunc.shape, dtype=np.complex128)
+    for j in range(m):
+        amps[tuple(np.eye(m, dtype=int)[j])] = 1.0 / np.sqrt(m)
+    psi = FockVector(trunc, amps)
+    u = _random_unitary(m, np.random.default_rng(8))
+    built = []
+
+    def recording(u, trunc, shells=None):
+        w = builder(u, trunc, shells)
+        built.extend(b.shape for _, b in w.blocks)
+        return w
+
+    def no_displacement(*args, **kwargs):
+        raise AssertionError("D(0) = I is built")
+
+    builder = channels.passive_unitary
+    monkeypatch.setattr(channels, "passive_unitary", recording)
+    monkeypatch.setattr(channels, "displacement", no_displacement)
+    out = apply_affine(AffineOptics(u, np.zeros(m)), psi)
+    assert built == [(m, m)]
+    want = builder(u, trunc).apply_vec(psi)
+    assert np.abs(out.flat - want.flat).max() < 1e-13
 
 
 def test_beam_splitter_realizes_entangled_coherent():

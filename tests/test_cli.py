@@ -99,6 +99,29 @@ def test_wide_cat_reports_its_default_bracket(tmp_path, capsys):
     assert reps[1]["exact"] is None
 
 
+@pytest.mark.parametrize(
+    "parity, beta, trunc, tail_tol",
+    [
+        ("odd", 2.0, "10", "0.01"),
+        ("odd", 2.0, "12", "1e-3"),
+        ("even", 1.3, "8", "1e-3"),
+        ("odd", 0.4, "4", "1e-3"),
+    ],
+)
+def test_coarse_cat_truncation_exits_three(tmp_path, capsys, parity, beta, trunc, tail_tol):
+    # the cut-off tail moves the peak overlap past 1e-8 but within what
+    # its mass allows: a truncation limit, retried at the suggested cutoffs
+    path = write_state(tmp_path, "cat.json", {"kind": "cat", "parity": parity, "beta": beta})
+    code, out, err = run_cli(capsys, "report", path, "--trunc", trunc, "--tail-tol", tail_tol)
+    assert code == 3 and out == ""
+    assert "claimed peak overlap" in err
+    suggested = re.search(r"sufficient cutoffs: \[(\d+)\]", err).group(1)
+    code, default, _ = run_cli(capsys, "report", path)
+    assert code == 0
+    code, retried, _ = run_cli(capsys, "report", path, "--trunc", suggested, "--tail-tol", tail_tol)
+    assert code == 0 and retried == default
+
+
 def test_oversized_dense_state_exits_three(tmp_path, capsys):
     # a two-mode mixture of number states is reported densely: at 71 levels
     # per mode its density matrix would be 5041 x 5041

@@ -7,7 +7,6 @@ from scipy.stats import poisson as sp_poisson
 
 from ncdist.errors import DimensionTooLarge, NumericalInconsistency, TruncationTooSmall
 from ncdist.fock import (
-    _passive_shells,
     DensityMatrix,
     FockVector,
     TruncationSpec,
@@ -253,7 +252,7 @@ def test_passive_shells_match_the_full_operator(cutoffs, shells):
     # the shells below a requested one are built on fewer columns
     u = _random_unitary(len(cutoffs), 2)
     t = TruncationSpec(cutoffs)
-    part = _passive_shells(u, t, shells)
+    part = passive_unitary(u, t, shells)
     full = passive_unitary(u, t)
     assert len(part.blocks) == len(shells)
     for (idx, b), s in zip(part.blocks, shells):
