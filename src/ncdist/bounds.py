@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.special import gammainc
 
 from .channels import AffineOptics, affine_image, apply_affine
 from .errors import NumericalInconsistency, TruncationTooSmall
@@ -44,13 +45,10 @@ from .fock import (
     mean_total_energy,
     outer,
     partial_trace,
-    poisson_pmf,
-    poisson_tail,
 )
 from .husimi import (
     DEFAULT_SEED,
-    _as_x,
-    _BargmannTarget,
+    _support_overlaps,
     cat_qmax,
     gamma_n,
     noon_qmax_analytic,
@@ -418,12 +416,23 @@ def _diag_profile(rho: DensityMatrix) -> tuple[np.ndarray, float]:
 
 def _pois_columns(cutoff: int, energies: np.ndarray) -> np.ndarray:
     """Columns are Poisson pmfs on 0..cutoff plus an exact beyond-cutoff
-    row, so the objective is the full-space trace distance."""
+    row, so the objective is the full-space trace distance.
+
+    Every column comes from one upward recurrence over the rows, with the
+    arithmetic of :func:`.fock.poisson_pmf` and :func:`.fock.poisson_tail`,
+    so each column equals theirs bit for bit."""
+    if np.any(energies < 0):
+        raise ValueError("ring energies must be >= 0")
     cols = np.empty((cutoff + 2, len(energies)))
-    for k, e in enumerate(energies):
-        cols[:-1, k] = poisson_pmf(float(e), cutoff)
-        cols[-1, k] = poisson_tail(cutoff, float(e))
+    cols[0] = [math.exp(-e) for e in energies]
+    for k in range(cutoff):
+        cols[k + 1] = cols[k] * energies / (k + 1)
+    cols[-1] = np.where(energies > 0, gammainc(cutoff + 1, energies), 0.0)
     return cols
+
+
+def _ring_distance(target: np.ndarray, cols: np.ndarray, w: np.ndarray) -> float:
+    return 0.5 * float(np.abs(target - cols @ w).sum())
 
 
 def diag_mixture_distance(rho: DensityMatrix, energies, weights) -> float:
@@ -435,8 +444,7 @@ def diag_mixture_distance(rho: DensityMatrix, energies, weights) -> float:
     if energies.shape != w.shape:
         raise ValueError("energies and weights differ in length")
     cols = _pois_columns(rho.trunc.cutoffs[0], energies)
-    target = np.concatenate([p, [p_ext]])
-    return 0.5 * float(np.abs(target - cols @ w).sum())
+    return _ring_distance(np.concatenate([p, [p_ext]]), cols, w)
 
 
 def diag_classical_minimize(rho: DensityMatrix, energy_grid) -> Bound:
@@ -447,10 +455,10 @@ def diag_classical_minimize(rho: DensityMatrix, energy_grid) -> Bound:
     distribution (beyond-cutoff mass included) and the weighted Poisson
     columns, is convex piecewise-linear on the weight simplex, so one
     linear-program solve (HiGHS) finds its exact minimum.  The returned
-    value is re-evaluated at the returned weights by
-    :func:`diag_mixture_distance`, never read off the solver, and is
-    checked against the LP's own dual bound: a failed solve, or a value
-    more than 1e-7 above the dual bound, raises
+    value is re-evaluated at the returned weights on the LP's columns, as
+    :func:`diag_mixture_distance` evaluates it, never read off the solver,
+    and is checked against the LP's own dual bound: a failed solve, or a
+    value more than 1e-7 above the dual bound, raises
     ``NumericalInconsistency``.  The witness's ``iterations`` entry is the
     solver's iteration count; the ring mixture itself rides on the bound
     as its candidate.
@@ -459,8 +467,6 @@ def diag_classical_minimize(rho: DensityMatrix, energy_grid) -> Bound:
     energies = np.asarray(list(energy_grid), dtype=float)
     if energies.size == 0:
         raise ValueError("energy grid is empty")
-    if np.any(energies < 0):
-        raise ValueError("ring energies must be >= 0")
     cols = _pois_columns(rho.trunc.cutoffs[0], energies)
     target = np.concatenate([p, [p_ext]])
     k = len(energies)
@@ -484,7 +490,8 @@ def diag_classical_minimize(rho: DensityMatrix, energy_grid) -> Bound:
         raise NumericalInconsistency(f"ring-mixture LP failed: {lp.message}")
     w = np.clip(lp.x[:k], 0.0, None)
     w /= w.sum()
-    value = diag_mixture_distance(rho, energies, w)
+    # the LP's own columns, as diag_mixture_distance would rebuild them
+    value = _ring_distance(target, cols, w)
     # every variable's lower bound is 0, so only the constraint rows enter
     dual = float(b_ub @ lp.ineqlin.marginals + b_eq @ lp.eqlin.marginals)
     if value > dual + 1e-7:
@@ -545,14 +552,14 @@ def _saturation_diagnostics(
     # distance, so one lighter than the tolerance need not attain the peak
     # (the weighted axis rings give a zero weight to an empty mode)
     points = [
-        _as_x(pt if cand.rotation is None else cand.rotation @ pt)
+        pt if cand.rotation is None else cand.rotation @ pt
         for w, comp in cand.ensemble.components
         if w > SATURATION_TOL
         for pt in comp.representative_points()
     ]
     attain_defect = 0.0
     if points:
-        overlaps = _BargmannTarget(psi).evaluate(np.array(points))[0]
+        overlaps = _support_overlaps(psi, points)
         attain_defect = float(np.abs(m_sup - overlaps).max())
 
     eigen_residual = cand.residual
@@ -664,9 +671,9 @@ def _point_upper(m_sup: float, points) -> Bound:
 
 
 def _check_attained(state: FockVector, alpha, claimed: float, spec: StateSpec):
-    # on the state's own truncation: exact, since only amplitudes on the
-    # state's support enter |<alpha|psi>|^2
-    got = _BargmannTarget(state).evaluate(_as_x(alpha)[None])[0][0]
+    # exact on the state's own truncation: only amplitudes on the state's
+    # support enter |<alpha|psi>|^2, and the sum runs over those alone
+    got = _support_overlaps(state, np.atleast_1d(alpha)[None])[0]
     miss = abs(got - claimed)
     if miss <= 1e-8:
         return

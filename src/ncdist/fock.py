@@ -498,13 +498,15 @@ class BlockUnitary:
     """Operator block-diagonal over total photon number.
 
     ``blocks`` holds (flat basis indices, matrix) for each photon-number
-    shell built, in order; the operator is zero on the others. Blocks
-    whose photon number exceeds some per-mode cutoff are cropped and then
-    only sub-unitary; the complete blocks are exactly unitary.
+    shell built, in order, and ``totals`` those shells' photon numbers; the
+    operator is zero on the others. Blocks whose photon number exceeds some
+    per-mode cutoff are cropped and then only sub-unitary; the complete
+    blocks are exactly unitary.
     """
 
     trunc: TruncationSpec
     blocks: list[tuple[np.ndarray, np.ndarray]]
+    totals: list[int]
 
     def apply_vec(self, psi: FockVector) -> FockVector:
         _require_same_trunc(self, psi)
@@ -525,15 +527,18 @@ class BlockUnitary:
             res[:, idx_j] = out[:, idx_j] @ bj.conj().T
         return DensityMatrix(rho.trunc, res, meta=rho.meta)
 
-    def block_unitarity_defects(self) -> list[float]:
-        return [
-            float(np.abs(b.conj().T @ b - np.eye(b.shape[1])).max())
-            for _, b in self.blocks
-        ]
+    def block_unitarity_defects(self) -> dict[int, float]:
+        """max |B^+ B - I| of each built block, by its photon number."""
+        return {
+            t: float(np.abs(b.conj().T @ b - np.eye(b.shape[1])).max(initial=0.0))
+            for t, (_, b) in zip(self.totals, self.blocks)
+        }
 
     def complete_block_totals(self) -> list[int]:
-        """Totals t whose whole photon-number shell fits inside the cutoffs."""
-        return [t for t in range(min(self.trunc.cutoffs) + 1)]
+        """The built shells' photon numbers t whose whole shell fits inside
+        the cutoffs (t <= every cutoff): the blocks that are unitary."""
+        top = min(self.trunc.cutoffs)
+        return [t for t in self.totals if t <= top]
 
 
 def beam_splitter(eta: float) -> np.ndarray:
@@ -609,7 +614,7 @@ def passive_unitary(u: np.ndarray, trunc: TruncationSpec, shells=None) -> BlockU
         if t in wanted:
             mats[t] = mat
 
-    return BlockUnitary(trunc, [(rows[t], mats[t]) for t in wanted])
+    return BlockUnitary(trunc, [(rows[t], mats[t]) for t in wanted], wanted)
 
 
 def displacement(

@@ -16,6 +16,12 @@ ensembles the Gaussian and Bessel closed forms. The certificate is the exact
 gradient norm at the reported maximizers: it certifies stationarity, not
 that the best start found the global maximum. ``n_evaluations`` counts
 point evaluations of Q, its gradient and its Hessian.
+
+Callers that need Q alone at given points, with no derivatives (``q_tilde``
+on Fock-space states, and the report's attainment checks in
+``bounds._check_attained`` and ``bounds._saturation_diagnostics``), read it
+from ``_support_overlaps``: a value-only sum over the state's nonzero
+amplitudes, whose cost is the support's size rather than the truncation's.
 """
 
 from __future__ import annotations
@@ -273,7 +279,6 @@ class _BargmannTarget:
             self.stack = v[:, keep]
         n = np.arange(max(self.trunc.cutoffs) + 1)
         self._sqrt = np.sqrt(n[1:])
-        self._step = 1.0 / self._sqrt
         self._sqrt2 = np.sqrt(n[2:] * (n[2:] - 1.0))
         # each mode in turn is contracted with u = <alpha_j|n> and its first
         # and second z-derivatives: after mode j, (patterns so far, later
@@ -296,14 +301,11 @@ class _BargmannTarget:
         b = len(x)
         m = self.trunc.nmodes
         re, im = x[:, :m], x[:, m:]
-        # u[n] = e^{-|alpha_j|^2/2} z^n / sqrt(n!) with z = conj(alpha_j) by
-        # the coherent recurrence; du/dz[n] = sqrt(n) u[n - 1] and
-        # d2u/dz2[n] = sqrt(n (n - 1)) u[n - 2]
+        # u[n] = <alpha_j|n>, with z = conj(alpha_j); du/dz[n] = sqrt(n) u[n - 1]
+        # and d2u/dz2[n] = sqrt(n (n - 1)) u[n - 2]
         vecs = np.zeros((b, m, 3, len(self._sqrt) + 1), dtype=np.complex128)
-        u = vecs[:, :, 0]
-        u[:, :, 0] = np.exp(-0.5 * (re * re + im * im))
-        u[:, :, 1:] = (re - 1j * im)[:, :, None] * self._step
-        np.cumprod(u, axis=2, out=u)
+        u = _coherent_amplitudes(re, im, len(self._sqrt))
+        vecs[:, :, 0] = u
         vecs[:, :, 1, 1:] = self._sqrt * u[:, :, :-1]
         vecs[:, :, 2, 2:] = self._sqrt2 * u[:, :, :-2]
         d, rest = self._splits[0]
@@ -348,6 +350,51 @@ class _BargmannTarget:
         hess *= 2.0
         hess.reshape(len(x), -1)[:, :: 2 * m + 1] -= 2.0 * q[:, None]
         return q, grad, hess
+
+
+def _coherent_amplitudes(re: np.ndarray, im: np.ndarray, top: int) -> np.ndarray:
+    """u[..., n] = <alpha|n> = e^{-|alpha|^2/2} z^n / sqrt(n!) for n = 0..top,
+    with alpha = re + i im and z = conj(alpha), by the coherent recurrence
+    u[n] = u[n - 1] z / sqrt(n), which keeps every factor bounded for any
+    cutoff and any alpha."""
+    u = np.empty(re.shape + (top + 1,), dtype=np.complex128)
+    u[..., 0] = np.exp(-0.5 * (re * re + im * im))
+    u[..., 1:] = (re - 1j * im)[..., None] * (1.0 / np.sqrt(np.arange(1.0, top + 1.0)))
+    np.cumprod(u, axis=-1, out=u)
+    return u
+
+
+def _support_overlaps(state, alphas) -> np.ndarray:
+    """<alpha|state|alpha> at each row of ``alphas`` (points x modes) for a
+    FockVector or DensityMatrix, as a value-only sum over the state's
+    nonzero amplitudes.
+
+    Each mode's coherent amplitudes u_j[n] = <alpha_j|n> come from
+    ``_coherent_amplitudes``, as in the Bargmann contraction, and are gathered
+    at the occupation numbers of the support S: <alpha|psi> =
+    sum_{k in S} psi_k prod_j u_j[k_j], and for a density
+    sum_{k, l in S} conj(c_k) rho_kl c_l with c_k = <k|alpha>. The cost is
+    the support's size, not the truncation's.
+    """
+    alphas = np.atleast_2d(np.asarray(alphas, dtype=np.complex128))
+    trunc = state.trunc
+    if alphas.shape[1] != trunc.nmodes:
+        raise ValueError("mode count mismatch")
+    if isinstance(state, FockVector):
+        support = np.flatnonzero(state.flat)
+    else:
+        # a row of a positive semidefinite matrix is zero where its
+        # diagonal entry is
+        support = np.flatnonzero(state.mat.any(axis=0))
+    u = _coherent_amplitudes(alphas.real, alphas.imag, max(trunc.cutoffs))
+    amps = np.ones((len(alphas), len(support)), dtype=np.complex128)
+    for j, occ in enumerate(np.unravel_index(support, trunc.shape)):
+        amps *= u[:, j, occ]
+    if isinstance(state, FockVector):
+        ov = amps @ state.flat[support]
+        return ov.real**2 + ov.imag**2
+    rho = state.mat[np.ix_(support, support)]
+    return np.einsum("pk,kl,pl->p", amps, rho, amps.conj()).real
 
 
 def _factor_derivatives(f, re: np.ndarray, im: np.ndarray):
@@ -433,32 +480,47 @@ def q_tilde(state, alpha) -> float:
     container states) before trusting the value.
     """
     alphas = np.atleast_1d(np.asarray(alpha, dtype=np.complex128))
-    target = _make_target(state)
-    if target.trunc is not None:
-        if len(alphas) != target.trunc.nmodes:
-            raise ValueError("mode count mismatch")
-        kept = 1.0
-        for a, n in zip(alphas, target.trunc.cutoffs):
-            kept *= 1.0 - poisson_tail(n, abs(a) ** 2)
-        if 1.0 - kept > target.trunc.tail_tol:
-            raise TruncationTooSmall(
-                f"evaluation point tail {1.0 - kept:.3e} exceeds "
-                f"tail_tol {target.trunc.tail_tol:.1e}"
-            )
-    return max(0.0, float(target.evaluate(_as_x(alphas)[None])[0][0]))
+    if not isinstance(state, (FockVector, DensityMatrix)):
+        return max(0.0, float(_make_target(state).evaluate(_as_x(alphas)[None])[0][0]))
+    trunc = state.trunc
+    if len(alphas) != trunc.nmodes:
+        raise ValueError("mode count mismatch")
+    kept = 1.0
+    for a, n in zip(alphas, trunc.cutoffs):
+        kept *= 1.0 - poisson_tail(n, abs(a) ** 2)
+    if 1.0 - kept > trunc.tail_tol:
+        raise TruncationTooSmall(
+            f"evaluation point tail {1.0 - kept:.3e} exceeds "
+            f"tail_tol {trunc.tail_tol:.1e}"
+        )
+    return max(0.0, float(_support_overlaps(state, alphas[None])[0]))
 
 
 # ---------------------------------------------------------------------------
 # multistart search
 
 
-def _sobol_starts(n: int, dim: int, scale: float, seed: int) -> np.ndarray:
-    if n <= 0:
-        return np.zeros((0, dim))
+@functools.lru_cache(maxsize=64)
+def _sobol_points(n: int, dim: int, seed: int) -> np.ndarray:
+    """The first n scrambled Sobol points in [0, 1)^dim for a seed.
+
+    Building the scrambled sampler is a fixed cost of every search, and a
+    process that runs several searches (a library caller, a figure, a batch
+    of reports) asks again and again for the same few (count, dimension,
+    seed) keys, so the points are drawn once per process. The cached array
+    is shared, so it is read-only.
+    """
     sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
     m = max(1, int(math.ceil(math.log2(max(n, 2)))))
     pts = sampler.random_base2(m)[:n]
-    return (2.0 * pts - 1.0) * scale
+    pts.setflags(write=False)
+    return pts
+
+
+def _sobol_starts(n: int, dim: int, scale: float, seed: int) -> np.ndarray:
+    if n <= 0:
+        return np.zeros((0, dim))
+    return (2.0 * _sobol_points(n, dim, seed) - 1.0) * scale
 
 
 _RESOLUTION = 16.0 * np.finfo(float).eps
@@ -507,11 +569,16 @@ def q_sup(
     component is at most ``GRADIENT_TOL``, after ``MAX_EVALS_PER_START``
     evaluations, or when its trust radius falls below 1e-15.
 
-    The returned value is never below the best evaluated point. The
-    certificate is the exact gradient norm at the kept maximizers: it
-    certifies stationarity, not that no other start would have found a
-    higher peak. ``n_evaluations`` counts point evaluations of Q, its
-    gradient and its Hessian.
+    The rounds run on the compacted set of starts still moving, and the
+    Sobol points for a (count, dimension, seed) are drawn once per process
+    and scaled per call. The returned value is never below the best
+    evaluated point. The certificate is the exact gradient norm at the kept
+    maximizers: it certifies stationarity, not that no other start would
+    have found a higher peak. ``n_evaluations`` counts point evaluations of
+    Q, its gradient and its Hessian. The search needs derivatives, so it
+    runs on the Bargmann evaluator; callers that need Q alone at given
+    points (``q_tilde``, the report's attainment checks) use the
+    value-only sum over the state's support instead.
     """
     if n_starts is not None and n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
@@ -551,33 +618,42 @@ def q_sup(
     q, grad, hess = target.evaluate(x)
     best_eval = q.max()
     used = np.ones(len(x), dtype=int)
-    radius = np.ones(len(x))
-    active = np.abs(grad).max(axis=1) > GRADIENT_TOL
-    while active.any():
-        idx = np.flatnonzero(active)
-        step, pred, length, clipped = _ascent_steps(grad[idx], hess[idx], radius[idx])
-        trial = x[idx] + step
+    # the rounds run on the starts still moving, compacted: idx maps them
+    # to their start, and a start's final point is written back to x, q,
+    # grad and used when it stops
+    moving = np.abs(grad).max(axis=1) > GRADIENT_TOL
+    idx = np.flatnonzero(moving)
+    ax, aq, agrad, ahess = x[idx], q[idx], grad[idx], hess[idx]
+    radius, aused = np.ones(len(idx)), used[idx]
+    while len(idx):
+        step, pred, length, clipped = _ascent_steps(agrad, ahess, radius)
+        trial = ax + step
         q1, grad1, hess1 = target.evaluate(trial)
-        used[idx] += 1
+        aused += 1
         best_eval = max(best_eval, q1.max())
-        gain = q1 - q[idx]
+        gain = q1 - aq
         # below 16 ulps of Q the gain no longer resolves the step; the
         # gradient still does
-        resolved = pred > _RESOLUTION * np.abs(q[idx])
+        resolved = pred > _RESOLUTION * np.abs(aq)
         ok = np.where(
             resolved,
             gain >= 1e-4 * pred,
-            (grad1 * grad1).sum(axis=1) < (grad[idx] * grad[idx]).sum(axis=1),
+            (grad1 * grad1).sum(axis=1) < (agrad * agrad).sum(axis=1),
         )
-        moved = idx[ok]
-        x[moved], q[moved], grad[moved], hess[moved] = trial[ok], q1[ok], grad1[ok], hess1[ok]
-        radius[idx[ok & clipped & (gain >= 0.75 * pred)]] *= 2.0
-        radius[idx[~ok]] = 0.25 * length[~ok]
-        active[idx] = (
-            (np.abs(grad[idx]).max(axis=1) > GRADIENT_TOL)
-            & (used[idx] < MAX_EVALS_PER_START)
-            & (radius[idx] >= 1e-15)
+        ax[ok], aq[ok], agrad[ok], ahess[ok] = trial[ok], q1[ok], grad1[ok], hess1[ok]
+        radius[ok & clipped & (gain >= 0.75 * pred)] *= 2.0
+        radius[~ok] = 0.25 * length[~ok]
+        moving = (
+            (np.abs(agrad).max(axis=1) > GRADIENT_TOL)
+            & (aused < MAX_EVALS_PER_START)
+            & (radius >= 1e-15)
         )
+        if not moving.all():
+            done = idx[~moving]
+            x[done], q[done], grad[done] = ax[~moving], aq[~moving], agrad[~moving]
+            used[done] = aused[~moving]
+            idx, ax, aq, agrad, ahess = idx[moving], ax[moving], aq[moving], agrad[moving], ahess[moving]
+            radius, aused = radius[moving], aused[moving]
 
     # gather tied maximizers, deduplicated by location; the best candidate
     # is always kept even if another evaluation edged it out

@@ -5,15 +5,17 @@ trace-distance paths that stay exact while avoiding dense matrices:
 
 * diagonal vs diagonal: half the l1 distance of the probability vectors;
 * pure vs diagonal: the difference operator splits over the exact support
-  of the pure state, leaving one small Hermitian block plus the unmatched
-  diagonal mass;
+  of the pure state, leaving one rank-one-plus-diagonal block plus the
+  unmatched diagonal mass; the block's one positive eigenvalue is the
+  root of a secular equation, so the cost is linear in the support;
 * a parity cat vs a mixture of symmetric coherent pairs: both live on the
   span of a few coherent vectors, so the distance is a small eigenproblem
   on that span, with no truncation at all.
 
 The first two serve the large multimode witness computations where a
-dense realization would be far past the dimension cap, the third the cat
-and entangled-coherent reports.
+dense realization would be far past the dimension cap, whatever the size
+of the pure state's support, the third the cat and entangled-coherent
+reports.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import math
 
 import numpy as np
 
-from .errors import DimensionTooLarge, NumericalInconsistency
-from .fock import DensityMatrix, FockVector, MAX_DENSE_DIM
+from .errors import NumericalInconsistency
+from .fock import DensityMatrix, FockVector
 
 
 def _tail_budget(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -55,30 +57,80 @@ def trace_distance_diag(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
+# the secular root find stops at a step below 8 ulps of the iterate, which
+# takes a handful of steps; reaching the step cap is a fault
+_SECULAR_STEPS = 100
+_SECULAR_RESOLUTION = 8.0 * np.finfo(float).eps
+
+
 def trace_distance_pure_diag(psi: FockVector, q: np.ndarray) -> float:
     """Trace distance between |psi><psi| and the diagonal state diag(q).
 
-    Exact: with S the support of psi (its exactly nonzero amplitudes), the
-    difference operator is block-diagonal as (psi_S psi_S^+ - diag q_S) on
-    S and -diag(q) off S, so only an |S| x |S| eigenproblem is needed.
+    Exact, at a cost linear in the support S of psi (its amplitudes f with
+    |f_i|^2 > 0): the difference operator is block-diagonal as
+    B = f f^+ - diag(q_S) on S and -diag(q) off S. With q >= 0, B has at
+    most one positive eigenvalue, so ||B||_1 = 2 max(lambda, 0) - tr B for
+    its largest eigenvalue lambda. Where lambda > 0 it is the root of the
+    secular equation sum_i |f_i|^2 / (lambda + q_i) = 1 (Bunch, Nielsen &
+    Sorensen, Numer. Math. 31, 31 (1978)).
     """
     q = np.asarray(q, dtype=float)
     f = psi.flat
     if f.shape != q.shape:
         raise ValueError("diagonal length does not match the state dimension")
-    s = np.flatnonzero(f)
-    if len(s) > MAX_DENSE_DIM:
-        raise DimensionTooLarge(
-            f"pure-state support {len(s)} too large for the block route"
-        )
+    # the support is taken where |f_i|^2 > 0: an amplitude that squares to
+    # zero adds nothing to the block, and the root find needs every a_i > 0
+    a = f.real * f.real + f.imag * f.imag
+    s = a.nonzero()[0]
     if len(s) == 0:
         return 0.5 * float(q.sum())
-    fs = f[s]
-    block = np.outer(fs, fs.conj())
-    block[np.diag_indices(len(s))] -= q[s]
-    ev = np.linalg.eigvalsh(block)
-    off_mass = float(q.sum() - q[s].sum())
-    return 0.5 * (float(np.abs(ev).sum()) + off_mass)
+    a = a[s]
+    # tr B + the mass off S = ||f||^2 - sum q
+    norm2 = float(a.sum())
+    return 0.5 * (2.0 * _secular_root(a, q[s], norm2) - norm2 + float(q.sum()))
+
+
+def _secular_root(a: np.ndarray, q: np.ndarray, norm2: float) -> float:
+    """max(lambda, 0) for the largest eigenvalue lambda of f f^+ - diag(q),
+    given a_i = |f_i|^2 > 0, q >= 0 and norm2 = sum a.
+
+    Where lambda > 0 it is the root of w(x) = sum a_i / (x + q_i) = 1. The
+    root find runs on r = 1 / w - 1, which is concave and increasing for
+    x > -min q (1 / w is a weighted harmonic mean of the x + q_i), so a
+    Newton step from the left of the root never passes it. It starts at a
+    lower bound on max(lambda, 0): the Rayleigh quotient of f where that is
+    positive, else the larger of max(a_i - q_i) and 0. It keeps the root
+    bracketed by that start and norm2 (f f^+ - diag(q) <= f f^+), bisecting
+    a step that would leave the bracket. Where r >= 0 at the start, the
+    start is the answer.
+    """
+    lo = x = norm2 - float(a @ q) / norm2
+    if x <= 0.0:
+        # the Rayleigh bound is no use; max(a_i - q_i) keeps the start
+        # right of every pole where some q_i = 0
+        lo = x = max(float((a - q).max()), 0.0)
+    hi = norm2
+    for it in range(_SECULAR_STEPS):
+        inv = 1.0 / (x + q)
+        w = float(a @ inv)
+        r = 1.0 / w - 1.0
+        if r < 0.0:
+            lo = x
+        elif it == 0 or r == 0.0:
+            # both bounds are at most lambda: r >= 0 there means x is the
+            # root to rounding, or, at x = 0, that lambda <= 0
+            return x
+        else:
+            hi = x
+        nxt = x - r * w * w / float((a * inv) @ inv)
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - x) <= _SECULAR_RESOLUTION * x:
+            return nxt
+        x = nxt
+    raise NumericalInconsistency(
+        f"secular root not resolved in {_SECULAR_STEPS} steps (bracket [{lo}, {hi}])"
+    )
 
 
 def _scaled_f(sign: float, p: complex, q: complex) -> complex:

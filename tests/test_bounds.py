@@ -32,8 +32,8 @@ from ncdist import (
     upper_witness,
     vacuum_number_diag,
 )
-from ncdist import bounds, channels, metrics, states
-from ncdist.fock import poisson_pmf
+from ncdist import bounds, channels, husimi, metrics, states
+from ncdist.fock import poisson_pmf, poisson_tail
 from ncdist.husimi import cat_qmax, q_sup
 from ncdist.metrics import cat_span_distance, trace_distance
 from ncdist.states import CatParams
@@ -190,8 +190,40 @@ def test_diag_minimize_raises_above_the_dual_bound(monkeypatch):
         diag_classical_minimize(rho, grid)
 
 
+def test_ring_columns_equal_the_poisson_pmf_bit_for_bit():
+    energies = np.concatenate([bounds.default_energy_grid(1.7), [0.0, 3.0, 25.0]])
+    for cutoff in (0, 1, 6, 40):
+        cols = bounds._pois_columns(cutoff, energies)
+        for k, e in enumerate(energies):
+            ref = np.append(poisson_pmf(float(e), cutoff), poisson_tail(cutoff, float(e)))
+            assert np.array_equal(cols[:, k], ref)
+    with pytest.raises(ValueError):
+        bounds._pois_columns(4, np.array([1.0, -0.5]))
+
+
 # ---------------------------------------------------------------------------
 # full reports: exactly solvable families
+
+
+def test_family_reports_read_overlaps_from_the_support_only(monkeypatch):
+    # the attainment checks of closed-form families never run the Bargmann
+    # contraction over the state's whole truncation
+    def refuse(self, x):
+        raise AssertionError("Bargmann evaluator called")
+
+    monkeypatch.setattr(husimi._BargmannTarget, "evaluate", refuse)
+    inv2 = 1.0 / math.sqrt(2.0)
+    exact = [
+        StateSpec("number", {"ns": (1, 2)}),
+        StateSpec("noon", {"n": 2, "c": (inv2, inv2)}),
+        StateSpec("single_photon", {"c": (0.6, 0.8j, 0.0)}),
+    ]
+    for spec in exact:
+        rep = report(spec)
+        assert rep.exact is not None and rep.saturation["ok"]
+    for parity, beta in (("even", 0.7), ("even", 1.6), ("odd", 1.1)):
+        rep = report(StateSpec("cat", {"parity": parity, "beta": beta}))
+        assert rep.best_lower <= rep.best_upper
 
 
 def test_report_number_single_mode_exact():

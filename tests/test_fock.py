@@ -185,6 +185,18 @@ def test_passive_unitary_blocks_are_unitary():
         assert defects[tt] < 1e-10
 
 
+def test_partial_passive_build_names_only_its_complete_shells():
+    w = passive_unitary(np.eye(2), TruncationSpec((3, 3)), [2])
+    assert len(w.blocks) == 1
+    assert w.complete_block_totals() == [2]
+    assert set(w.block_unitarity_defects()) == {2}
+    # shells 1 and 5 of a random interferometer: 5 is cropped by the cutoffs
+    w = passive_unitary(_random_unitary(2, 4), TruncationSpec((3, 3)), [1, 5])
+    defects = w.block_unitarity_defects()
+    assert w.complete_block_totals() == [1]
+    assert defects[1] < 1e-12 and defects[5] > 1e-3
+
+
 def test_passive_unitary_single_mode_phase():
     t = TruncationSpec((5,))
     phi = 0.37

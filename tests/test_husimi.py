@@ -18,7 +18,11 @@ from ncdist.fock import (
     tensor,
 )
 from ncdist.husimi import (
+    _as_x,
+    _BargmannTarget,
     _make_target,
+    _sobol_points,
+    _support_overlaps,
     cat_q_tilde,
     cat_qmax,
     gamma_n,
@@ -427,3 +431,59 @@ def test_q_sup_finds_the_peak_of_a_sparse_three_mode_vector():
     r = q_sup(psi)
     assert r.converged
     assert r.value == pytest.approx(0.06274351925369401, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# value-only overlaps on the support, and repeat calls
+
+
+def _support_cases():
+    rng = np.random.default_rng(23)
+    cases = {}
+    for m, cutoffs in enumerate([(12,), (5, 3), (3, 4, 2), (2, 1, 3, 2), (1, 2, 2, 1, 2)], 1):
+        shape = tuple(n + 1 for n in cutoffs)
+        amps = _random_vector(rng, shape) * (rng.random(shape) < 0.6)
+        cases[f"vector-{m}-modes"] = FockVector(TruncationSpec(cutoffs), amps)
+    cases["density-rank-3"] = _gradient_cases()["density-rank-3"]
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_support_cases()))
+def test_support_overlaps_match_the_bargmann_evaluator(name):
+    state = _support_cases()[name]
+    m = state.trunc.nmodes
+    rng = np.random.default_rng(5)
+    alphas = rng.normal(size=(12, m)) + 1j * rng.normal(size=(12, m))
+    ref = _BargmannTarget(state).evaluate(np.array([_as_x(a) for a in alphas]))[0]
+    got = _support_overlaps(state, alphas)
+    assert np.abs(got - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+
+
+def test_support_overlaps_at_a_rotated_witness_points():
+    # the points of a ring witness carried by a mode rotation, as the
+    # saturation check reads them
+    rng = np.random.default_rng(9)
+    psi = FockVector(TruncationSpec((2, 2, 2)), _random_vector(rng, (3, 3, 3)))
+    rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    points = [
+        rotation @ pt
+        for _, comp in phase_ring(1.0, mode=0, nmodes=3).components
+        for pt in comp.representative_points()
+    ]
+    ref = _BargmannTarget(psi).evaluate(np.array([_as_x(p) for p in points]))[0]
+    assert np.abs(_support_overlaps(psi, points) - ref).max() <= 1e-15
+
+
+def test_q_sup_repeats_its_result_and_shares_a_read_only_sobol_array():
+    rng = np.random.default_rng(31)
+    psi = FockVector(TruncationSpec((3, 3)), _random_vector(rng, (4, 4)))
+    a, b = q_sup(psi), q_sup(psi)
+    assert (a.value, a.certificate, a.method, a.n_evaluations, a.ties) == (
+        b.value, b.certificate, b.method, b.n_evaluations, b.ties
+    )
+    assert len(a.argmax) == len(b.argmax)
+    assert all(np.array_equal(x, y) for x, y in zip(a.argmax, b.argmax))
+    pts = _sobol_points(18, 4, 1729)
+    assert pts is _sobol_points(18, 4, 1729)
+    with pytest.raises(ValueError):
+        pts[0, 0] = 0.5

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from ncdist.errors import NumericalInconsistency
 from ncdist.fock import (
     DensityMatrix,
+    FockVector,
     TruncationSpec,
     coherent_amps,
     displacement,
@@ -196,3 +199,84 @@ def test_fidelity_rejects_non_psd():
     bad = np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex)
     with pytest.raises(NumericalInconsistency):
         fidelity(DensityMatrix(t, bad), DensityMatrix(t, np.eye(2, dtype=complex) / 2))
+
+
+def _dense_pure_diag(f, q):
+    """Reference: the support block's spectrum from a dense eigensolve."""
+    s = np.flatnonzero(f)
+    block = np.outer(f[s], f[s].conj()) - np.diag(q[s])
+    return 0.5 * (float(np.abs(np.linalg.eigvalsh(block)).sum()) + float(q.sum() - q[s].sum()))
+
+
+def _secular_cases():
+    rng = np.random.default_rng(2024)
+    for k in range(240):
+        n = 1 + k % 80
+        f = rng.normal(size=n) + 1j * rng.normal(size=n)
+        f /= np.linalg.norm(f) * (1.0 + 0.2 * rng.random())
+        a = np.abs(f) ** 2
+        kind = k % 4
+        if kind == 0:  # a generic diagonal state
+            q = rng.random(n)
+        elif kind == 1:  # q = 0 on part of the support
+            q = rng.random(n) * (rng.random(n) < 0.5)
+        elif kind == 2:  # near-degenerate: q within 1e-9 of |f|^2
+            q = a * (1.0 + 1e-9 * rng.normal(size=n))
+        else:  # q = |f|^2 up to percent-level noise
+            q = np.abs(a * (1.0 + 0.01 * rng.normal(size=n)))
+        if kind < 2 and q.sum() > 0:
+            q *= rng.random() / q.sum()
+        # two basis states off the support, one of them empty
+        yield np.concatenate([f, [0.0, 0.0]]), np.concatenate([q, [0.01 * rng.random(), 0.0]])
+
+
+def test_secular_pure_diag_distance_matches_the_dense_block():
+    worst = 0.0
+    for f, q in _secular_cases():
+        psi = FockVector(TruncationSpec((len(f) - 1,)), f)
+        worst = max(worst, abs(trace_distance_pure_diag(psi, q) - _dense_pure_diag(f, q)))
+    assert worst < 1e-13
+
+
+def test_secular_route_on_exact_eigenvalue_cases():
+    t = TruncationSpec((3,))
+    f = np.array([0.6, 0.8j, 0.0, 0.0])
+    # q = |f|^2 on one entry: the block's top eigenvalue is 0 at n = 1
+    one = FockVector(t, np.array([1.0, 0.0, 0.0, 0.0]))
+    assert trace_distance_pure_diag(one, np.array([1.0, 0.0, 0.0, 0.0])) == 0.0
+    # q = 0 on the support: the block is f f^+, with eigenvalue 1
+    q = np.array([0.0, 0.0, 0.5, 0.5])
+    assert trace_distance_pure_diag(FockVector(t, f), q) == pytest.approx(1.0, abs=1e-15)
+    # q large on the support: no positive eigenvalue, D = (sum q - |f|^2) / 2
+    q = np.array([0.9, 1.1, 0.0, 0.0])
+    assert trace_distance_pure_diag(FockVector(t, f), q) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_pure_diag_distance_on_a_support_past_the_dense_cap():
+    # |f_i|^2 = q_i = 1/N on N = 5000 entries: the block f f^+ - I/N has
+    # eigenvalues 1 - 1/N (along f) and -1/N, so D = 1 - 1/N
+    n = 5000
+    rng = np.random.default_rng(8)
+    f = np.exp(2j * np.pi * rng.random(n)) / math.sqrt(n)
+    psi = FockVector(TruncationSpec((n - 1,)), f)
+    assert trace_distance_pure_diag(psi, np.full(n, 1.0 / n)) == pytest.approx(1.0 - 1.0 / n, abs=1e-13)
+    # two modes, 70 x 70 = 4900 nonzero amplitudes against the uniform q = 1/d
+    # on all d = 6400 basis states: the same spectrum on the support plus
+    # the mass off it gives D = 1 - 1/d again
+    t = TruncationSpec((79, 79))
+    amps = np.zeros((80, 80), dtype=np.complex128)
+    amps[:70, :70] = np.exp(2j * np.pi * rng.random((70, 70))) / 70.0
+    q = np.full(t.dim, 1.0 / t.dim)
+    assert trace_distance_pure_diag(FockVector(t, amps), q) == pytest.approx(1.0 - 1.0 / t.dim, abs=1e-13)
+
+
+def test_secular_route_with_an_amplitude_that_squares_to_zero():
+    # |1e-170|^2 underflows to 0, and q = 0 there; the rest has q above
+    # |f|^2 and a non-positive Rayleigh quotient, yet w(0) = 1.45 > 1 on it,
+    # so the block's top eigenvalue is positive
+    f = np.array([0.1, 0.7, 1e-170, 0.0])
+    q = np.array([0.011, 0.9, 0.0, 0.05])
+    psi = FockVector(TruncationSpec((3,)), f)
+    got = trace_distance_pure_diag(psi, q)
+    assert got == pytest.approx(_dense_pure_diag(f, q), abs=1e-13)
+    assert got > 0.5 * (q.sum() - 0.5) + 1e-3
