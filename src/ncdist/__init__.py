@@ -77,7 +77,6 @@ from .bounds import (
     diag_classical_minimize,
     diag_mixture_distance,
     report,
-    triangle_bounds,
     upper_q,
     upper_witness,
 )

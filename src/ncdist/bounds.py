@@ -6,8 +6,9 @@ rare, so everything here is organized around two-sided brackets:
 
 * lower bounds come from the peak normalized coherent overlap (pure
   states), from fidelity against the peak coherent point, from a triangle
-  step against a reference state with a known bracket, and from
-  monotonicity under discarding tensor factors;
+  step from the number state |n>'s exact distance to a vacuum-number
+  mixture (closed form, as d(rho, |n>) = 1 - eta), and from monotonicity
+  under discarding tensor factors;
 * upper bounds come from explicit classical witnesses (every witness value
   is a computed trace distance, never a formula taken on trust), from
   convex splits, and from a direct minimization over number-diagonal
@@ -17,12 +18,14 @@ Each per-family report lists its lower bounds and its witnesses; one
 assembly step keeps the best of each side, cross-checks the ordering, and
 marks the bracket exact only when a computed witness distance meets the
 best lower bound within ``EXACT_TOL`` (on pure states, by the saturation
-mechanism).  Number-diagonal witnesses are evaluated exactly on the
-state's support, and a cat's coherent-pair witnesses exactly on the span
-of the coherent vectors involved (the span route,
-:func:`.metrics.cat_span_distance`), neither with a truncation; the
-others, tensor products of factor witnesses, on truncations whose
-certified tail mass bounds their error by the tail tolerance in play.
+mechanism).  Each witness is measured once: its distance and, on a pure
+state, its eigenvector residual come from one framing of the state.
+Number-diagonal witnesses are evaluated exactly on the state's support,
+and a cat's coherent-pair witnesses exactly on the span of the coherent
+vectors involved (the span route, :func:`.metrics.cat_span_distance`),
+neither with a truncation; the others, tensor products of factor
+witnesses, on truncations whose certified tail mass bounds their error by
+the tail tolerance in play.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .fock import (
     mean_total_energy,
     outer,
     partial_trace,
+    poisson_pmf,
 )
 from .husimi import (
     DEFAULT_SEED,
@@ -84,7 +88,6 @@ __all__ = [
     "diag_classical_minimize",
     "diag_mixture_distance",
     "report",
-    "triangle_bounds",
     "upper_q",
     "upper_witness",
 ]
@@ -221,10 +224,12 @@ class _WitnessCandidate:
     """A classical witness: an ensemble, optionally conjugated by a passive
     interferometer (the rotation maps the ensemble's labels onto the
     state's frame; distances are evaluated by rotating the state back
-    through :func:`.channels.apply_affine`).  ``residual``, when set, is
-    the eigenvector residual of the state the witness was evaluated
-    against, computed exactly with its distance (a cat's coherent pairs);
-    saturation reads it instead of realizing the witness."""
+    through :func:`.channels.apply_affine`).  ``residual`` is the
+    eigenvector residual ||sigma f - <f|sigma|f> f|| of the pure state f
+    the witness was measured against, computed with its distance (by
+    :meth:`measure`, or on a cat's coherent span); saturation reads it and
+    frames nothing.  It is 0 where the state is an eigenvector of the
+    witness by construction, and None where no pure state was measured."""
 
     ensemble: ClassicalEnsemble
     rotation: np.ndarray | None = None
@@ -250,6 +255,42 @@ class _WitnessCandidate:
         q = np.zeros(trunc.dim)
         q[support] = self.ensemble.diag_on(np.unravel_index(support, trunc.shape))
         return s, q
+
+    def measure(self, state, tail_tol: float) -> tuple[float, float | None]:
+        """The trace distance from ``state`` (a FockVector or DensityMatrix)
+        to the witness and, for a vector, its eigenvector residual, with the
+        state framed once.
+
+        A number-diagonal witness q is exact on the state's support: against
+        a vector by the secular route, with the residual ||(q_S - <q>) f_S||
+        over the support S of the unit vector f, and against a diagonal
+        density by the l1 route; the witness mass the state's truncation
+        leaves out, 1 - sum(q), adds half of itself.  Any other witness, or a
+        density with coherences, goes dense, the residual from sigma f.
+        """
+        s, sigma = self.frame(state, tail_tol)
+        pure = isinstance(s, FockVector)
+        if isinstance(sigma, DensityMatrix):
+            residual = None
+            if pure:
+                f = s.flat / s.norm()
+                sigma_f = sigma.mat @ f
+                residual = float(np.linalg.norm(sigma_f - np.vdot(f, sigma_f).real * f))
+                s = outer(s)
+            return trace_distance(s, sigma), residual
+        unlisted = 0.5 * (1.0 - float(sigma.sum()))
+        if pure:
+            f = s.flat
+            a = f.real * f.real + f.imag * f.imag
+            norm2 = float(a.sum())
+            # ||(q - <q>) f|| with f normalized: a vanishes off the support
+            dev = sigma - float(a @ sigma) / norm2
+            residual = math.sqrt(float((dev * dev) @ a) / norm2)
+            return trace_distance_pure_diag(s, sigma) + unlisted, residual
+        if s.is_diagonal(1e-12):
+            return trace_distance_diag(s.diagonal(), sigma) + unlisted, None
+        dense = DensityMatrix(s.trunc, np.diag(sigma).astype(np.complex128))
+        return trace_distance(s, dense) + unlisted, None
 
     def to_obj(self) -> dict:
         obj = _ensemble_obj(self.ensemble)
@@ -277,51 +318,14 @@ class _WitnessCandidate:
         return _WitnessCandidate(ClassicalEnsemble(comps), rot)
 
 
-def _distance(a, b) -> float:
-    """Trace distance by the cheapest exact route.
-
-    ``a`` is a FockVector or a DensityMatrix.  ``b`` is one too (the two
-    are padded to a common truncation), or a number-basis diagonal on
-    ``a``'s truncation listed on ``a``'s support only: the mass it leaves
-    unlisted, 1 - sum(b), adds half of itself.  Two pure states use the
-    overlap formula, a pure or diagonal state against a diagonal one the
-    structured routes of :mod:`.metrics`; everything else goes dense.
-    """
-    unlisted = 0.5 * (1.0 - float(b.sum())) if isinstance(b, np.ndarray) else 0.0
-    if not isinstance(b, np.ndarray):
-        trunc = a.trunc.union(b.trunc)
-        a, b = a.pad(trunc), b.pad(trunc)
-        if isinstance(a, FockVector) and isinstance(b, FockVector):
-            ov = abs(np.vdot(a.flat, b.flat)) ** 2
-            na, nb = a.norm() ** 2, b.norm() ** 2
-            # exact for two pure states; sub-normalization stays within the tail
-            return math.sqrt(max(na * nb - ov, 0.0))
-        if isinstance(b, FockVector) and a.is_diagonal(1e-12):
-            a, b = b, a
-        if (
-            isinstance(b, DensityMatrix)
-            and b.is_diagonal(1e-12)
-            and (isinstance(a, FockVector) or a.is_diagonal(1e-12))
-        ):
-            b = b.diagonal()
-    if isinstance(b, np.ndarray):
-        if isinstance(a, FockVector):
-            return trace_distance_pure_diag(a, b) + unlisted
-        if a.is_diagonal(1e-12):
-            return trace_distance_diag(a.diagonal(), b) + unlisted
-        b = DensityMatrix(a.trunc, np.diag(b).astype(np.complex128))
-    a = outer(a) if isinstance(a, FockVector) else a
-    b = outer(b) if isinstance(b, FockVector) else b
-    return trace_distance(a, b) + unlisted
-
-
 def upper_witness(rho, sigma, *, name: str = "witness",
                   tail_tol: float = DEFAULT_TAIL_TOL,
                   rotation: np.ndarray | None = None) -> Bound:
     """Upper bound from one explicit classical state: the computed trace
     distance, with the witness attached."""
     cand = _WitnessCandidate(sigma, rotation)
-    return _witness_bound(name, _distance(*cand.frame(rho, tail_tol)), cand)
+    d, cand.residual = cand.measure(rho, tail_tol)
+    return _witness_bound(name, d, cand)
 
 
 def _witness_bound(name: str, d: float, cand: _WitnessCandidate) -> Bound:
@@ -358,21 +362,6 @@ def upper_q(m: float) -> Bound:
     ``m``: the square root of one minus it."""
     v = math.sqrt(min(max(1.0 - m, 0.0), 1.0))
     return Bound("overlap-sqrt", min(v, _ONE_MINUS), "eq31-upper")
-
-
-def triangle_bounds(rho, rho_ref, delta_ref_interval) -> tuple[Bound, Bound]:
-    """Transport a known bracket along the trace distance between two
-    states: [lower_ref - D, upper_ref + D], clipped to [0, 1)."""
-    lo_ref, hi_ref = delta_ref_interval
-    if hi_ref < lo_ref - 1e-12:
-        raise ValueError("reference interval is inverted")
-    d = _distance(rho, rho_ref)
-    lo = min(max(lo_ref - d, 0.0), _ONE_MINUS)
-    hi = min(max(hi_ref + d, 0.0), _ONE_MINUS)
-    return (
-        Bound("triangle", lo, "eq32-triangle-lower"),
-        Bound("triangle", hi, "eq32-triangle-upper"),
-    )
 
 
 def convexity_upper(components) -> Bound:
@@ -418,17 +407,12 @@ def _pois_columns(cutoff: int, energies: np.ndarray) -> np.ndarray:
     """Columns are Poisson pmfs on 0..cutoff plus an exact beyond-cutoff
     row, so the objective is the full-space trace distance.
 
-    Every column comes from one upward recurrence over the rows, with the
-    arithmetic of :func:`.fock.poisson_pmf` and :func:`.fock.poisson_tail`,
-    so each column equals theirs bit for bit."""
+    Each column equals :func:`.fock.poisson_pmf` and
+    :func:`.fock.poisson_tail` at its energy bit for bit."""
     if np.any(energies < 0):
         raise ValueError("ring energies must be >= 0")
-    cols = np.empty((cutoff + 2, len(energies)))
-    cols[0] = [math.exp(-e) for e in energies]
-    for k in range(cutoff):
-        cols[k + 1] = cols[k] * energies / (k + 1)
-    cols[-1] = np.where(energies > 0, gammainc(cutoff + 1, energies), 0.0)
-    return cols
+    tail = np.where(energies > 0, gammainc(cutoff + 1, energies), 0.0)
+    return np.vstack([poisson_pmf(energies, cutoff), tail])
 
 
 def _ring_distance(target: np.ndarray, cols: np.ndarray, w: np.ndarray) -> float:
@@ -520,7 +504,9 @@ def diag_classical_minimize(rho: DensityMatrix, energy_grid) -> Bound:
             "iterations": int(lp.nit),
         },
         computed=True,
-        candidate=_WitnessCandidate(ring),
+        # a pure number-diagonal state is a basis vector: an eigenvector
+        # of every number-diagonal witness
+        candidate=_WitnessCandidate(ring, residual=0.0),
     )
 
 
@@ -542,12 +528,11 @@ def _as_pure_vector(state) -> FockVector | None:
     return None
 
 
-def _saturation_diagnostics(
-    psi: FockVector, cand: _WitnessCandidate, m_sup: float, cfg: ReportConfig
-) -> dict:
+def _saturation_diagnostics(psi: FockVector, cand: _WitnessCandidate, m_sup: float) -> dict:
     """Check the two exactness mechanisms on a pure state: the state is an
-    eigenvector of the witness, and every coherent point the witness is
-    built from attains the peak overlap."""
+    eigenvector of the witness (the residual measured with the witness's
+    distance), and every coherent point the witness is built from attains
+    the peak overlap."""
     # a component of weight w moves the witness by at most w in trace
     # distance, so one lighter than the tolerance need not attain the peak
     # (the weighted axis rings give a zero weight to an empty mode)
@@ -562,17 +547,11 @@ def _saturation_diagnostics(
         overlaps = _support_overlaps(psi, points)
         attain_defect = float(np.abs(m_sup - overlaps).max())
 
-    eigen_residual = cand.residual
-    if eigen_residual is None:
-        s, sigma = cand.frame(psi, cfg.tail_tol)
-        f = s.flat / s.norm()
-        sigma_psi = sigma * f if isinstance(sigma, np.ndarray) else sigma.mat @ f
-        eigen_residual = float(np.linalg.norm(sigma_psi - np.vdot(f, sigma_psi).real * f))
     return {
         "checked": True,
-        "eigenvector_residual": eigen_residual,
+        "eigenvector_residual": cand.residual,
         "attainment_defect": attain_defect,
-        "ok": eigen_residual <= SATURATION_TOL and attain_defect <= SATURATION_TOL,
+        "ok": cand.residual <= SATURATION_TOL and attain_defect <= SATURATION_TOL,
     }
 
 
@@ -585,7 +564,6 @@ def _assemble(
     lowers: list[Bound],
     uppers: list[Bound],
     state,
-    cfg: ReportConfig,
     sup_overlap: float | None = None,
 ) -> BoundReport:
     """Rank the bounds of one state and certify its bracket.
@@ -627,7 +605,7 @@ def _assemble(
             tied = [b.candidate for b in ranked if b.value - ranked[0].value <= EXACT_TOL]
             diags = []
             for cand in tied:
-                diags.append(_saturation_diagnostics(psi, cand, sup_overlap, cfg))
+                diags.append(_saturation_diagnostics(psi, cand, sup_overlap))
                 if diags[-1]["ok"]:
                     best_cand = cand
                     break
@@ -705,7 +683,7 @@ def _pure_lowers(m_sup: float) -> list[Bound]:
 # per-family reports
 
 
-def _report_number(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
+def _report_number(spec: StateSpec) -> BoundReport:
     ns = tuple(int(n) for n in spec.params["ns"])
     psi = spec.build()
     m = float(np.prod([gamma_n(n) for n in ns]))
@@ -717,10 +695,10 @@ def _report_number(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
         upper_witness(psi, number_ring_product(ns), name="ring-product"),
         _point_upper(m, point),
     ]
-    return _assemble(spec.state_id(), _pure_lowers(m), uppers, psi, cfg, sup_overlap=m)
+    return _assemble(spec.state_id(), _pure_lowers(m), uppers, psi, sup_overlap=m)
 
 
-def _report_axis_superposition(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
+def _report_axis_superposition(spec: StateSpec) -> BoundReport:
     """Superpositions of a single excited mode: one photon along an
     arbitrary direction, or n photons spread over the modes."""
     if spec.kind == "single_photon":
@@ -768,10 +746,10 @@ def _report_axis_superposition(spec: StateSpec, cfg: ReportConfig) -> BoundRepor
             uppers.append(
                 upper_witness(psi, ClassicalEnsemble(comps), name="weighted-axis-rings")
             )
-    return _assemble(spec.state_id(), _pure_lowers(m), uppers, psi, cfg, sup_overlap=m)
+    return _assemble(spec.state_id(), _pure_lowers(m), uppers, psi, sup_overlap=m)
 
 
-def _report_cat(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
+def _report_cat(spec: StateSpec) -> BoundReport:
     """Parity cats, and entangled-coherent states as the cat's beam-splitter
     image.  An entangled-coherent state is B(eta) applied to the cat and the
     vacuum; passive optics leaves every distance unchanged, so only the cat
@@ -802,7 +780,7 @@ def _report_cat(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
         ring_energy = alpha_star**2 if alpha_star > 1e-9 else beta * beta
         uppers.append(upper_witness(psi, phase_ring(ring_energy), name="dephased-ring"))
     uppers.append(pair("sigma-alpha-star", alpha_star if alpha_star > 1e-9 else 0.0))
-    rep = _assemble(spec.state_id(), _pure_lowers(m), uppers, psi, cfg, sup_overlap=m)
+    rep = _assemble(spec.state_id(), _pure_lowers(m), uppers, psi, sup_overlap=m)
     if spec.kind == "cat":
         return rep
 
@@ -829,16 +807,13 @@ def _report_cat(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
 
 
 def _report_classical_ensemble(
-    ens: ClassicalEnsemble,
-    state_id: str,
-    cfg: ReportConfig,
-    sup_overlap: float | None = None,
+    ens: ClassicalEnsemble, state_id: str, sup_overlap: float | None = None
 ) -> BoundReport:
     """A classical state is its own witness: d(sigma, sigma) = 0 and
     F(sigma, sigma) = 1 hold exactly, so nothing is realized.  A pure one
     (a coherent product) passes its exact peak overlap, 1, on to a factor
-    split that contains it."""
-    cand = _WitnessCandidate(ens)
+    split that contains it, and is an eigenvector of itself (residual 0)."""
+    cand = _WitnessCandidate(ens, residual=0.0)
     lowers = [Bound("fidelity-family", 0.0, "eq17-family-lower[1]")]
     uppers = [
         Bound(
@@ -850,20 +825,22 @@ def _report_classical_ensemble(
             candidate=cand,
         )
     ]
-    return _assemble(state_id, lowers, uppers, ens, cfg, sup_overlap=sup_overlap)
+    return _assemble(state_id, lowers, uppers, ens, sup_overlap=sup_overlap)
 
 
-def _report_vacuum_number(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
+def _report_vacuum_number(spec: StateSpec) -> BoundReport:
     """rho = (1 - eta)|0><0| + eta|n><n|: one triangle step and one LP.
 
     The lower bound moves |n>'s exact distance 1 - gamma_n (its eq23
-    bound) along d(rho, |n>) = 1 - eta.  The upper bound is the ring-mixture
+    bound) along d(rho, |n>) = 1 - eta, which is exact (rho - |n><n| moves
+    the mass 1 - eta from |n> to |0>), so it is max(0, eta - gamma_n) in
+    closed form.  The upper bound is the ring-mixture
     LP, whose grid holds 0 and n, so its value is at most that of the
     mixture (1 - eta) ring(0) + eta ring(n), eta (1 - gamma_n).  No other
     upper can beat it: the peak overlap obeys m <= 1 - eta + eta gamma_n,
     so sqrt(1 - m) >= 1 - m >= eta (1 - gamma_n); the convex split of the
     |n> and vacuum brackets is at least eta (1 - gamma_n); and the triangle
-    upper is (1 - gamma_n) + (1 - eta).  Only at eta in {0, 1} is rho pure,
+    step's upper would be (1 - gamma_n) + (1 - eta).  Only at eta in {0, 1} is rho pure,
     with the exact peak overlap max(1 - eta, eta gamma_n) for the
     saturation check.
     """
@@ -871,14 +848,13 @@ def _report_vacuum_number(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
     eta = float(spec.params["eta"])
     rho = spec.build()
     g = gamma_n(n)
-    psi_n = StateSpec("number", {"ns": (n,)}).build(rho.trunc)
-    tri_lo, _ = triangle_bounds(rho, psi_n, (1.0 - g, 1.0 - g))
+    tri_lo = Bound("triangle", min(max(eta - g, 0.0), _ONE_MINUS), "eq32-triangle-lower")
     grid = np.unique(
         np.concatenate([default_energy_grid(eta * n), [0.0, float(n)]])
     )
     diag = diag_classical_minimize(rho, grid)
     sup = max(1.0 - eta, eta * g) if eta in (0.0, 1.0) else None
-    return _assemble(spec.state_id(), [tri_lo], [diag], rho, cfg, sup_overlap=sup)
+    return _assemble(spec.state_id(), [tri_lo], [diag], rho, sup_overlap=sup)
 
 
 def _report_mixture(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
@@ -892,7 +868,6 @@ def _report_mixture(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
         list(base.lowers),
         list(base.uppers) + [convex],
         rho,
-        cfg,
         sup_overlap=base.sup_overlap,
     )
 
@@ -981,7 +956,7 @@ def _combine_factor_reports(
     if not uppers:
         uppers.append(Bound("trivial-cap", _ONE_MINUS, "trivial-upper"))
     return _assemble(
-        _default_id(state), lowers, uppers, state, cfg, sup_overlap=sup_joint
+        _default_id(state), lowers, uppers, state, sup_overlap=sup_joint
     )
 
 
@@ -1017,7 +992,7 @@ def _report_vector(psi: FockVector, cfg: ReportConfig) -> BoundReport:
     sup = q_sup(psi, hints, seed=cfg.seed)
     m = sup.value
     uppers = [upper_q(m), _point_upper(m, sup.argmax[0]), _mode_energy_rings(psi)]
-    return _assemble(_default_id(psi), _pure_lowers(m), uppers, psi, cfg, sup_overlap=m)
+    return _assemble(_default_id(psi), _pure_lowers(m), uppers, psi, sup_overlap=m)
 
 
 def _vacuum_number_params(p: np.ndarray) -> tuple[int, float] | None:
@@ -1048,17 +1023,17 @@ def _report_density(rho: DensityMatrix, cfg: ReportConfig) -> BoundReport:
             spec = StateSpec(
                 "vacuum_number_mixture", {"n": n, "eta": eta}, trunc=rho.trunc
             )
-            return _report_vacuum_number(spec, cfg)
+            return _report_vacuum_number(spec)
         mean = mean_total_energy(rho)
         grid = np.unique(np.concatenate([default_energy_grid(mean), [mean]]))
         diag = diag_classical_minimize(rho, grid)
         sup = q_sup(rho, [np.array([math.sqrt(mean) + 0.0j])], seed=cfg.seed)
-        return _assemble(sid, [], [diag, upper_q(sup.value)], rho, cfg, sup_overlap=sup.value)
+        return _assemble(sid, [], [diag, upper_q(sup.value)], rho, sup_overlap=sup.value)
 
     wit = _mode_energy_rings(rho)
     hints = [np.sqrt(_mode_energies(rho)).astype(np.complex128)]
     sup = q_sup(rho, hints, seed=cfg.seed)
-    return _assemble(sid, [], [wit, upper_q(sup.value)], rho, cfg, sup_overlap=sup.value)
+    return _assemble(sid, [], [wit, upper_q(sup.value)], rho, sup_overlap=sup.value)
 
 
 def _default_id(state) -> str:
@@ -1075,18 +1050,18 @@ def _default_id(state) -> str:
 
 def _report_spec(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
     if spec.kind == "number":
-        return _report_number(spec, cfg)
+        return _report_number(spec)
     if spec.kind in ("single_photon", "noon"):
-        return _report_axis_superposition(spec, cfg)
+        return _report_axis_superposition(spec)
     if spec.kind in ("cat", "entangled_coherent"):
-        return _report_cat(spec, cfg)
+        return _report_cat(spec)
     if spec.kind == "coherent":
         ens = coherent_point_ensemble(spec.params["alpha"])
-        return _report_classical_ensemble(ens, spec.state_id(), cfg, sup_overlap=1.0)
+        return _report_classical_ensemble(ens, spec.state_id(), sup_overlap=1.0)
     if spec.kind == "phase_randomized":
-        return _report_classical_ensemble(spec.build(), spec.state_id(), cfg)
+        return _report_classical_ensemble(spec.build(), spec.state_id())
     if spec.kind == "vacuum_number_mixture":
-        return _report_vacuum_number(spec, cfg)
+        return _report_vacuum_number(spec)
     if spec.kind == "mixture":
         return _report_mixture(spec, cfg)
     raise ValueError(f"unknown kind {spec.kind}")
@@ -1105,7 +1080,7 @@ def report(state, config: ReportConfig | None = None, *, state_id: str | None = 
     if isinstance(state, StateSpec):
         rep = _report_spec(state, cfg)
     elif isinstance(state, ClassicalEnsemble):
-        rep = _report_classical_ensemble(state, _default_id(state), cfg)
+        rep = _report_classical_ensemble(state, _default_id(state))
     elif isinstance(state, FockVector):
         rep = _report_vector(state, cfg)
     elif isinstance(state, DensityMatrix):

@@ -214,14 +214,22 @@ class DensityMatrix:
 # Poisson helpers (photon statistics of coherent states and phase rings)
 
 
-def poisson_pmf(energy: float, cutoff: int) -> np.ndarray:
-    """pmf of Poisson(energy) on 0..cutoff via the stable upward recurrence."""
-    if energy < 0:
+def poisson_pmf(energy, cutoff: int) -> np.ndarray:
+    """pmf of Poisson(energy) on 0..cutoff via the stable upward recurrence.
+
+    ``energy`` is a number or an array of them; the result has shape
+    (cutoff + 1,) + energy's shape, one pmf per energy along the first
+    axis, each bit for bit what the recurrence gives that energy alone."""
+    e = np.asarray(energy, dtype=float)
+    if any(v < 0 for v in e.flat):
         raise ValueError("energy must be >= 0")
-    out = np.zeros(cutoff + 1)
-    out[0] = math.exp(-energy)
+    out = np.empty((cutoff + 1,) + e.shape)
+    out.reshape(cutoff + 1, -1)[0] = [math.exp(-v) for v in e.flat]
+    # a lone energy recurs as a Python float, several times faster than as
+    # a 0-d array
+    x = e if e.ndim else float(e)
     for k in range(cutoff):
-        out[k + 1] = out[k] * energy / (k + 1)
+        out[k + 1] = out[k] * x / (k + 1)
     return out
 
 
@@ -289,13 +297,18 @@ def number_basis_vector(
     return FockVector(trunc, amps)
 
 
-def _coherent_mode_amps(alpha: complex, cutoff: int) -> np.ndarray:
-    """<n|alpha> for n = 0..cutoff by the stable upward recurrence."""
-    out = np.zeros(cutoff + 1, dtype=np.complex128)
-    out[0] = math.exp(-0.5 * (abs(alpha) ** 2))
-    for n in range(cutoff):
-        out[n + 1] = out[n] * alpha / math.sqrt(n + 1)
-    return out
+def _coherent_mode_amps(alpha, cutoff: int) -> np.ndarray:
+    """u[..., n] = <n|alpha> = e^{-|alpha|^2/2} alpha^n / sqrt(n!) for
+    n = 0..cutoff, on a last axis appended to ``alpha``'s shape (a number
+    or an array of them), by the coherent recurrence
+    u[n] = u[n - 1] alpha / sqrt(n), which keeps every factor bounded for
+    any cutoff and any alpha.  <alpha|n> is this at conj(alpha)."""
+    a = np.asarray(alpha, dtype=np.complex128)
+    u = np.empty(a.shape + (cutoff + 1,), dtype=np.complex128)
+    u[..., 0] = np.exp(-0.5 * (a.real * a.real + a.imag * a.imag))
+    u[..., 1:] = a[..., None] * (1.0 / np.sqrt(np.arange(1.0, cutoff + 1.0)))
+    np.cumprod(u, axis=-1, out=u)
+    return u
 
 
 def coherent_amps(

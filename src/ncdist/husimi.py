@@ -38,6 +38,7 @@ from .errors import NumericalInconsistency, TruncationTooSmall
 from .fock import (
     DensityMatrix,
     FockVector,
+    _coherent_mode_amps,
     mean_total_energy,
     mode_means,
     poisson_tail,
@@ -304,7 +305,7 @@ class _BargmannTarget:
         # u[n] = <alpha_j|n>, with z = conj(alpha_j); du/dz[n] = sqrt(n) u[n - 1]
         # and d2u/dz2[n] = sqrt(n (n - 1)) u[n - 2]
         vecs = np.zeros((b, m, 3, len(self._sqrt) + 1), dtype=np.complex128)
-        u = _coherent_amplitudes(re, im, len(self._sqrt))
+        u = _coherent_mode_amps(re - 1j * im, len(self._sqrt))
         vecs[:, :, 0] = u
         vecs[:, :, 1, 1:] = self._sqrt * u[:, :, :-1]
         vecs[:, :, 2, 2:] = self._sqrt2 * u[:, :, :-2]
@@ -352,26 +353,14 @@ class _BargmannTarget:
         return q, grad, hess
 
 
-def _coherent_amplitudes(re: np.ndarray, im: np.ndarray, top: int) -> np.ndarray:
-    """u[..., n] = <alpha|n> = e^{-|alpha|^2/2} z^n / sqrt(n!) for n = 0..top,
-    with alpha = re + i im and z = conj(alpha), by the coherent recurrence
-    u[n] = u[n - 1] z / sqrt(n), which keeps every factor bounded for any
-    cutoff and any alpha."""
-    u = np.empty(re.shape + (top + 1,), dtype=np.complex128)
-    u[..., 0] = np.exp(-0.5 * (re * re + im * im))
-    u[..., 1:] = (re - 1j * im)[..., None] * (1.0 / np.sqrt(np.arange(1.0, top + 1.0)))
-    np.cumprod(u, axis=-1, out=u)
-    return u
-
-
 def _support_overlaps(state, alphas) -> np.ndarray:
     """<alpha|state|alpha> at each row of ``alphas`` (points x modes) for a
     FockVector or DensityMatrix, as a value-only sum over the state's
     nonzero amplitudes.
 
     Each mode's coherent amplitudes u_j[n] = <alpha_j|n> come from
-    ``_coherent_amplitudes``, as in the Bargmann contraction, and are gathered
-    at the occupation numbers of the support S: <alpha|psi> =
+    ``fock._coherent_mode_amps``, as in the Bargmann contraction, and are
+    gathered at the occupation numbers of the support S: <alpha|psi> =
     sum_{k in S} psi_k prod_j u_j[k_j], and for a density
     sum_{k, l in S} conj(c_k) rho_kl c_l with c_k = <k|alpha>. The cost is
     the support's size, not the truncation's.
@@ -386,7 +375,7 @@ def _support_overlaps(state, alphas) -> np.ndarray:
         # a row of a positive semidefinite matrix is zero where its
         # diagonal entry is
         support = np.flatnonzero(state.mat.any(axis=0))
-    u = _coherent_amplitudes(alphas.real, alphas.imag, max(trunc.cutoffs))
+    u = _coherent_mode_amps(alphas.conj(), max(trunc.cutoffs))
     amps = np.ones((len(alphas), len(support)), dtype=np.complex128)
     for j, occ in enumerate(np.unravel_index(support, trunc.shape)):
         amps *= u[:, j, occ]
@@ -481,7 +470,10 @@ def q_tilde(state, alpha) -> float:
     """
     alphas = np.atleast_1d(np.asarray(alpha, dtype=np.complex128))
     if not isinstance(state, (FockVector, DensityMatrix)):
-        return max(0.0, float(_make_target(state).evaluate(_as_x(alphas)[None])[0][0]))
+        target = _make_target(state)
+        if len(alphas) != state.nmodes:
+            raise ValueError("mode count mismatch")
+        return max(0.0, float(target.evaluate(_as_x(alphas)[None])[0][0]))
     trunc = state.trunc
     if len(alphas) != trunc.nmodes:
         raise ValueError("mode count mismatch")

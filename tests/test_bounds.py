@@ -26,7 +26,6 @@ from ncdist import (
     phase_ring,
     report,
     tensor,
-    triangle_bounds,
     uniform_axis_rings,
     upper_q,
     upper_witness,
@@ -34,7 +33,7 @@ from ncdist import (
 )
 from ncdist import bounds, channels, husimi, metrics, states
 from ncdist.fock import poisson_pmf, poisson_tail
-from ncdist.husimi import cat_qmax, q_sup
+from ncdist.husimi import cat_qmax, gamma_n, q_sup
 from ncdist.metrics import cat_span_distance, trace_distance
 from ncdist.states import CatParams
 
@@ -77,23 +76,6 @@ def test_upper_witness_cat_two_point():
     psi = StateSpec("cat", {"parity": "even", "beta": 2.0}).build()
     b = upper_witness(psi, two_point_mixture([2.0], [-2.0]))
     assert abs(b.value - 0.5 * (1.0 - math.exp(-8.0))) < 1e-9
-
-
-def test_triangle_bounds_identity_and_shift():
-    rho = outer(number_basis_vector((2,), TruncationSpec((12,))))
-    lo, hi = triangle_bounds(rho, rho, (0.7, 0.73))
-    assert lo.value == pytest.approx(0.7, abs=1e-12)
-    assert hi.value == pytest.approx(0.73, abs=1e-12)
-
-    # vacuum-number mixture against the bare number state: D = 1 - eta
-    from ncdist import vacuum_number_diag
-
-    eta = 0.9
-    mix = vacuum_number_diag(1, eta, TruncationSpec((6,)))
-    psi = number_basis_vector((1,), TruncationSpec((6,)))
-    lo, hi = triangle_bounds(mix, psi, (1.0 - G1, 1.0 - G1))
-    assert abs(lo.value - (eta - G1)) < 1e-12
-    assert abs(hi.value - min(1.0 - G1 + 1.0 - eta, 1.0)) < 1e-9
 
 
 def test_convexity_upper_weighted_sum():
@@ -402,6 +384,64 @@ def test_report_vacuum_number_is_one_triangle_step_and_one_lp(monkeypatch):
     assert rep.saturation["checked"] and rep.saturation["ok"]
 
 
+def test_vacuum_number_triangle_lower_is_the_closed_form():
+    # the triangle step from |n>'s exact distance 1 - gamma_n along the
+    # dense d(rho, |n>) is max(0, eta - gamma_n)
+    for n in range(1, 5):
+        g = float(gamma_n(n))
+        for eta in np.linspace(0.0, 1.0, 101):
+            spec = StateSpec("vacuum_number_mixture", {"n": n, "eta": float(eta)})
+            rho = spec.build()
+            d = trace_distance(rho, outer(number_basis_vector((n,), rho.trunc)))
+            (lo,) = report(spec).lowers
+            assert (lo.name, lo.provenance) == ("triangle", "eq32-triangle-lower")
+            assert abs(lo.value - max(0.0, eta - g)) <= 1e-15
+            assert abs(lo.value - max(0.0, 1.0 - g - d)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+def test_pure_vacuum_number_reports_stay_exact_and_saturated(n, eta):
+    rep = _spec_report("vacuum_number_mixture", {"n": n, "eta": eta})
+    want = eta * (1.0 - float(gamma_n(n)))
+    assert abs(rep.exact - want) <= 1e-12
+    sat = rep.saturation
+    assert sat["checked"] and sat["ok"]
+    # |0> or |n> is an eigenvector of the ring mixture
+    assert sat["eigenvector_residual"] == 0.0
+    assert sat["attainment_defect"] <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "kind, params, rotations",
+    [
+        ("single_photon", {"c": (0.6, 0.48j, 0.64)}, 1),
+        ("number", {"ns": (1, 2)}, 0),
+        ("noon", {"n": 2, "c": (0.5, 0.5j, -0.5, 0.5)}, 0),
+    ],
+)
+def test_exact_reports_frame_each_witness_once(monkeypatch, kind, params, rotations):
+    framed, rotated = [], []
+    frame, rotate = bounds._WitnessCandidate.frame, bounds.apply_affine
+
+    def counting_frame(self, state, tail_tol):
+        framed.append(id(self))
+        return frame(self, state, tail_tol)
+
+    def counting_rotate(*args):
+        rotated.append(args)
+        return rotate(*args)
+
+    monkeypatch.setattr(bounds._WitnessCandidate, "frame", counting_frame)
+    monkeypatch.setattr(bounds, "apply_affine", counting_rotate)
+    rep = _spec_report(kind, params)
+    assert rep.exact is not None and rep.saturation["ok"]
+    # the saturation check reads the residual measured with the distance
+    witnesses = [b.candidate for b in rep.uppers if b.candidate is not None]
+    assert sorted(framed) == sorted(id(c) for c in witnesses)
+    assert len(rotated) == rotations
+
+
 def test_report_mixture_kind_matches_dedicated_path():
     t1 = StateSpec("number", {"ns": (1,)})
     t0 = StateSpec("number", {"ns": (0,)})
@@ -410,6 +450,16 @@ def test_report_mixture_kind_matches_dedicated_path():
     rep_v = _spec_report("vacuum_number_mixture", {"n": 1, "eta": 0.6})
     assert abs(rep_m.best_lower - rep_v.best_lower) < 1e-9
     assert abs(rep_m.best_upper - rep_v.best_upper) < 1e-6
+
+
+def test_one_term_coherent_mixture_saturates_with_its_own_witness():
+    # the mixture is pure, and its saturation check reads the residual of
+    # the coherent state's self-witness: a state is an eigenvector of itself
+    term = {"kind": "coherent", "alpha": [[0.5, 0.2]]}
+    rep = report(parse_state({"kind": "mixture", "terms": [{"w": 1.0, "state": term}]}))
+    assert rep.exact == 0.0
+    assert rep.saturation["checked"] and rep.saturation["ok"]
+    assert rep.saturation["eigenvector_residual"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +717,7 @@ def _padded_pair_reference(parity, beta, weights, amps):
     trunc = TruncationSpec((int(beta * beta + 10 * beta + 30),), tail)
     psi = StateSpec("cat", {"parity": parity, "beta": beta}, trunc).build()
     b = upper_witness(psi, ens, tail_tol=tail)
-    sat = bounds._saturation_diagnostics(psi, b.candidate, 0.0, ReportConfig(tail_tol=tail))
-    return b.value, sat["eigenvector_residual"]
+    return b.value, b.candidate.residual
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])

@@ -10,6 +10,7 @@ from ncdist.fock import (
     DensityMatrix,
     FockVector,
     TruncationSpec,
+    _coherent_mode_amps,
     beam_splitter,
     coherent_amps,
     displacement,
@@ -102,6 +103,52 @@ def test_poisson_pmf_matches_scipy():
     ref = sp_poisson.pmf(np.arange(13), 2.5)
     assert np.abs(pm - ref).max() < 1e-14
     assert pm[4] == pytest.approx(0.13360188578108528, abs=1e-15)
+
+
+def _poisson_loop(energy: float, cutoff: int) -> np.ndarray:
+    # reference: the scalar upward recurrence, one entry at a time
+    out = np.zeros(cutoff + 1)
+    out[0] = math.exp(-energy)
+    for k in range(cutoff):
+        out[k + 1] = out[k] * energy / (k + 1)
+    return out
+
+
+def test_poisson_pmf_of_an_energy_array_is_the_scalar_recurrence_bit_for_bit():
+    energies = np.array([[0.0, 1e-5, 1.7], [3.0, 25.0, 60.0]])
+    for cutoff in (0, 1, 7, 90):
+        pm = poisson_pmf(energies, cutoff)
+        assert pm.shape == (cutoff + 1,) + energies.shape
+        for idx in np.ndindex(energies.shape):
+            e = float(energies[idx])
+            ref = _poisson_loop(e, cutoff)
+            assert np.array_equal(pm[(slice(None),) + idx], ref)
+            assert np.array_equal(poisson_pmf(e, cutoff), ref)
+    with pytest.raises(ValueError):
+        poisson_pmf(np.array([1.0, -0.5]), 4)
+
+
+def _coherent_loop(alpha: complex, cutoff: int) -> np.ndarray:
+    # reference: <n|alpha> by the per-n recurrence
+    out = np.zeros(cutoff + 1, dtype=np.complex128)
+    out[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    for n in range(cutoff):
+        out[n + 1] = out[n] * alpha / math.sqrt(n + 1)
+    return out
+
+
+def test_coherent_mode_amps_match_the_per_n_recurrence():
+    # the vectorized recurrence multiplies by 1 / sqrt(n) where the loop
+    # divides by sqrt(n): each entry has |u| <= 1 and picks up at most a
+    # few ulps per step, so 1e-13 covers 200 steps
+    alphas = np.array([[0.0, 1e-3j, 0.7 - 0.2j], [-2.5 + 1.0j, 6.0, 3.0j * np.exp(0.3j)]])
+    for cutoff in (0, 5, 200):
+        u = _coherent_mode_amps(alphas, cutoff)
+        assert u.shape == alphas.shape + (cutoff + 1,)
+        for idx in np.ndindex(alphas.shape):
+            ref = _coherent_loop(complex(alphas[idx]), cutoff)
+            assert np.abs(u[idx] - ref).max() <= 1e-13
+            assert np.array_equal(_coherent_mode_amps(alphas[idx], cutoff), u[idx])
 
 
 def test_number_vector_and_overlap():

@@ -108,6 +108,20 @@ def test_q_tilde_ring_bessel_route():
     assert q_tilde(ring, a * np.exp(0.7j)) == pytest.approx(ref, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "state, alpha",
+    [
+        (phase_ring(1.0), [1.0, 0.5, 0.2]),
+        (phase_ring(1.0, nmodes=2), [1.0]),
+        (number_basis_vector((1, 0), TruncationSpec((4, 4))), [1.0]),
+    ],
+    ids=["ensemble-long", "ensemble-short", "vector-short"],
+)
+def test_q_tilde_rejects_a_mode_count_mismatch(state, alpha):
+    with pytest.raises(ValueError, match="mode count mismatch"):
+        q_tilde(state, alpha)
+
+
 def test_noon_analytic_values():
     r = noon_qmax_analytic(2, [0.8, 0.6])
     assert r.value == pytest.approx(0.17322916254286427, rel=1e-14)
