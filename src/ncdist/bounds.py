@@ -57,6 +57,7 @@ from .husimi import (
     gamma_n,
     noon_qmax_analytic,
     q_sup,
+    q_tilde,
 )
 from .metrics import (
     cat_span_distance,
@@ -528,11 +529,11 @@ def _as_pure_vector(state) -> FockVector | None:
     return None
 
 
-def _saturation_diagnostics(psi: FockVector, cand: _WitnessCandidate, m_sup: float) -> dict:
-    """Check the two exactness mechanisms on a pure state: the state is an
-    eigenvector of the witness (the residual measured with the witness's
-    distance), and every coherent point the witness is built from attains
-    the peak overlap."""
+def _saturation_diagnostics(psi, cand: _WitnessCandidate, m_sup: float) -> dict:
+    """Check the two exactness mechanisms on a pure state (a FockVector or
+    a coherent product): the state is an eigenvector of the witness (the
+    residual measured with the witness's distance), and every coherent
+    point the witness is built from attains the peak overlap."""
     # a component of weight w moves the witness by at most w in trace
     # distance, so one lighter than the tolerance need not attain the peak
     # (the weighted axis rings give a zero weight to an empty mode)
@@ -544,7 +545,10 @@ def _saturation_diagnostics(psi: FockVector, cand: _WitnessCandidate, m_sup: flo
     ]
     attain_defect = 0.0
     if points:
-        overlaps = _support_overlaps(psi, points)
+        if isinstance(psi, FockVector):
+            overlaps = _support_overlaps(psi, points)
+        else:
+            overlaps = np.array([q_tilde(psi, pt) for pt in points])
         attain_defect = float(np.abs(m_sup - overlaps).max())
 
     return {
@@ -600,7 +604,9 @@ def _assemble(
 
     saturation = None
     if exact is not None and ranked:
-        psi = _as_pure_vector(state)
+        # an ensemble reported with a peak overlap is a coherent product,
+        # pure as well
+        psi = state if isinstance(state, ClassicalEnsemble) else _as_pure_vector(state)
         if psi is not None and sup_overlap is not None:
             tied = [b.candidate for b in ranked if b.value - ranked[0].value <= EXACT_TOL]
             diags = []
@@ -858,9 +864,14 @@ def _report_vacuum_number(spec: StateSpec) -> BoundReport:
 
 
 def _report_mixture(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
-    convex = convexity_upper(
-        [(float(w), report(term, cfg)) for w, term in spec.params["terms"]]
-    )
+    terms = [(float(w), report(term, cfg)) for w, term in spec.params["terms"]]
+    present = [rep for w, rep in terms if w > 0]
+    if len(present) == 1:
+        # the weights are normalized at parse time, so the mixture is its
+        # one present term, and that term's report keeps its exact value
+        present[0].state_id = spec.state_id()
+        return present[0]
+    convex = convexity_upper(terms)
     rho = spec.build()
     base = _report_density(rho, cfg)
     return _assemble(

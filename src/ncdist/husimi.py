@@ -12,10 +12,15 @@ exact gradient and its exact Hessian at all starts still moving in one
 batched call and takes one saddle-free trust-region Newton step per start.
 For Fock-space states Q = e^{-|alpha|^2} sum_k w_k |P_k(conj alpha)|^2, with
 P_k the Bargmann polynomial of a pure component, and for classical
-ensembles the Gaussian and Bessel closed forms. The certificate is the exact
-gradient norm at the reported maximizers: it certifies stationarity, not
-that the best start found the global maximum. ``n_evaluations`` counts
-point evaluations of Q, its gradient and its Hessian.
+ensembles the Gaussian and Bessel closed forms. The steps are taken on
+log Q, whose gradient and Hessian follow from those of Q: far from the
+peak log Q is -|alpha|^2 plus the log of a polynomial, so one Newton step
+leaves the Gaussian tail, where a step on Q gains only about a factor e.
+Where Q > 0 both have the same stationary points. The certificate is the
+exact gradient norm of Q at the reported maximizers: it certifies
+stationarity, not that the best start found the global maximum.
+``n_evaluations`` counts point evaluations of Q, its gradient and its
+Hessian.
 
 Callers that need Q alone at given points, with no derivatives (``q_tilde``
 on Fock-space states, and the report's attainment checks in
@@ -516,19 +521,20 @@ def _sobol_starts(n: int, dim: int, scale: float, seed: int) -> np.ndarray:
 
 
 _RESOLUTION = 16.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def _ascent_steps(grad, hess, radius):
     """Saddle-free Newton steps p = V |L|^-1 V^T grad for H = V L V^T, with
     |L| floored at 1e-8 of its largest entry, clipped to the trust radius.
 
-    Returns the steps, the gain the quadratic model predicts for each, their
+    ``q_sup`` passes the gradient and Hessian of log Q. Returns the steps,
+    the gain the quadratic model predicts for each (a gain in log Q), their
     lengths, and whether each was clipped.
     """
     lam, vec = np.linalg.eigh(hess)
     mag = np.abs(lam)
-    # far out in the Gaussian tail the Hessian can vanish outright; the
-    # radius then bounds the gradient step
+    # where the Hessian vanishes outright the radius bounds the gradient step
     mag = np.maximum(mag, np.maximum(1e-8 * mag.max(axis=1, keepdims=True), 1e-300))
     gc = (grad[:, None, :] @ vec)[:, 0]
     c = gc / mag
@@ -553,19 +559,25 @@ def q_sup(
     together: each round evaluates Q, its exact gradient and its exact
     Hessian at every start still moving in one batched call (the Bargmann
     polynomial's for Fock-space states, closed forms for classical
-    ensembles) and takes one trust-region Newton step per start. The step
-    is p = V |L|^-1 V^T grad, which ascends also where the Hessian is
-    indefinite; it is accepted when the gain is at least 1e-4 of the
-    quadratic model's, or, where the model's gain is below the resolution
-    of Q, when the gradient norm falls. A start stops once every gradient
-    component is at most ``GRADIENT_TOL``, after ``MAX_EVALS_PER_START``
-    evaluations, or when its trust radius falls below 1e-15.
+    ensembles) and takes one trust-region Newton step per start on
+    l = log Q, with gradient g / Q and Hessian H / Q - (g / Q)(g / Q)^T from
+    Q's own. The step is p = V |L|^-1 V^T grad l, which ascends also where
+    the Hessian is indefinite. It is accepted when the gain
+    log Q(trial) - log Q is at least 1e-4 of the model's predicted gain,
+    or, where that prediction is at most 16 ulps (absolute, as a log gain
+    is a relative gain in Q), when Q's gradient norm falls; the radius
+    doubles after a clipped step that gains at least 0.75 of the
+    prediction. Q is floored at the smallest normal float in the log and
+    the divisions, so a start or trial where Q is 0 or subnormal gives
+    finite numbers (a trial there is rejected). A start stops once every
+    component of Q's gradient is at most ``GRADIENT_TOL``, after
+    ``MAX_EVALS_PER_START`` evaluations, or when its trust radius falls
+    below 1e-15.
 
     The rounds run on the compacted set of starts still moving, and the
     Sobol points for a (count, dimension, seed) are drawn once per process
-    and scaled per call. The returned value is never below the best
-    evaluated point. The certificate is the exact gradient norm at the kept
-    maximizers: it certifies stationarity, not that no other start would
+    and scaled per call. The returned value is the best evaluated Q. The
+    certificate is the exact gradient norm of Q at the kept maximizers: it certifies stationarity, not that no other start would
     have found a higher peak. ``n_evaluations`` counts point evaluations of
     Q, its gradient and its Hessian. The search needs derivatives, so it
     runs on the Bargmann evaluator; callers that need Q alone at given
@@ -618,15 +630,20 @@ def q_sup(
     ax, aq, agrad, ahess = x[idx], q[idx], grad[idx], hess[idx]
     radius, aused = np.ones(len(idx)), used[idx]
     while len(idx):
-        step, pred, length, clipped = _ascent_steps(agrad, ahess, radius)
+        # the model is of log Q: gradient g / Q and Hessian H / Q - (g / Q)(g / Q)^T,
+        # with Q floored at the smallest normal float where it underflows
+        floor = np.maximum(aq, _TINY)
+        lgrad = agrad / floor[:, None]
+        lhess = ahess / floor[:, None, None] - lgrad[:, :, None] * lgrad[:, None, :]
+        step, pred, length, clipped = _ascent_steps(lgrad, lhess, radius)
         trial = ax + step
         q1, grad1, hess1 = target.evaluate(trial)
         aused += 1
         best_eval = max(best_eval, q1.max())
-        gain = q1 - aq
-        # below 16 ulps of Q the gain no longer resolves the step; the
-        # gradient still does
-        resolved = pred > _RESOLUTION * np.abs(aq)
+        gain = np.log(np.maximum(q1, _TINY) / floor)
+        # a log gain is a relative gain in Q: below 16 ulps it no longer
+        # resolves the step; the gradient still does
+        resolved = pred > _RESOLUTION
         ok = np.where(
             resolved,
             gain >= 1e-4 * pred,

@@ -462,6 +462,21 @@ def test_one_term_coherent_mixture_saturates_with_its_own_witness():
     assert rep.saturation["eigenvector_residual"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [[], [{"w": 0.0, "state": {"kind": "number", "ns": [1, 0]}}]],
+    ids=["one-term", "zero-weight-second-term"],
+)
+def test_a_mixture_of_one_present_term_keeps_that_terms_exact_value(extra):
+    # the density route found the bracket but not its exact value
+    ec = {"kind": "entangled_coherent", "parity": "odd", "beta": 2.5, "eta": 0.3}
+    mix = parse_state({"kind": "mixture", "terms": [{"w": 1.0, "state": ec}] + extra})
+    rep, ref = report(mix), report(parse_state(ec))
+    assert rep.state_id == mix.state_id()
+    assert rep.exact == ref.exact == pytest.approx(0.500001863239778, abs=1e-12)
+    assert (rep.best_lower, rep.best_upper) == (ref.best_lower, ref.best_upper)
+
+
 # ---------------------------------------------------------------------------
 # raw containers
 

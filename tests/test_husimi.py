@@ -447,6 +447,82 @@ def test_q_sup_finds_the_peak_of_a_sparse_three_mode_vector():
     assert r.value == pytest.approx(0.06274351925369401, abs=1e-12)
 
 
+def _standing_draw(seed):
+    # the recipe of the ROADMAP's Standing multistart entry
+    rng = np.random.default_rng(seed)
+    rng.integers(2, 6)
+    amps = (rng.normal(size=(6, 6, 6)) + 1j * rng.normal(size=(6, 6, 6))) * (
+        rng.random((6, 6, 6)) < 0.4
+    )
+    return FockVector(TruncationSpec((5, 5, 5)), amps / np.linalg.norm(amps))
+
+
+def test_q_sup_finds_the_peak_of_the_standing_draw():
+    # Newton steps on Q stopped at a local maximum 0.0334863 here; the peak
+    # is the value 300 starts find
+    r = q_sup(_standing_draw(32))
+    assert r.converged
+    assert r.value == pytest.approx(0.04077183794428015, abs=1e-9)
+
+
+def test_a_start_in_the_gaussian_tail_climbs_in_a_few_rounds():
+    # one start at alpha = 4 on |2>, where Q = 1.4e-5; the origin and mode
+    # mean starts sit where Q and its gradient vanish and stop at once.
+    # Steps on log Q leave the tail at once: 9 evaluations in all, where
+    # steps on Q took 18 (about a factor e of Q per round)
+    psi = number_basis_vector((2,), TruncationSpec((30,)))
+    r = q_sup(psi, [np.array([4.0 + 0j])], n_starts=3)
+    assert r.converged
+    assert r.value == pytest.approx(GAMMA_REF[2], abs=1e-12)
+    assert r.n_evaluations <= 10
+
+
+def _ring_times_coherent_peak(energy):
+    from scipy.optimize import minimize_scalar
+    from scipy.special import i0e
+
+    s = math.sqrt(energy)
+    # e^{-E - r^2} I0(2 s r) = i0e(2 s r) e^{-(s - r)^2}; the coherent
+    # factor peaks at 1 on its own point
+    prof = lambda r: -i0e(2.0 * s * r) * math.exp(-((s - r) ** 2))
+    return -minimize_scalar(prof, bounds=(0.0, s + 1.0), method="bounded",
+                            options={"xatol": 1e-12}).fun
+
+
+def _floating_point_cases():
+    t = TruncationSpec((12,))
+    one = number_basis_vector((1,), t)
+    mat = 0.5 * (outer(one).mat + outer(number_basis_vector((2,), t)).mat)
+    root = math.sqrt(2.0)
+    ens = ClassicalEnsemble(
+        ((1.0, ProductComponent((RingFactor(2.0), CoherentFactor(0.6 - 0.3j)))),)
+    )
+    return {
+        # Q(0) = 0 and its gradient vanish at the origin start
+        "number-1": (one, None, GAMMA_REF[1]),
+        # rank 2 of 13, and Q(0) = 0: Q = e^{-t} (t / 2 + t^2 / 4), t = |alpha|^2
+        "density-rank-2": (
+            DensityMatrix(t, mat), None, math.exp(-root) * (root / 2 + 0.5)
+        ),
+        "ring-times-coherent": (ens, None, _ring_times_coherent_peak(2.0)),
+        # Q = 3.5e-10 at alpha = 5, and Q underflows to 0 at alpha = 40
+        "tail-hints": (
+            number_basis_vector((1,), TruncationSpec((40,))),
+            [np.array([5.0 + 0j]), np.array([40.0 + 0j])],
+            GAMMA_REF[1],
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_floating_point_cases()))
+def test_q_sup_raises_no_floating_point_exception(name):
+    state, hints, peak = _floating_point_cases()[name]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        r = q_sup(state, hints)
+    assert r.converged
+    assert r.value == pytest.approx(peak, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # value-only overlaps on the support, and repeat calls
 
