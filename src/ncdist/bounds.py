@@ -57,7 +57,6 @@ from .husimi import (
     gamma_n,
     noon_qmax_analytic,
     q_sup,
-    q_tilde,
 )
 from .metrics import (
     cat_span_distance,
@@ -548,7 +547,9 @@ def _saturation_diagnostics(psi, cand: _WitnessCandidate, m_sup: float) -> dict:
         if isinstance(psi, FockVector):
             overlaps = _support_overlaps(psi, points)
         else:
-            overlaps = np.array([q_tilde(psi, pt) for pt in points])
+            # a coherent product at beta overlaps |alpha> by e^{-|alpha - beta|^2}
+            beta = np.array([f.alpha for f in psi.components[0][1].factors])
+            overlaps = np.exp(-(np.abs(np.array(points) - beta) ** 2).sum(axis=1))
         attain_defect = float(np.abs(m_sup - overlaps).max())
 
     return {
@@ -864,13 +865,13 @@ def _report_vacuum_number(spec: StateSpec) -> BoundReport:
 
 
 def _report_mixture(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
-    terms = [(float(w), report(term, cfg)) for w, term in spec.params["terms"]]
-    present = [rep for w, rep in terms if w > 0]
-    if len(present) == 1:
+    terms = [(float(w), report(term, cfg)) for w, term in spec.params["terms"] if w > 0]
+    if len(terms) == 1:
         # the weights are normalized at parse time, so the mixture is its
         # one present term, and that term's report keeps its exact value
-        present[0].state_id = spec.state_id()
-        return present[0]
+        rep = terms[0][1]
+        rep.state_id = spec.state_id()
+        return rep
     convex = convexity_upper(terms)
     rho = spec.build()
     base = _report_density(rho, cfg)

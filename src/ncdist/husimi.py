@@ -577,8 +577,9 @@ def q_sup(
     The rounds run on the compacted set of starts still moving, and the
     Sobol points for a (count, dimension, seed) are drawn once per process
     and scaled per call. The returned value is the best evaluated Q. The
-    certificate is the exact gradient norm of Q at the kept maximizers: it certifies stationarity, not that no other start would
-    have found a higher peak. ``n_evaluations`` counts point evaluations of
+    certificate is the exact gradient norm of Q at the kept maximizers: it
+    certifies stationarity, not that no other start would have found a
+    higher peak. ``n_evaluations`` counts point evaluations of
     Q, its gradient and its Hessian. The search needs derivatives, so it
     runs on the Bargmann evaluator; callers that need Q alone at given
     points (``q_tilde``, the report's attainment checks) use the
@@ -630,8 +631,7 @@ def q_sup(
     ax, aq, agrad, ahess = x[idx], q[idx], grad[idx], hess[idx]
     radius, aused = np.ones(len(idx)), used[idx]
     while len(idx):
-        # the model is of log Q: gradient g / Q and Hessian H / Q - (g / Q)(g / Q)^T,
-        # with Q floored at the smallest normal float where it underflows
+        # the model is of log Q, with Q floored where it underflows
         floor = np.maximum(aq, _TINY)
         lgrad = agrad / floor[:, None]
         lhess = ahess / floor[:, None, None] - lgrad[:, :, None] * lgrad[:, None, :]
