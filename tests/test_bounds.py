@@ -521,7 +521,7 @@ def _coherent_overlap_sq(psi: FockVector, alpha) -> float:
     return abs(np.vdot(amp.ravel(), psi.flat)) ** 2
 
 
-# s = 32 is a draw whose peak the default starts of q_sup miss
+# s = 32 is a draw whose peak the default starts of q_sup once missed
 @pytest.mark.parametrize("s", [0, 1, 4, 5, 7, 14, 27, 32, 34, 37])
 def test_report_lower_bound_holds_at_the_best_searched_point(s):
     # any true lower bound lies below 1 - Q(alpha) at every alpha, whatever
