@@ -5,10 +5,9 @@ given state and the set of mixtures of coherent states.  Closed forms are
 rare, so everything here is organized around two-sided brackets:
 
 * lower bounds come from the peak normalized coherent overlap (pure
-  states), from fidelity against the peak coherent point, from a triangle
-  step from the number state |n>'s exact distance to a vacuum-number
-  mixture (closed form, as d(rho, |n>) = 1 - eta), and from monotonicity
-  under discarding tensor factors;
+  states), from a triangle step from the number state |n>'s exact
+  distance to a vacuum-number mixture (closed form, as d(rho, |n>) =
+  1 - eta), and from monotonicity under discarding tensor factors;
 * upper bounds come from explicit classical witnesses (every witness value
   is a computed trace distance, never a formula taken on trust), from
   convex splits, and from a direct minimization over number-diagonal
@@ -76,7 +75,6 @@ from .states import (
     number_ring_product,
     phase_ring,
     two_point_mixture,
-    uniform_axis_rings,
 )
 
 __all__ = [
@@ -109,19 +107,19 @@ _ONE_MINUS = 1.0 - 1e-12
 class Bound:
     """A single one-sided bound with its provenance identifier.
 
-    ``computed`` marks values obtained as an actual trace distance to an
-    explicit witness (as opposed to formula-derived bounds); only those may
-    certify a bracket as exact.  ``candidate`` is that witness as an
-    ensemble (with its interferometer, if any): the report ranks the
+    A bound is computed, an actual trace distance to an explicit classical
+    witness rather than a formula, exactly when it carries ``witness``, the
+    witness's JSON form; only computed bounds may certify a bracket as
+    exact.  ``candidate`` is that witness as an ensemble (with its
+    interferometer, if any), where one was built: the report ranks the
     uppers that carry one to pick the witness it certifies and passes on.
-    Neither is serialized; ``witness`` is the candidate's JSON form.
+    It is not serialized.
     """
 
     name: str
     value: float
     provenance: str
     witness: dict | None = None
-    computed: bool = field(default=False, compare=False)
     candidate: "_WitnessCandidate | None" = field(
         default=None, repr=False, compare=False
     )
@@ -334,7 +332,6 @@ def _witness_bound(name: str, d: float, cand: _WitnessCandidate) -> Bound:
         min(max(d, 0.0), _ONE_MINUS),
         "eq2-witness-upper",
         witness=cand.to_obj(),
-        computed=True,
         candidate=cand,
     )
 
@@ -503,7 +500,6 @@ def diag_classical_minimize(rho: DensityMatrix, energy_grid) -> Bound:
             "weights": weights,
             "iterations": int(lp.nit),
         },
-        computed=True,
         # a pure number-diagonal state is a basis vector: an eigenvector
         # of every number-diagonal witness
         candidate=_WitnessCandidate(ring, residual=0.0),
@@ -535,7 +531,7 @@ def _saturation_diagnostics(psi, cand: _WitnessCandidate, m_sup: float) -> dict:
     point the witness is built from attains the peak overlap."""
     # a component of weight w moves the witness by at most w in trace
     # distance, so one lighter than the tolerance need not attain the peak
-    # (the weighted axis rings give a zero weight to an empty mode)
+    # (the axis rings give a zero weight to an empty mode)
     points = [
         pt if cand.rotation is None else cand.rotation @ pt
         for w, comp in cand.ensemble.components
@@ -591,7 +587,7 @@ def _assemble(
             f"{state_id}: lower bound {best_lower} exceeds upper bound "
             f"{best_upper} beyond the allowed slack"
         )
-    witnessed = [b.value for b in uppers if b.computed]
+    witnessed = [b.value for b in uppers if b.witness is not None]
     exact = None
     if (
         witnessed
@@ -641,17 +637,16 @@ def _assemble(
 
 def _point_upper(m_sup: float, points) -> Bound:
     """Upper bound from the best single coherent point: for a pure state
-    the distance to the peak point is exactly sqrt(1 - m)."""
+    the distance to the peak point is exactly sqrt(1 - m) (eq31)."""
     alphas = np.atleast_1d(np.asarray(points, dtype=np.complex128))
-    return replace(
-        upper_q(m_sup),
-        name="best-point",
-        provenance="eq2-witness-upper",
+    return Bound(
+        "best-point",
+        upper_q(m_sup).value,
+        "eq2-witness-upper",
         witness={
             "type": "coherent-point",
             "alpha": [[a.real, a.imag] for a in alphas],
         },
-        computed=True,
     )
 
 
@@ -675,15 +670,10 @@ def _check_attained(state: FockVector, alpha, claimed: float, spec: StateSpec):
 
 
 def _pure_lowers(m_sup: float) -> list[Bound]:
-    lo23 = Bound(
-        "pure-overlap", min(max(1.0 - m_sup, 0.0), _ONE_MINUS), "eq23-pure-lower"
-    )
-    lo17 = Bound(
-        "fidelity-family",
-        min(max(1.0 - math.sqrt(max(m_sup, 0.0)), 0.0), _ONE_MINUS),
-        "eq17-family-lower[1]",
-    )
-    return [lo23, lo17]
+    # eq17's 1 - sqrt(m) never exceeds 1 - m, so eq23 alone is listed
+    return [
+        Bound("pure-overlap", min(max(1.0 - m_sup, 0.0), _ONE_MINUS), "eq23-pure-lower")
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +688,6 @@ def _report_number(spec: StateSpec) -> BoundReport:
     _check_attained(psi, point, m, spec)
 
     uppers = [
-        upper_q(m),
         upper_witness(psi, number_ring_product(ns), name="ring-product"),
         _point_upper(m, point),
     ]
@@ -707,7 +696,14 @@ def _report_number(spec: StateSpec) -> BoundReport:
 
 def _report_axis_superposition(spec: StateSpec) -> BoundReport:
     """Superpositions of a single excited mode: one photon along an
-    arbitrary direction, or n photons spread over the modes."""
+    arbitrary direction, or n photons spread over the modes.
+
+    For n >= 2 the witness is the mixture of axis rings weighted by
+    a_m = |c_m|^2.  Against rings of weights w the distance is the root
+    lambda of sum_m a_m / (lambda + w_m gamma_n) = 1; equal weights give
+    1 - gamma_n / M, and since a -> a / (lambda + a gamma_n) is concave the
+    sum at that lambda is at most 1 with w = a, so these weights do at
+    least as well as equal ones."""
     if spec.kind == "single_photon":
         n, c = 1, np.asarray(spec.params["c"], dtype=np.complex128)
     else:
@@ -719,7 +715,7 @@ def _report_axis_superposition(spec: StateSpec) -> BoundReport:
     m = sup.value
     _check_attained(psi, sup.argmax[0], m, spec)
 
-    uppers = [upper_q(m), _point_upper(m, sup.argmax[0])]
+    uppers = [_point_upper(m, sup.argmax[0])]
     if n == 1:
         # a ring along the excitation direction is an eigenstate mixture
         uppers.append(
@@ -731,28 +727,19 @@ def _report_axis_superposition(spec: StateSpec) -> BoundReport:
             )
         )
     else:
-        uppers.append(
-            upper_witness(
-                psi, uniform_axis_rings(float(n), nmodes), name="uniform-axis-rings"
+        comps = tuple(
+            (
+                float(w),
+                ProductComponent(
+                    tuple(
+                        RingFactor(float(n)) if j == mode else CoherentFactor(0.0)
+                        for j in range(nmodes)
+                    )
+                ),
             )
+            for mode, w in enumerate(np.abs(c) ** 2)
         )
-        mags2 = np.abs(c) ** 2
-        if mags2.max() - mags2.min() > 1e-12:
-            comps = tuple(
-                (
-                    float(w),
-                    ProductComponent(
-                        tuple(
-                            RingFactor(float(n)) if j == mode else CoherentFactor(0.0)
-                            for j in range(nmodes)
-                        )
-                    ),
-                )
-                for mode, w in enumerate(mags2)
-            )
-            uppers.append(
-                upper_witness(psi, ClassicalEnsemble(comps), name="weighted-axis-rings")
-            )
+        uppers.append(upper_witness(psi, ClassicalEnsemble(comps), name="axis-rings"))
     return _assemble(spec.state_id(), _pure_lowers(m), uppers, psi, sup_overlap=m)
 
 
@@ -779,7 +766,7 @@ def _report_cat(spec: StateSpec) -> BoundReport:
         d, residual = cat_span_distance(parity, beta, [1.0], [a])
         return _witness_bound(name, d, _WitnessCandidate(ens, residual=residual))
 
-    uppers = [upper_q(m), _point_upper(m, alpha_star), pair("sigma-beta", beta)]
+    uppers = [_point_upper(m, alpha_star), pair("sigma-beta", beta)]
     if spec.kind == "cat" or float(spec.params["eta"]) in (0.0, 1.0):
         # ring at the Husimi-peak energy; when the peak sits at the origin
         # the ring at the coherent-amplitude energy is still a usable
@@ -801,8 +788,6 @@ def _report_cat(spec: StateSpec) -> BoundReport:
     def carried(b):
         if b.name == "best-point":
             return _point_upper(m, optics.label_map([alpha_star, 0.0]))
-        if b.candidate is None:
-            return b
         cand = image(b.candidate)
         return replace(b, name=b.name + "-image", witness=cand.to_obj(), candidate=cand)
 
@@ -816,23 +801,22 @@ def _report_cat(spec: StateSpec) -> BoundReport:
 def _report_classical_ensemble(
     ens: ClassicalEnsemble, state_id: str, sup_overlap: float | None = None
 ) -> BoundReport:
-    """A classical state is its own witness: d(sigma, sigma) = 0 and
-    F(sigma, sigma) = 1 hold exactly, so nothing is realized.  A pure one
-    (a coherent product) passes its exact peak overlap, 1, on to a factor
-    split that contains it, and is an eigenvector of itself (residual 0)."""
+    """A classical state is its own witness: d(sigma, sigma) = 0 holds
+    exactly, so nothing is realized, and the lower bound is the default 0.
+    A pure one (a coherent product) passes its exact peak overlap, 1, on to
+    a factor split that contains it, and is an eigenvector of itself
+    (residual 0)."""
     cand = _WitnessCandidate(ens, residual=0.0)
-    lowers = [Bound("fidelity-family", 0.0, "eq17-family-lower[1]")]
     uppers = [
         Bound(
             "self-witness",
             0.0,
             "eq2-witness-upper",
             witness=cand.to_obj(),
-            computed=True,
             candidate=cand,
         )
     ]
-    return _assemble(state_id, lowers, uppers, ens, sup_overlap=sup_overlap)
+    return _assemble(state_id, [], uppers, ens, sup_overlap=sup_overlap)
 
 
 def _report_vacuum_number(spec: StateSpec) -> BoundReport:
@@ -1003,7 +987,7 @@ def _report_vector(psi: FockVector, cfg: ReportConfig) -> BoundReport:
     hints = [np.sqrt(_mode_energies(psi)).astype(np.complex128)]
     sup = q_sup(psi, hints, seed=cfg.seed)
     m = sup.value
-    uppers = [upper_q(m), _point_upper(m, sup.argmax[0]), _mode_energy_rings(psi)]
+    uppers = [_point_upper(m, sup.argmax[0]), _mode_energy_rings(psi)]
     return _assemble(_default_id(psi), _pure_lowers(m), uppers, psi, sup_overlap=m)
 
 

@@ -54,7 +54,7 @@ def _cat_row(parity, beta, with_ring):
     alpha_star = abs(complex(*named["best-point"].witness["alpha"][0]))
     row = [float(beta), alpha_star] + [
         named[n].value
-        for n in ("pure-overlap", "overlap-sqrt", "sigma-beta", "sigma-alpha-star")
+        for n in ("pure-overlap", "best-point", "sigma-beta", "sigma-alpha-star")
     ]
     if with_ring:
         row.append(named["dephased-ring"].value)

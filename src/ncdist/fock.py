@@ -540,19 +540,6 @@ class BlockUnitary:
             res[:, idx_j] = out[:, idx_j] @ bj.conj().T
         return DensityMatrix(rho.trunc, res, meta=rho.meta)
 
-    def block_unitarity_defects(self) -> dict[int, float]:
-        """max |B^+ B - I| of each built block, by its photon number."""
-        return {
-            t: float(np.abs(b.conj().T @ b - np.eye(b.shape[1])).max(initial=0.0))
-            for t, (_, b) in zip(self.totals, self.blocks)
-        }
-
-    def complete_block_totals(self) -> list[int]:
-        """The built shells' photon numbers t whose whole shell fits inside
-        the cutoffs (t <= every cutoff): the blocks that are unitary."""
-        top = min(self.trunc.cutoffs)
-        return [t for t in self.totals if t <= top]
-
 
 def beam_splitter(eta: float) -> np.ndarray:
     """Two-mode mixing matrix with transmissivity eta.

@@ -269,15 +269,3 @@ def helstrom_saturation(a: DensityMatrix, b: DensityMatrix) -> tuple[float, floa
     pb = float(np.trace(b.mat @ proj).real)
     kd = 0.5 * (abs(pa - pb) + abs((a.trace() - pa) - (b.trace() - pb)))
     return kd, trace_distance(a, b)
-
-
-def measurement_kolmogorov(
-    a: DensityMatrix, b: DensityMatrix, basis: np.ndarray
-) -> float:
-    """Kolmogorov distance of the outcome distributions of a projective
-    measurement in the given orthonormal basis (columns)."""
-    if a.trunc.cutoffs != b.trunc.cutoffs:
-        raise ValueError("states live on different truncations")
-    pa = np.einsum("ij,ik,kj->j", basis.conj(), a.mat, basis).real
-    pb = np.einsum("ij,ik,kj->j", basis.conj(), b.mat, basis).real
-    return 0.5 * float(np.abs(pa - pb).sum())

@@ -164,7 +164,7 @@ def check_noon_witness() -> list[CheckLine]:
         c = (1.0 / math.sqrt(m),) * m
         rep = report(StateSpec("noon", {"n": n, "c": c}))
         target = 1.0 - float(gamma_n(n)) / m
-        rings = [b for b in rep.uppers if b.name == "uniform-axis-rings"]
+        rings = [b for b in rep.uppers if b.name == "axis-rings"]
         lines.append(_value(f"witness distance n={n} M={m}", rings[0].value, target, 1e-9))
         lines.append(_value(f"Q lower bound n={n} M={m}", rep.best_lower, target, 1e-9))
         if rep.exact is None:

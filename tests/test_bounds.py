@@ -32,7 +32,7 @@ from ncdist import (
     vacuum_number_diag,
 )
 from ncdist import bounds, channels, husimi, metrics, states
-from ncdist.fock import poisson_pmf, poisson_tail
+from ncdist.fock import coherent_amps, poisson_pmf, poisson_tail
 from ncdist.husimi import cat_qmax, gamma_n, q_sup
 from ncdist.metrics import cat_span_distance, trace_distance
 from ncdist.states import CatParams
@@ -270,10 +270,27 @@ def test_report_noon_unequal_amplitudes_open_bracket():
     rep = _spec_report("noon", {"n": 2, "c": (0.8, 0.6)})
     assert rep.exact is None
     assert abs(rep.best_lower - (1.0 - G2 * 0.64)) < 1e-9
-    uniform = [b for b in rep.uppers if b.name == "uniform-axis-rings"]
-    assert abs(uniform[0].value - (1.0 - G2 / 2.0)) < 1e-9
+    # equal ring weights, no longer listed by the report, reach 1 - gamma_2 / M
+    psi = StateSpec("noon", {"n": 2, "c": (0.8, 0.6)}).build()
+    uniform = upper_witness(psi, uniform_axis_rings(2.0, 2))
+    assert abs(uniform.value - (1.0 - G2 / 2.0)) < 1e-9
     # skewing the ring weights toward the heavy mode does strictly better
-    assert rep.best_lower < rep.best_upper < uniform[0].value
+    assert rep.best_lower < rep.best_upper < uniform.value
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_weighted_axis_rings_never_lose_to_equal_weights(m, n):
+    # the secular root at weights |c_k|^2 is at most the one at 1/M
+    rng = np.random.default_rng(100 * m + n)
+    for _ in range(3):
+        c = rng.normal(size=m) + 1j * rng.normal(size=m)
+        c = c / np.linalg.norm(c)
+        spec = StateSpec("noon", {"n": n, "c": tuple(c)})
+        (rings,) = [b for b in report(spec).uppers if b.name == "axis-rings"]
+        uniform = upper_witness(spec.build(), uniform_axis_rings(float(n), m))
+        assert abs(uniform.value - (1.0 - gamma_n(n) / m)) < 1e-12
+        assert rings.value <= uniform.value + 1e-15
 
 
 def test_report_affine_pair_noon_vs_number():
@@ -357,6 +374,80 @@ def test_report_classical_states_are_exactly_zero():
 
     rep2 = _spec_report("phase_randomized", {"energy": 1.0})
     assert rep2.best_lower == rep2.best_upper == rep2.exact == 0.0
+
+
+_RAW_TWO_MODE = FockVector(
+    TruncationSpec((2, 2)), np.array([[0, 0.6, 0], [0.48j, 0, 0], [0, 0, 0.64]])
+)
+_INV2 = 1.0 / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize(
+    "state, lowers, uppers",
+    [
+        (StateSpec("number", {"ns": (1, 2)}), ["pure-overlap"], ["ring-product", "best-point"]),
+        (
+            StateSpec("single_photon", {"c": (0.6, 0.8j)}),
+            ["pure-overlap"],
+            ["directional-ring", "best-point"],
+        ),
+        (
+            StateSpec("noon", {"n": 2, "c": (_INV2, _INV2)}),
+            ["pure-overlap"],
+            ["axis-rings", "best-point"],
+        ),
+        (StateSpec("noon", {"n": 2, "c": (0.8, 0.6)}), ["pure-overlap"], ["axis-rings", "best-point"]),
+        (
+            StateSpec("cat", {"parity": "even", "beta": 1.0}),
+            ["pure-overlap"],
+            ["sigma-beta", "best-point", "sigma-alpha-star", "dephased-ring"],
+        ),
+        (
+            StateSpec("cat", {"parity": "odd", "beta": 1.5}),
+            ["pure-overlap"],
+            ["sigma-alpha-star", "sigma-beta", "best-point", "dephased-ring"],
+        ),
+        (
+            StateSpec("entangled_coherent", {"parity": "odd", "beta": 1.5, "eta": 0.3}),
+            ["pure-overlap"],
+            ["sigma-alpha-star-image", "sigma-beta-image", "best-point"],
+        ),
+        (StateSpec("coherent", {"alpha": (0.5 + 0.2j,)}), [], ["self-witness"]),
+        (StateSpec("phase_randomized", {"energy": 1.0}), [], ["self-witness"]),
+        (_RAW_TWO_MODE, ["pure-overlap"], ["best-point", "mode-energy-rings"]),
+    ],
+    ids=[
+        "number", "single-photon", "noon-equal", "noon-unequal", "even-cat",
+        "odd-cat", "entangled-coherent", "coherent", "phase-randomized", "raw-vector",
+    ],
+)
+def test_report_lists_only_bounds_that_can_set_the_bracket(state, lowers, uppers):
+    rep = report(state)
+    assert [b.name for b in rep.lowers] == lowers
+    assert [b.name for b in rep.uppers] == uppers
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        StateSpec("number", {"ns": (2,)}),
+        StateSpec("cat", {"parity": "odd", "beta": 1.5}),
+        StateSpec("noon", {"n": 2, "c": (0.8, 0.6)}),
+        _RAW_TWO_MODE,
+    ],
+    ids=["number", "odd-cat", "noon-unequal", "raw-vector"],
+)
+def test_best_point_is_the_distance_to_the_peak_coherent_point(state):
+    rep = report(state)
+    # the one sqrt(1 - m) entry, and a computed witness distance
+    assert not [b for b in rep.uppers if b.provenance == "eq31-upper"]
+    (point,) = [b for b in rep.uppers if b.name == "best-point"]
+    assert point.witness["type"] == "coherent-point"
+    psi = state.build() if isinstance(state, StateSpec) else state
+    alpha = [complex(*a) for a in point.witness["alpha"]]
+    big = psi.trunc.union(TruncationSpec((30,) * psi.trunc.nmodes, 1e-13))
+    dense = trace_distance(outer(psi.pad(big)), outer(coherent_amps(alpha, big)))
+    assert abs(point.value - dense) <= 1e-9
 
 
 def test_report_vacuum_number_brackets():

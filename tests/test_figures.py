@@ -83,7 +83,7 @@ def test_cat_rows_are_the_named_bounds_of_report(parity, rows_of, betas):
             beta,
             math.hypot(*alpha),
             named["pure-overlap"].value,
-            named["overlap-sqrt"].value,
+            named["best-point"].value,
             named["sigma-beta"].value,
             named["sigma-alpha-star"].value,
         ]

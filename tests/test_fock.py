@@ -223,24 +223,35 @@ def _random_unitary(m, seed):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def _unitarity_defects(w):
+    """max |B^+ B - I| of each built block, by its photon number."""
+    return {
+        t: float(np.abs(b.conj().T @ b - np.eye(b.shape[1])).max(initial=0.0))
+        for t, (_, b) in zip(w.totals, w.blocks)
+    }
+
+
 def test_passive_unitary_blocks_are_unitary():
     u = _random_unitary(3, 3)
     t = TruncationSpec((3, 3, 3))
     w = passive_unitary(u, t)
-    defects = w.block_unitarity_defects()
-    for tt in w.complete_block_totals():
+    defects = _unitarity_defects(w)
+    # a shell of total t <= every cutoff fits whole, so its block is unitary
+    complete = [tt for tt in w.totals if tt <= min(t.cutoffs)]
+    assert complete == [0, 1, 2, 3]
+    for tt in complete:
         assert defects[tt] < 1e-10
 
 
 def test_partial_passive_build_names_only_its_complete_shells():
     w = passive_unitary(np.eye(2), TruncationSpec((3, 3)), [2])
     assert len(w.blocks) == 1
-    assert w.complete_block_totals() == [2]
-    assert set(w.block_unitarity_defects()) == {2}
+    assert w.totals == [2]
+    assert set(_unitarity_defects(w)) == {2}
     # shells 1 and 5 of a random interferometer: 5 is cropped by the cutoffs
     w = passive_unitary(_random_unitary(2, 4), TruncationSpec((3, 3)), [1, 5])
-    defects = w.block_unitarity_defects()
-    assert w.complete_block_totals() == [1]
+    defects = _unitarity_defects(w)
+    assert w.totals == [1, 5]
     assert defects[1] < 1e-12 and defects[5] > 1e-3
 
 
