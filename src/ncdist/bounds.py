@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.special import gammainc
 
 from .channels import AffineOptics, affine_image, apply_affine
@@ -428,21 +428,152 @@ def diag_mixture_distance(rho: DensityMatrix, energies, weights) -> float:
     return _ring_distance(np.concatenate([p, [p_ext]]), cols, w)
 
 
+# the ring LP's pivot cap, per column of its standard form
+_RING_LP_PIVOTS_PER_COLUMN = 20
+# reduced costs above -_RING_LP_TOL are optimal, and a step of at most
+# _RING_LP_TOL is degenerate; pivots below _RING_LP_PIVOT_TOL are not taken
+_RING_LP_TOL = 1e-12
+_RING_LP_PIVOT_TOL = 1e-11
+
+
+def _ring_lp(cols: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Minimize 0.5 * |target - cols @ w|_1 over the weight simplex.
+
+    A primal simplex on the standard form ``[C -I I; 1 0 0] z = [p; 1]``,
+    ``z = (w, u, v) >= 0``, with costs ``(0, 1/2, 1/2)``: at a vertex u and
+    v are the positive and negative parts of ``C w - p``.  Variables are
+    numbered w, u, v in that order.  The start basis is the best single
+    column plus, on each row, the slack that carries its residual; it is
+    feasible, so there is no phase 1.
+
+    A slack column is a signed unit vector, so the basis is held reduced:
+    the basic columns J, and on each row either the sign of its basic
+    slack or none (a tight row, where ``C w = p``).  Only the square system
+    ``[C[tight, J]; 1]`` is solved, afresh at every pivot, for the weights,
+    the duals and the pivot column.  Pricing is Dantzig's rule.  The ratio
+    test takes a long step (Barrodale and Roberts, SIAM J. Numer. Anal. 10,
+    839 (1973)): a basic slack that reaches zero hands its row to its twin
+    while the objective still falls, so one pivot crosses many kinks.
+    Ties go to the smallest variable index, and after a run of degenerate
+    pivots both the entering and the leaving variable are the smallest
+    eligible index, with no long step (Bland, Math. Oper. Res. 2, 103
+    (1977)), so the method cannot cycle.
+
+    Returns the weights, the row duals (length ``len(target)``) and the
+    pivot count.  Passing the pivot cap, a singular basis, or a pivot
+    column with no blocking entry raises ``NumericalInconsistency``.
+    """
+    m, k = cols.shape
+    resid = target[:, None] - cols
+    j0 = int(np.argmin(np.abs(resid).sum(axis=0)))
+    basic = [j0]  # basic columns, in the order of the reduced system
+    # +1: v_r is basic (p_r >= C_r w), -1: u_r is basic, 0: the row is tight
+    sign = np.where(resid[:, j0] < 0.0, -1.0, 1.0)
+
+    cap = _RING_LP_PIVOTS_PER_COLUMN * (k + 2 * m)
+    pivots = stall = 0
+    while True:
+        tight = np.flatnonzero(sign == 0.0)
+        cj = cols[:, basic]
+        reduced = np.ones((len(basic), len(basic)))
+        reduced[:-1] = cj[tight]
+        lu, perm, info = dgetrf(reduced)
+        if info != 0:
+            raise NumericalInconsistency("ring-mixture LP basis is singular")
+        rhs = np.ones(len(basic))
+        rhs[:-1] = target[tight]
+        w_basic = dgetrs(lu, perm, rhs)[0]
+        slack = sign * (target - cj @ w_basic)
+        # a basic slack prices its row at +-1/2; the basic columns fix the rest
+        y = 0.5 * sign
+        z = dgetrs(lu, perm, -(cj.T @ y), trans=1)[0]
+        y[tight] = z[:-1]
+        d = np.concatenate([-(y @ cols + z[-1]), 0.5 + y, 0.5 - y])
+        d[basic] = 0.0
+
+        bland = stall > m
+        if bland:
+            neg = np.flatnonzero(d < -_RING_LP_TOL)
+            q = int(neg[0]) if neg.size else -1
+        else:
+            q = int(np.argmin(d))
+            q = q if d[q] < -_RING_LP_TOL else -1
+        if q < 0:
+            break
+        if pivots >= cap:
+            raise NumericalInconsistency(f"ring-mixture LP passed its pivot cap ({cap})")
+
+        # the pivot column: B alpha = a_q, in the basic columns then the rows
+        if q < k:
+            a_rows = cols[:, q]
+            rhs[-1] = 1.0
+        else:
+            r0, q_sign = (q - k, -1.0) if q < k + m else (q - k - m, 1.0)
+            a_rows = np.zeros(m)
+            a_rows[r0] = q_sign
+            rhs[-1] = 0.0
+        rhs[:-1] = a_rows[tight]
+        alpha_basic = dgetrs(lu, perm, rhs)[0]
+        alpha_rows = sign * (a_rows - cj @ alpha_basic)
+
+        # leaving candidates: basic columns, then the rows' basic slacks
+        nb = len(basic)
+        alpha = np.concatenate([alpha_basic, alpha_rows])
+        value = np.concatenate([w_basic, slack])
+        var = np.concatenate([basic, k + np.arange(m) + np.where(sign > 0, m, 0)])
+        # (a tight row has no basic slack, and its alpha is 0)
+        eligible = np.flatnonzero(alpha > _RING_LP_PIVOT_TOL)
+        if eligible.size == 0:
+            raise NumericalInconsistency("ring-mixture LP found no positive pivot")
+        ratios = np.maximum(value[eligible], 0.0) / alpha[eligible]
+        order = np.lexsort((var[eligible], ratios))
+        eligible, ratios = eligible[order], ratios[order]
+        if bland:
+            stop = 0
+        else:
+            # long step: a slack that reaches 0 hands its row to its twin
+            # while the objective still falls, the slope rising by alpha_i
+            is_slack = eligible >= nb
+            slope = d[q] + np.cumsum(np.where(is_slack, alpha[eligible], 0.0))
+            stop = int(np.argmax(~is_slack | (slope >= -_RING_LP_TOL)))
+            if is_slack[stop] and slope[stop] < -_RING_LP_TOL:
+                raise NumericalInconsistency("ring-mixture LP found no blocking pivot")
+            sign[eligible[:stop] - nb] *= -1.0
+        leave = int(eligible[stop])
+
+        if q < k:
+            basic.append(q)
+        else:
+            sign[r0] = q_sign
+        if leave < nb:
+            basic.pop(leave)
+        else:
+            sign[leave - nb] = 0.0
+        pivots += 1
+        stall = stall + 1 if ratios[stop] <= _RING_LP_TOL else 0
+
+    w = np.zeros(k)
+    w[basic] = w_basic
+    return w, y, pivots
+
+
 def diag_classical_minimize(rho: DensityMatrix, energy_grid) -> Bound:
     """Minimize the trace distance from a number-diagonal state to
     mixtures of rings at the grid energies.
 
     The objective, half the l1 distance between the state's number
-    distribution (beyond-cutoff mass included) and the weighted Poisson
-    columns, is convex piecewise-linear on the weight simplex, so one
-    linear-program solve (HiGHS) finds its exact minimum.  The returned
-    value is re-evaluated at the returned weights on the LP's columns, as
-    :func:`diag_mixture_distance` evaluates it, never read off the solver,
-    and is checked against the LP's own dual bound: a failed solve, or a
-    value more than 1e-7 above the dual bound, raises
-    ``NumericalInconsistency``.  The witness's ``iterations`` entry is the
-    solver's iteration count; the ring mixture itself rides on the bound
-    as its candidate.
+    distribution p (beyond-cutoff mass included) and the weighted Poisson
+    columns c_j, is convex piecewise-linear on the weight simplex, so one
+    linear program finds its exact minimum; :func:`_ring_lp` solves it by
+    a primal simplex started from the best single ring.  The returned value
+    is re-evaluated at the returned weights (clipped to the simplex) on the
+    LP's columns, as :func:`diag_mixture_distance` evaluates it, never read
+    off the solver.  It is certified by weak duality: for the row duals y
+    clipped to [-1/2, 1/2], every mixture is at distance at least
+    y.p - max_j c_j.y, and a value more than 1e-7 above that bound, or a
+    failed solve, raises ``NumericalInconsistency``.  The witness's
+    ``iterations`` entry counts the simplex pivots from the best single
+    ring; the ring mixture itself rides on the bound as its candidate.
     """
     p, p_ext = _diag_profile(rho)
     energies = np.asarray(list(energy_grid), dtype=float)
@@ -450,32 +581,16 @@ def diag_classical_minimize(rho: DensityMatrix, energy_grid) -> Bound:
         raise ValueError("energy grid is empty")
     cols = _pois_columns(rho.trunc.cutoffs[0], energies)
     target = np.concatenate([p, [p_ext]])
-    k = len(energies)
 
-    # min 0.5*sum(t) over t >= +-(cols@w - target), w on the simplex
-    nrows = len(target)
-    b_ub = np.concatenate([target, -target])
-    b_eq = np.array([1.0])
-    lp = linprog(
-        np.concatenate([np.zeros(k), 0.5 * np.ones(nrows)]),
-        A_ub=np.block(
-            [[cols, -np.eye(nrows)], [-cols, -np.eye(nrows)]]
-        ),
-        b_ub=b_ub,
-        A_eq=np.concatenate([np.ones(k), np.zeros(nrows)])[None, :],
-        b_eq=b_eq,
-        bounds=[(0.0, None)] * (k + nrows),
-        method="highs",
-    )
-    if not lp.success:
-        raise NumericalInconsistency(f"ring-mixture LP failed: {lp.message}")
-    w = np.clip(lp.x[:k], 0.0, None)
+    w, y, pivots = _ring_lp(cols, target)
+    w = np.clip(w, 0.0, None)
     w /= w.sum()
     # the LP's own columns, as diag_mixture_distance would rebuild them
     value = _ring_distance(target, cols, w)
-    # every variable's lower bound is 0, so only the constraint rows enter
-    dual = float(b_ub @ lp.ineqlin.marginals + b_eq @ lp.eqlin.marginals)
-    if value > dual + 1e-7:
+    # any y in the box [-1/2, 1/2] gives a lower bound on every mixture
+    y = np.clip(y, -0.5, 0.5)
+    dual = float(y @ target - (y @ cols).max())
+    if not value <= dual + 1e-7:  # a non-finite value fails too
         raise NumericalInconsistency(
             f"ring-mixture value {value} exceeds the LP dual bound {dual}"
         )
@@ -498,7 +613,7 @@ def diag_classical_minimize(rho: DensityMatrix, energy_grid) -> Bound:
             "type": "ring-mixture",
             "energies": energies,
             "weights": weights,
-            "iterations": int(lp.nit),
+            "iterations": pivots,
         },
         # a pure number-diagonal state is a basis vector: an eigenvector
         # of every number-diagonal witness

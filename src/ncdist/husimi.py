@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, i0e, i1e
-from scipy.stats import qmc
 
 from .errors import NumericalInconsistency, TruncationTooSmall
 from .fock import (
@@ -507,6 +506,9 @@ def _sobol_points(n: int, dim: int, seed: int) -> np.ndarray:
     seed) keys, so the points are drawn once per process. The cached array
     is shared, so it is read-only.
     """
+    # scipy.stats costs about half a second to import; only a search needs it
+    from scipy.stats import qmc
+
     sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
     m = max(1, int(math.ceil(math.log2(max(n, 2)))))
     pts = sampler.random_base2(m)[:n]

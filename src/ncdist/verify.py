@@ -13,7 +13,6 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bounds import diag_classical_minimize, report
 from .channels import AffineOptics, adjoin, apply_affine, dephase_number
@@ -246,6 +245,7 @@ def check_qsup_oracle() -> list[CheckLine]:
 
 def _even_cat_features() -> tuple[float, float, float]:
     """(beta_c, beta_p, beta_5) from the closed forms above."""
+    from scipy.optimize import brentq  # kept off the import path of ncdist
 
     def crossing(b):
         x = b * b

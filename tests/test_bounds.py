@@ -1,7 +1,6 @@
 import json
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -99,6 +98,7 @@ def test_diag_minimize_exact_on_ring():
     b = diag_classical_minimize(rho, np.linspace(0.0, 4.0, 17))
     assert b.value <= 1e-12
     assert b.witness["type"] == "ring-mixture"
+    assert b.witness["iterations"] == 0  # the best single ring is optimal
 
 
 def test_diag_minimize_number_states():
@@ -139,12 +139,30 @@ def test_diag_minimize_input_validation():
 
 
 def test_diag_minimize_raises_when_the_lp_fails(monkeypatch):
-    def failed(*args, **kwargs):
-        return SimpleNamespace(success=False, message="solver gave up")
+    def failed(cols, target):
+        raise NumericalInconsistency("solver gave up")
 
-    monkeypatch.setattr(bounds, "linprog", failed)
+    monkeypatch.setattr(bounds, "_ring_lp", failed)
     rho = vacuum_number_diag(1, 0.3, TruncationSpec((20,)))
     with pytest.raises(NumericalInconsistency):
+        diag_classical_minimize(rho, np.linspace(0.0, 8.0, 41))
+
+
+def test_diag_minimize_raises_on_non_finite_solver_output(monkeypatch):
+    def nan_weights(cols, target):
+        return np.full(cols.shape[1], np.nan), np.zeros(len(target)), 0
+
+    monkeypatch.setattr(bounds, "_ring_lp", nan_weights)
+    rho = vacuum_number_diag(1, 0.3, TruncationSpec((20,)))
+    with pytest.raises(NumericalInconsistency):
+        diag_classical_minimize(rho, np.linspace(0.0, 8.0, 41))
+
+
+def test_ring_lp_raises_at_its_pivot_cap(monkeypatch):
+    # this input needs pivots from its best single ring (see below)
+    monkeypatch.setattr(bounds, "_RING_LP_PIVOTS_PER_COLUMN", 0)
+    rho = vacuum_number_diag(1, 0.3, TruncationSpec((20,)))
+    with pytest.raises(NumericalInconsistency, match="pivot cap"):
         diag_classical_minimize(rho, np.linspace(0.0, 8.0, 41))
 
 
@@ -156,20 +174,112 @@ def test_diag_minimize_raises_above_the_dual_bound(monkeypatch):
     single = [diag_mixture_distance(rho, [e], [1.0]) for e in grid]
     best = int(np.argmin(single))
     optimum = diag_classical_minimize(rho, grid)
-    assert isinstance(optimum.witness["iterations"], int)  # LP iterations
+    assert isinstance(optimum.witness["iterations"], int)  # simplex pivots
+    assert optimum.witness["iterations"] > 0
     assert single[best] > optimum.value + 1e-7
-    real = bounds.linprog
+    real = bounds._ring_lp
 
-    def one_hot(*args, **kwargs):
-        res = real(*args, **kwargs)
-        x = np.zeros_like(res.x)
+    def one_hot(cols, target):
+        w, y, pivots = real(cols, target)
+        x = np.zeros_like(w)
         x[best] = 1.0
-        res.x = x
-        return res
+        return x, y, pivots
 
-    monkeypatch.setattr(bounds, "linprog", one_hot)
+    monkeypatch.setattr(bounds, "_ring_lp", one_hot)
     with pytest.raises(NumericalInconsistency):
         diag_classical_minimize(rho, grid)
+
+
+def test_diag_minimize_reads_duals_only_inside_their_box(monkeypatch):
+    # y.p - max_j c_j.y is a lower bound only for |y_r| <= 1/2; scaled-up
+    # duals would certify the suboptimal best single ring if read unclipped
+    rho = vacuum_number_diag(1, 0.3, TruncationSpec((20,)))
+    grid = np.linspace(0.0, 8.0, 41)
+    best = int(np.argmin([diag_mixture_distance(rho, [e], [1.0]) for e in grid]))
+    real = bounds._ring_lp
+
+    def inflated(cols, target):
+        w, y, pivots = real(cols, target)
+        x = np.zeros_like(w)
+        x[best] = 1.0
+        return x, 100.0 * y, pivots
+
+    monkeypatch.setattr(bounds, "_ring_lp", inflated)
+    with pytest.raises(NumericalInconsistency):
+        diag_classical_minimize(rho, grid)
+
+
+def _highs_ring_value(cols, target):
+    """The ring-mixture LP solved by HiGHS, valued as the package values it."""
+    from scipy.optimize import linprog
+
+    m, k = cols.shape
+    lp = linprog(
+        np.concatenate([np.zeros(k), 0.5 * np.ones(m)]),
+        A_ub=np.block([[cols, -np.eye(m)], [-cols, -np.eye(m)]]),
+        b_ub=np.concatenate([target, -target]),
+        A_eq=np.concatenate([np.ones(k), np.zeros(m)])[None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * (k + m),
+        method="highs",
+    )
+    assert lp.success
+    w = np.clip(lp.x[:k], 0.0, None)
+    return bounds._ring_distance(target, cols, w / w.sum())
+
+
+def _check_against_highs(rho, grid):
+    p, p_ext = bounds._diag_profile(rho)
+    target = np.append(p, p_ext)
+    cols = bounds._pois_columns(rho.trunc.cutoffs[0], np.asarray(grid, dtype=float))
+    highs = _highs_ring_value(cols, target)
+    b = diag_classical_minimize(rho, grid)
+    # HiGHS stops at its 1e-7 feasibility tolerance: never below the
+    # simplex, at most slightly above it
+    assert highs - 1e-9 <= b.value <= highs + 1e-12
+    weights = np.array(b.witness["weights"])
+    assert np.all(weights > 0.0) and abs(weights.sum() - 1.0) < 1e-12
+    w, y, _ = bounds._ring_lp(cols, target)
+    y = np.clip(y, -0.5, 0.5)
+    assert b.value - (y @ target - (y @ cols).max()) <= 1e-9
+
+
+def test_ring_lp_matches_highs_on_vacuum_number_mixtures():
+    for n in range(1, 5):
+        for eta in np.round(np.arange(0.05, 0.951, 0.05), 2):
+            spec = parse_state({"kind": "vacuum_number_mixture", "n": n, "eta": float(eta)})
+            grid = np.unique(
+                np.concatenate([bounds.default_energy_grid(eta * n), [0.0, float(n)]])
+            )
+            for trunc in (spec.default_trunc(), *(TruncationSpec((c,)) for c in (20, 30, 60))):
+                _check_against_highs(vacuum_number_diag(n, float(eta), trunc), grid)
+
+
+def test_ring_lp_matches_highs_on_random_diagonal_targets():
+    rng = np.random.default_rng(19)
+    for _ in range(64):
+        cutoff = int(rng.integers(1, 41))
+        p = rng.random(cutoff + 1) * (rng.random(cutoff + 1) < 0.6)
+        p[rng.integers(cutoff + 1)] += 0.1
+        p *= rng.uniform(0.9, 1.0) / p.sum()
+        rho = DensityMatrix(TruncationSpec((cutoff,)), np.diag(p).astype(complex))
+        _check_against_highs(rho, bounds.default_energy_grid(float(np.arange(cutoff + 1) @ p)))
+
+
+def test_ring_lp_breaks_ties_between_equally_good_rings():
+    # the even mixture of two grid rings: each ring alone fits it equally
+    # well (half the distance between them), and together they fit it exactly
+    cutoff = 12
+    target = 0.5 * bounds._pois_columns(cutoff, np.array([1.0, 3.0])).sum(axis=1)
+    rho = DensityMatrix(TruncationSpec((cutoff,)), np.diag(target[:-1]).astype(complex))
+    single = [diag_mixture_distance(rho, [e], [1.0]) for e in (1.0, 3.0)]
+    assert abs(single[0] - single[1]) < 1e-15 and single[0] > 0.1
+    for grid in ([1.0, 3.0], [3.0, 1.0], [1.0, 1.0, 3.0, 3.0], [0.0, 1.0, 2.0, 3.0]):
+        b = diag_classical_minimize(rho, grid)
+        assert b.value <= 1e-12
+        assert b.witness["energies"] == [1.0, 3.0] or b.witness["energies"] == [3.0, 1.0]
+        assert b.witness["weights"] == pytest.approx([0.5, 0.5], abs=1e-12)
+        _check_against_highs(rho, grid)
 
 
 def test_ring_columns_equal_the_poisson_pmf_bit_for_bit():

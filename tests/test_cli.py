@@ -2,10 +2,14 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ncdist
 from ncdist.cli import main
 
 
@@ -30,6 +34,24 @@ def test_report_number_state(tmp_path, capsys):
     assert rep["best_lower"] <= rep["best_upper"] + 1e-8
     assert list(rep) == sorted(rep)
     assert {"state_id", "lowers", "uppers", "exact"} <= set(rep)
+
+
+def test_import_and_reports_leave_scipy_optimize_and_stats_unloaded(tmp_path):
+    # each costs a large part of a second to import; only a Husimi search
+    # (the Sobol starts) and verify's cat features (brentq) load them
+    one = write_state(tmp_path, "one.json", {"kind": "number", "ns": [1]})
+    mix = write_state(tmp_path, "mix.json", {"kind": "vacuum_number_mixture", "n": 2, "eta": 0.5})
+    code = (
+        "import sys, ncdist, ncdist.cli\n"
+        f"assert ncdist.cli.main(['report', {one!r}]) == 0\n"
+        f"assert ncdist.cli.main(['report', {mix!r}]) == 0\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))\n"
+    )
+    src = str(Path(ncdist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_report_cat_has_open_interval(tmp_path, capsys):
