@@ -71,7 +71,6 @@ from .channels import (
 from .bounds import (
     Bound,
     BoundReport,
-    ReportConfig,
     convexity_upper,
     default_energy_grid,
     diag_classical_minimize,

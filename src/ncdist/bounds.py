@@ -23,8 +23,9 @@ Number-diagonal witnesses are evaluated exactly on the state's support,
 and a cat's coherent-pair witnesses exactly on the span of the coherent
 vectors involved (the span route, :func:`.metrics.cat_span_distance`),
 neither with a truncation; the others, tensor products of factor
-witnesses, on truncations whose certified tail mass bounds their error by
-the tail tolerance in play.
+witnesses, on the state's truncation padded until their certified tail
+mass is within the state's own tail budget (``TruncationSpec.tail_tol``),
+which bounds their error.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from scipy.special import gammainc
 from .channels import AffineOptics, affine_image, apply_affine
 from .errors import NumericalInconsistency, TruncationTooSmall
 from .fock import (
-    DEFAULT_TAIL_TOL,
     DensityMatrix,
     FockVector,
     TruncationSpec,
@@ -80,7 +80,6 @@ from .states import (
 __all__ = [
     "Bound",
     "BoundReport",
-    "ReportConfig",
     "convexity_upper",
     "default_energy_grid",
     "diag_classical_minimize",
@@ -170,28 +169,6 @@ class BoundReport:
         }
 
 
-@dataclass
-class ReportConfig:
-    """Settings shared by every bound inside one report.
-
-    ``tail_tol`` is the tail budget of a witness realized densely on a
-    padded truncation, which only a ``factor-witness`` with coherent-point
-    factors still is: number-diagonal witnesses are exact on the state's
-    support and a cat's coherent pairs on their coherent span, so cats and
-    entangled-coherent states never read it.  ``seed`` drives the
-    multistart Husimi search on states without an analytic supremum.  A
-    state is built at its own truncation (``StateSpec.trunc``, else the
-    family default).
-    """
-
-    tail_tol: float = DEFAULT_TAIL_TOL
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        if not 0.0 < self.tail_tol < 1.0:  # NaN fails this too
-            raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
-
-
 # ---------------------------------------------------------------------------
 # witness machinery
 
@@ -233,15 +210,16 @@ class _WitnessCandidate:
     rotation: np.ndarray | None = None
     residual: float | None = None
 
-    def frame(self, state, tail_tol: float):
+    def frame(self, state):
         """The state rotated back into the ensemble's frame, with the
         ensemble: a number-diagonal one as its diagonal on the state's own
         truncation, exact on the state's support and zero off it; any other
-        realized densely where it holds to ``tail_tol``, the state padded."""
+        realized densely where it holds to the state's own tail budget
+        ``state.trunc.tail_tol``, the state padded."""
         s, trunc = state, state.trunc
         if not self.ensemble.is_diagonal():
-            req = TruncationSpec(self.ensemble.required_cutoffs(tail_tol), tail_tol)
-            trunc = trunc.union(req)
+            tol = trunc.tail_tol
+            trunc = trunc.union(TruncationSpec(self.ensemble.required_cutoffs(tol), tol))
             s = state.pad(trunc)
         if self.rotation is not None:
             # W(u)^+ = W(u^+); a leak past the cutoffs is a truncation limit
@@ -254,7 +232,7 @@ class _WitnessCandidate:
         q[support] = self.ensemble.diag_on(np.unravel_index(support, trunc.shape))
         return s, q
 
-    def measure(self, state, tail_tol: float) -> tuple[float, float | None]:
+    def measure(self, state) -> tuple[float, float | None]:
         """The trace distance from ``state`` (a FockVector or DensityMatrix)
         to the witness and, for a vector, its eigenvector residual, with the
         state framed once.
@@ -264,9 +242,10 @@ class _WitnessCandidate:
         over the support S of the unit vector f, and against a diagonal
         density by the l1 route; the witness mass the state's truncation
         leaves out, 1 - sum(q), adds half of itself.  Any other witness, or a
-        density with coherences, goes dense, the residual from sigma f.
+        density with coherences, goes dense, the residual from sigma f; the
+        witness is then realized to the state's own tail budget.
         """
-        s, sigma = self.frame(state, tail_tol)
+        s, sigma = self.frame(state)
         pure = isinstance(s, FockVector)
         if isinstance(sigma, DensityMatrix):
             residual = None
@@ -317,12 +296,12 @@ class _WitnessCandidate:
 
 
 def upper_witness(rho, sigma, *, name: str = "witness",
-                  tail_tol: float = DEFAULT_TAIL_TOL,
                   rotation: np.ndarray | None = None) -> Bound:
     """Upper bound from one explicit classical state: the computed trace
-    distance, with the witness attached."""
+    distance, with the witness attached.  A witness that is not number
+    diagonal is realized to ``rho``'s own tail budget."""
     cand = _WitnessCandidate(sigma, rotation)
-    d, cand.residual = cand.measure(rho, tail_tol)
+    d, cand.residual = cand.measure(rho)
     return _witness_bound(name, d, cand)
 
 
@@ -963,8 +942,8 @@ def _report_vacuum_number(spec: StateSpec) -> BoundReport:
     return _assemble(spec.state_id(), [tri_lo], [diag], rho, sup_overlap=sup)
 
 
-def _report_mixture(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
-    terms = [(float(w), report(term, cfg)) for w, term in spec.params["terms"] if w > 0]
+def _report_mixture(spec: StateSpec, seed: int) -> BoundReport:
+    terms = [(float(w), report(term, seed=seed)) for w, term in spec.params["terms"] if w > 0]
     if len(terms) == 1:
         # the weights are normalized at parse time, so the mixture is its
         # one present term, and that term's report keeps its exact value
@@ -973,7 +952,7 @@ def _report_mixture(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
         return rep
     convex = convexity_upper(terms)
     rho = spec.build()
-    base = _report_density(rho, cfg)
+    base = _report_density(rho, seed)
     return _assemble(
         spec.state_id(),
         list(base.lowers),
@@ -1037,9 +1016,7 @@ def _density_factor_split(rho: DensityMatrix) -> list[DensityMatrix] | None:
     return None
 
 
-def _combine_factor_reports(
-    parts: list[BoundReport], state, cfg: ReportConfig
-) -> BoundReport:
+def _combine_factor_reports(parts: list[BoundReport], state) -> BoundReport:
     lowers = []
     best_part = max(p.best_lower for p in parts)
     lowers.append(Bound("factor-monotone", best_part, "factor-monotone-lower"))
@@ -1057,11 +1034,7 @@ def _combine_factor_reports(
             joint = joint.tensor_with(p.best_witness)
         uppers.append(
             upper_witness(
-                state,
-                joint.ensemble,
-                name="factor-witness",
-                tail_tol=cfg.tail_tol,
-                rotation=joint.rotation,
+                state, joint.ensemble, name="factor-witness", rotation=joint.rotation
             )
         )
     if not uppers:
@@ -1090,17 +1063,17 @@ def _mode_energy_rings(state) -> Bound:
     return upper_witness(state, ClassicalEnsemble(((1.0, comp),)), name="mode-energy-rings")
 
 
-def _report_vector(psi: FockVector, cfg: ReportConfig) -> BoundReport:
+def _report_vector(psi: FockVector, seed: int) -> BoundReport:
     spec = identify_pure_state(psi)
     if spec is not None:
-        return _report_spec(spec, cfg)
+        return _report_spec(spec, seed)
     factors = _vector_factor_split(psi)
     if factors is not None:
-        parts = [_report_vector(v, cfg) for v in factors]
-        return _combine_factor_reports(parts, psi, cfg)
+        parts = [_report_vector(v, seed) for v in factors]
+        return _combine_factor_reports(parts, psi)
 
     hints = [np.sqrt(_mode_energies(psi)).astype(np.complex128)]
-    sup = q_sup(psi, hints, seed=cfg.seed)
+    sup = q_sup(psi, hints, seed=seed)
     m = sup.value
     uppers = [_point_upper(m, sup.argmax[0]), _mode_energy_rings(psi)]
     return _assemble(_default_id(psi), _pure_lowers(m), uppers, psi, sup_overlap=m)
@@ -1116,14 +1089,14 @@ def _vacuum_number_params(p: np.ndarray) -> tuple[int, float] | None:
     return None
 
 
-def _report_density(rho: DensityMatrix, cfg: ReportConfig) -> BoundReport:
+def _report_density(rho: DensityMatrix, seed: int) -> BoundReport:
     psi = _as_pure_vector(rho)
     if psi is not None:
-        return _report_vector(psi, cfg)
+        return _report_vector(psi, seed)
     factors = _density_factor_split(rho)
     if factors is not None:
-        parts = [_report_density(r, cfg) for r in factors]
-        return _combine_factor_reports(parts, rho, cfg)
+        parts = [_report_density(r, seed) for r in factors]
+        return _combine_factor_reports(parts, rho)
 
     sid = _default_id(rho)
     if rho.trunc.nmodes == 1 and rho.is_diagonal(1e-10):
@@ -1138,12 +1111,12 @@ def _report_density(rho: DensityMatrix, cfg: ReportConfig) -> BoundReport:
         mean = mean_total_energy(rho)
         grid = np.unique(np.concatenate([default_energy_grid(mean), [mean]]))
         diag = diag_classical_minimize(rho, grid)
-        sup = q_sup(rho, [np.array([math.sqrt(mean) + 0.0j])], seed=cfg.seed)
+        sup = q_sup(rho, [np.array([math.sqrt(mean) + 0.0j])], seed=seed)
         return _assemble(sid, [], [diag, upper_q(sup.value)], rho, sup_overlap=sup.value)
 
     wit = _mode_energy_rings(rho)
     hints = [np.sqrt(_mode_energies(rho)).astype(np.complex128)]
-    sup = q_sup(rho, hints, seed=cfg.seed)
+    sup = q_sup(rho, hints, seed=seed)
     return _assemble(sid, [], [wit, upper_q(sup.value)], rho, sup_overlap=sup.value)
 
 
@@ -1159,7 +1132,7 @@ def _default_id(state) -> str:
 # dispatch
 
 
-def _report_spec(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
+def _report_spec(spec: StateSpec, seed: int) -> BoundReport:
     if spec.kind == "number":
         return _report_number(spec)
     if spec.kind in ("single_photon", "noon"):
@@ -1174,30 +1147,29 @@ def _report_spec(spec: StateSpec, cfg: ReportConfig) -> BoundReport:
     if spec.kind == "vacuum_number_mixture":
         return _report_vacuum_number(spec)
     if spec.kind == "mixture":
-        return _report_mixture(spec, cfg)
+        return _report_mixture(spec, seed)
     raise ValueError(f"unknown kind {spec.kind}")
 
 
-def report(state, config: ReportConfig | None = None, *, state_id: str | None = None) -> BoundReport:
+def report(state, *, seed: int = DEFAULT_SEED) -> BoundReport:
     """Assemble the two-sided bracket for a state.
 
     Accepts a StateSpec (family metadata unlocks analytic suprema and the
     matching witnesses), a FockVector, a DensityMatrix, or a
     ClassicalEnsemble.  Pure density matrices are re-expressed as vectors,
     raw vectors are matched against the known families, and exact tensor
-    factorizations are split and recombined.
+    factorizations are split and recombined.  A state is built at its own
+    truncation (``StateSpec.trunc``, else the family default), whose tail
+    budget also bounds the error of any witness realized on a padded
+    truncation.  ``seed`` drives the multistart Husimi search on states
+    without an analytic supremum.
     """
-    cfg = config or ReportConfig()
     if isinstance(state, StateSpec):
-        rep = _report_spec(state, cfg)
-    elif isinstance(state, ClassicalEnsemble):
-        rep = _report_classical_ensemble(state, _default_id(state))
-    elif isinstance(state, FockVector):
-        rep = _report_vector(state, cfg)
-    elif isinstance(state, DensityMatrix):
-        rep = _report_density(state, cfg)
-    else:
-        raise TypeError(f"cannot build a report for {type(state).__name__}")
-    if state_id is not None:
-        rep.state_id = state_id
-    return rep
+        return _report_spec(state, seed)
+    if isinstance(state, ClassicalEnsemble):
+        return _report_classical_ensemble(state, _default_id(state))
+    if isinstance(state, FockVector):
+        return _report_vector(state, seed)
+    if isinstance(state, DensityMatrix):
+        return _report_density(state, seed)
+    raise TypeError(f"cannot build a report for {type(state).__name__}")

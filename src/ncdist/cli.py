@@ -8,13 +8,14 @@ inconsistency.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
 
 import numpy as np
 
-from .bounds import ReportConfig, report
+from .bounds import report
 from .errors import (
     DimensionTooLarge,
     NumericalInconsistency,
@@ -34,16 +35,23 @@ EXIT_TRUNCATION = 3
 EXIT_NUMERICAL = 4
 
 
-def _load_spec(args) -> tuple[StateSpec, ReportConfig]:
-    """The state and the configuration its flags give; ``--tail-tol`` is
-    checked here, whether or not ``--trunc`` uses it."""
-    cfg = ReportConfig(tail_tol=args.tail_tol, seed=args.seed)
+def _load_spec(args) -> StateSpec:
+    """The state, with ``--trunc`` and ``--tail-tol`` each replacing their
+    own half of its truncation (the JSON ``trunc``, else the family
+    default); ``TruncationSpec`` checks both."""
     with open(args.state, "r", encoding="utf-8") as fh:
         spec = parse_state(fh.read())
-    if args.trunc is not None:
-        tr = TruncationSpec((args.trunc,) * spec.nmodes, args.tail_tol)
-        spec = StateSpec(spec.kind, spec.params, tr)
-    return spec, cfg
+    if args.trunc is None and args.tail_tol is None:
+        return spec
+    # the family default's cutoffs are resolved only when they are kept:
+    # on a state that --trunc shrinks they may pass the basis cap
+    if args.trunc is None:
+        cutoffs = spec.resolved_trunc().cutoffs
+    else:
+        cutoffs = (args.trunc,) * spec.nmodes
+    budget = DEFAULT_TAIL_TOL if spec.trunc is None else spec.trunc.tail_tol
+    tail_tol = budget if args.tail_tol is None else args.tail_tol
+    return dataclasses.replace(spec, trunc=TruncationSpec(cutoffs, tail_tol))
 
 
 def _emit(text: str, out_path) -> None:
@@ -55,8 +63,7 @@ def _emit(text: str, out_path) -> None:
 
 
 def _cmd_report(args) -> int:
-    spec, cfg = _load_spec(args)
-    rep = report(spec, cfg)
+    rep = report(_load_spec(args), seed=args.seed)
     _emit(json.dumps(rep.to_dict(), indent=2, sort_keys=True), args.out)
     return EXIT_OK
 
@@ -76,8 +83,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_qsup(args) -> int:
-    spec, cfg = _load_spec(args)
-    sup = q_sup(spec.build(), seed=cfg.seed, n_starts=args.steps)
+    sup = q_sup(_load_spec(args).build(), seed=args.seed, n_starts=args.steps)
     payload = {
         "value": sup.value,
         "argmax": [
@@ -101,7 +107,7 @@ def _add_state_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL, help="truncation tail budget")
+    p.add_argument("--tail-tol", type=float, default=None, help="truncation tail budget override")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 

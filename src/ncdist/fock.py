@@ -53,7 +53,7 @@ class TruncationSpec:
             raise ValueError(f"every cutoff must be >= 1, got {cuts}")
         object.__setattr__(self, "cutoffs", cuts)
         if not (0 < self.tail_tol < 1):
-            raise ValueError(f"tail_tol must be in (0, 1), got {self.tail_tol}")
+            raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
         if self.dim > MAX_BASIS_SIZE:
             raise DimensionTooLarge(
                 f"basis size {self.dim} exceeds the cap {MAX_BASIS_SIZE}"

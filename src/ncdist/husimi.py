@@ -581,11 +581,15 @@ def q_sup(
     and scaled per call. The returned value is the best evaluated Q. The
     certificate is the exact gradient norm of Q at the kept maximizers: it
     certifies stationarity, not that no other start would have found a
-    higher peak. ``n_evaluations`` counts point evaluations of
-    Q, its gradient and its Hessian. The search needs derivatives, so it
-    runs on the Bargmann evaluator; callers that need Q alone at given
-    points (``q_tilde``, the report's attainment checks) use the
-    value-only sum over the state's support instead.
+    higher peak. A best value of 0 or less gets certificate ``inf``, as Q
+    integrates to 1 and its supremum is positive; with ``n_starts`` 1 or 2
+    the only starts are the origin and the mode means, which can both sit
+    on a zero of Q (a number state |n>, n >= 1, or an odd cat).
+    ``n_evaluations`` counts point evaluations of Q, its gradient and its
+    Hessian. The search needs derivatives, so it runs on the Bargmann
+    evaluator; callers that need Q alone at given points (``q_tilde``, the
+    report's attainment checks) use the value-only sum over the state's
+    support instead.
     """
     if n_starts is not None and n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
@@ -676,10 +680,15 @@ def q_sup(
             kept.append(i)
     kept.sort(key=lambda i: tuple(np.round(x[i], 8)))
 
+    # a best value of 0 (every start on a zero of Q) is no peak, whatever
+    # its gradient
+    certificate = math.inf
+    if best_eval > 0:
+        certificate = max(float(np.linalg.norm(grad[i])) for i in kept)
     return QSupremum(
         value=float(best_eval),
         argmax=[x[i, :m] + 1j * x[i, m:] for i in kept],
-        certificate=max(float(np.linalg.norm(grad[i])) for i in kept),
+        certificate=certificate,
         method="multistart",
         n_evaluations=int(used.sum()),
         ties=len(kept) > 1,

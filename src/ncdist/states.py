@@ -772,31 +772,24 @@ def identify_pure_state(psi: FockVector) -> StateSpec | None:
     totals = psi.trunc.totals()
     m = psi.trunc.nmodes
 
-    # N00N-type: support on {n e_mode}
+    # N00N-type: support on {n e_mode}; the reference is compared on the
+    # support itself, so an idle mode may be cut below n photons
     ts = {int(totals[i]) for i in big}
     if len(ts) == 1:
         n = ts.pop()
-        if n >= 1:
-            on_axis = all(
-                max(psi.trunc.unravel(int(i))) == n for i in big
-            )
-            if on_axis:
-                c = np.zeros(m, dtype=np.complex128)
-                ok = True
-                for i in big:
-                    ns = psi.trunc.unravel(int(i))
-                    mode = int(np.argmax(ns))
-                    if sum(ns) != n or ns[mode] != n:
-                        ok = False
-                        break
-                    c[mode] = f[i]
-                if ok:
-                    c = c / np.linalg.norm(c)
-                    kind = "single_photon" if n == 1 else "noon"
-                    params = {"c": tuple(c)} if n == 1 else {"n": n, "c": tuple(c)}
-                    ref = noon_vector(n, c, psi.trunc)
-                    if np.linalg.norm(f - ref.flat) <= tol:
-                        return StateSpec(kind, params)
+        occupations = [psi.trunc.unravel(int(i)) for i in big]
+        # a total of n with n in one mode leaves every other mode empty
+        if n >= 1 and all(max(ns) == n for ns in occupations):
+            modes = [int(np.argmax(ns)) for ns in occupations]
+            c = np.zeros(m, dtype=np.complex128)
+            c[modes] = f[big]
+            c = c / np.linalg.norm(c)
+            ref = np.zeros_like(f)
+            ref[big] = c[modes]
+            if np.linalg.norm(f - ref) <= tol:
+                kind = "single_photon" if n == 1 else "noon"
+                params = {"c": tuple(c)} if n == 1 else {"n": n, "c": tuple(c)}
+                return StateSpec(kind, params)
 
     if m == 1:
         # coherent state: fit alpha from the first moment

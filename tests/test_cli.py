@@ -224,6 +224,42 @@ def test_cat_reports_do_not_depend_on_tail_tol(tmp_path, capsys, state, trunc):
     assert outs[0] == outs[1]
 
 
+def test_tail_tol_binds_the_state_truncation_without_trunc(tmp_path, capsys):
+    # 11 levels hold this cat to 1e-12 but not to 1e-15
+    state = {"kind": "cat", "parity": "odd", "beta": 0.7, "trunc": {"cutoffs": [11]}}
+    path = write_state(tmp_path, "cat.json", state)
+    code, out, err = run_cli(capsys, "report", path, "--tail-tol", "1e-15")
+    assert code == 3 and out == ""
+    assert "exceeds tail_tol 1.0e-15" in err
+    assert re.search(r"sufficient cutoffs: \[(\d+)\]", err).group(1) == "13"
+    code, out, _ = run_cli(capsys, "report", path, "--tail-tol", "1e-15", "--trunc", "13")
+    assert code == 0 and json.loads(out)["best_lower"] > 0.5
+
+
+def test_tail_tol_flag_and_json_budget_give_one_factor_witness(tmp_path, capsys):
+    # (|0.5> <0.5|) x (an even mixture of |0.3> and |-0.3>): the factor
+    # witness carries a coherent point, so it is realized on a padded
+    # truncation; 8 levels per mode hold the state to 1e-6 but not to 1e-12
+    terms = [
+        {"w": 0.5, "state": {"kind": "coherent", "alpha": [[0.5, 0.0], [b, 0.0]]}}
+        for b in (0.3, -0.3)
+    ]
+    flag = write_state(tmp_path, "flag.json",
+                       {"kind": "mixture", "terms": terms, "trunc": {"cutoffs": [8, 8]}})
+    budget = write_state(tmp_path, "budget.json", {
+        "kind": "mixture", "terms": terms, "trunc": {"cutoffs": [8, 8], "tail_tol": 1e-6},
+    })
+    code, _, _ = run_cli(capsys, "report", flag)
+    assert code == 3
+    code, by_flag, _ = run_cli(capsys, "report", flag, "--tail-tol", "1e-6")
+    assert code == 0
+    code, by_json, _ = run_cli(capsys, "report", budget)
+    assert code == 0 and by_flag == by_json
+    (wit,) = [u for u in json.loads(by_flag)["uppers"] if u["name"] == "factor-witness"]
+    factors = wit["witness"]["components"][0]["factors"]
+    assert [f["type"] for f in factors] == ["coherent", "ring"]
+
+
 @pytest.mark.parametrize("tail_tol", ["-1", "0", "1.5", "nan"])
 def test_qsup_checks_tail_tol_without_trunc(tmp_path, capsys, tail_tol):
     path = write_state(tmp_path, "one.json", {"kind": "number", "ns": [1]})
@@ -337,5 +373,5 @@ def test_consecutive_calls_do_not_share_flags(tmp_path, capsys, monkeypatch):
     assert code == 0
     code, again, _ = run_cli(capsys, "report", path)
     assert code == 0 and again == plain
-    assert seen[0] == seen[2] == (None, cli.DEFAULT_TAIL_TOL, cli.DEFAULT_SEED, None)
+    assert seen[0] == seen[2] == (None, None, cli.DEFAULT_SEED, None)
     assert seen[1] == (4, 0.5, 3, out)

@@ -205,6 +205,25 @@ def test_q_sup_number_state_matches_gamma():
         assert abs(np.abs(r.argmax[0][0]) - math.sqrt(n)) < 1e-5
 
 
+@pytest.mark.parametrize("n_starts", [1, 2])
+@pytest.mark.parametrize(
+    "state",
+    [
+        number_basis_vector((2,), TruncationSpec((16,))),
+        cat_vector(CatParams("odd", 1.0), TruncationSpec((22,))),
+    ],
+    ids=["number-2", "odd-cat"],
+)
+def test_q_sup_never_certifies_a_zero_supremum(state, n_starts):
+    # the origin and the mode means are the only starts here, and both are
+    # zeros of Q with zero gradient; Q integrates to 1, so 0 is no supremum
+    r = q_sup(state, n_starts=n_starts)
+    assert r.value == 0.0
+    assert r.certificate == math.inf and not r.converged
+    full = q_sup(state)
+    assert full.value > 0.2 and full.converged
+
+
 def test_q_sup_cat_matches_root_find():
     t = TruncationSpec((26,))
     v = cat_vector(CatParams("even", 1.2), t)
