@@ -7,7 +7,8 @@ rare, so everything here is organized around two-sided brackets:
 * lower bounds come from the peak normalized coherent overlap (pure
   states), from a triangle step from the number state |n>'s exact
   distance to a vacuum-number mixture (closed form, as d(rho, |n>) =
-  1 - eta), and from monotonicity under discarding tensor factors;
+  1 - eta), and, for a mixed tensor product, from monotonicity under
+  discarding tensor factors;
 * upper bounds come from explicit classical witnesses (every witness value
   is a computed trace distance, never a formula taken on trust), from
   convex splits, and from a direct minimization over number-diagonal
@@ -25,11 +26,13 @@ vectors involved (the span route, :func:`.metrics.cat_span_distance`),
 neither with a truncation; the others, tensor products of factor
 witnesses, on the state's truncation padded until their certified tail
 mass is within the state's own tail budget (``TruncationSpec.tail_tol``),
-which bounds their error.
+which bounds their error.  A state given without family metadata (a
+vector or a density matrix) takes one path, :func:`_report_raw`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, replace
 
@@ -38,13 +41,14 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.special import gammainc
 
 from .channels import AffineOptics, affine_image, apply_affine
-from .errors import NumericalInconsistency, TruncationTooSmall
+from .errors import DimensionTooLarge, NumericalInconsistency, TruncationTooSmall
 from .fock import (
     DensityMatrix,
     FockVector,
     TruncationSpec,
     beam_splitter,
     mean_total_energy,
+    mode_energies,
     outer,
     partial_trace,
     poisson_pmf,
@@ -952,7 +956,7 @@ def _report_mixture(spec: StateSpec, seed: int) -> BoundReport:
         return rep
     convex = convexity_upper(terms)
     rho = spec.build()
-    base = _report_density(rho, seed)
+    base = _report_raw(rho, seed)
     return _assemble(
         spec.state_id(),
         list(base.lowers),
@@ -1017,66 +1021,35 @@ def _density_factor_split(rho: DensityMatrix) -> list[DensityMatrix] | None:
 
 
 def _combine_factor_reports(parts: list[BoundReport], state) -> BoundReport:
-    lowers = []
-    best_part = max(p.best_lower for p in parts)
-    lowers.append(Bound("factor-monotone", best_part, "factor-monotone-lower"))
+    """An exact tensor product's bracket from its factors' reports.  A pure
+    product's eq23 lower 1 - prod m_i is never below a factor's 1 - m_i, so
+    only a mixed one lists its best factor lower (discarding factors cannot
+    raise the distance).  The tensored factor witness is left out where its
+    padded realization passes the dense cap, which the state does not set."""
     sup_joint = None
     if all(p.sup_overlap is not None for p in parts):
         sup_joint = float(np.prod([p.sup_overlap for p in parts]))
-        if isinstance(state, FockVector):
-            lowers.extend(_pure_lowers(sup_joint))
-    uppers = []
-    if sup_joint is not None:
-        uppers.append(upper_q(sup_joint))
+    if isinstance(state, FockVector):
+        lowers = _pure_lowers(sup_joint)
+    else:
+        best_part = max(p.best_lower for p in parts)
+        lowers = [Bound("factor-monotone", best_part, "factor-monotone-lower")]
+    uppers = [] if sup_joint is None else [upper_q(sup_joint)]
     if all(p.best_witness is not None for p in parts):
         joint = parts[0].best_witness
         for p in parts[1:]:
             joint = joint.tensor_with(p.best_witness)
-        uppers.append(
-            upper_witness(
-                state, joint.ensemble, name="factor-witness", rotation=joint.rotation
+        with contextlib.suppress(DimensionTooLarge):
+            uppers.append(
+                upper_witness(
+                    state, joint.ensemble, name="factor-witness", rotation=joint.rotation
+                )
             )
-        )
     if not uppers:
         uppers.append(Bound("trivial-cap", _ONE_MINUS, "trivial-upper"))
     return _assemble(
         _default_id(state), lowers, uppers, state, sup_overlap=sup_joint
     )
-
-
-def _mode_energies(state) -> np.ndarray:
-    if isinstance(state, FockVector):
-        probs = state.probabilities().reshape(state.trunc.shape)
-    else:
-        probs = np.diag(state.mat).real.reshape(state.trunc.shape)
-    m = state.trunc.nmodes
-    out = np.zeros(m)
-    for mode in range(m):
-        axes = tuple(i for i in range(m) if i != mode)
-        marg = probs.sum(axis=axes)
-        out[mode] = float(marg @ np.arange(len(marg)))
-    return out
-
-
-def _mode_energy_rings(state) -> Bound:
-    comp = ProductComponent(tuple(RingFactor(float(e)) for e in _mode_energies(state)))
-    return upper_witness(state, ClassicalEnsemble(((1.0, comp),)), name="mode-energy-rings")
-
-
-def _report_vector(psi: FockVector, seed: int) -> BoundReport:
-    spec = identify_pure_state(psi)
-    if spec is not None:
-        return _report_spec(spec, seed)
-    factors = _vector_factor_split(psi)
-    if factors is not None:
-        parts = [_report_vector(v, seed) for v in factors]
-        return _combine_factor_reports(parts, psi)
-
-    hints = [np.sqrt(_mode_energies(psi)).astype(np.complex128)]
-    sup = q_sup(psi, hints, seed=seed)
-    m = sup.value
-    uppers = [_point_upper(m, sup.argmax[0]), _mode_energy_rings(psi)]
-    return _assemble(_default_id(psi), _pure_lowers(m), uppers, psi, sup_overlap=m)
 
 
 def _vacuum_number_params(p: np.ndarray) -> tuple[int, float] | None:
@@ -1089,35 +1062,44 @@ def _vacuum_number_params(p: np.ndarray) -> tuple[int, float] | None:
     return None
 
 
-def _report_density(rho: DensityMatrix, seed: int) -> BoundReport:
-    psi = _as_pure_vector(rho)
-    if psi is not None:
-        return _report_vector(psi, seed)
-    factors = _density_factor_split(rho)
+def _report_raw(state, seed: int) -> BoundReport:
+    """A FockVector or DensityMatrix given without family metadata: a pure
+    one (a density of purity 1 as its top eigenvector) matched to a known
+    family, an exact tensor product from its factors, and any other state
+    by one ring witness and one Husimi search, also started at the square
+    roots of the mode energies."""
+    state = _as_pure_vector(state) or state
+    pure = isinstance(state, FockVector)
+    spec = identify_pure_state(state) if pure else None
+    if spec is not None:
+        return _report_spec(spec, seed)
+    factors = _vector_factor_split(state) if pure else _density_factor_split(state)
     if factors is not None:
-        parts = [_report_density(r, seed) for r in factors]
-        return _combine_factor_reports(parts, rho)
+        parts = [_report_raw(f, seed) for f in factors]
+        return _combine_factor_reports(parts, state)
 
-    sid = _default_id(rho)
-    if rho.trunc.nmodes == 1 and rho.is_diagonal(1e-10):
-        p = rho.mat.diagonal().real
-        vn = _vacuum_number_params(p)
+    energies = mode_energies(state)
+    if not pure and state.trunc.nmodes == 1 and state.is_diagonal(1e-10):
+        vn = _vacuum_number_params(state.diagonal())
         if vn is not None:
             n, eta = vn
             spec = StateSpec(
-                "vacuum_number_mixture", {"n": n, "eta": eta}, trunc=rho.trunc
+                "vacuum_number_mixture", {"n": n, "eta": eta}, trunc=state.trunc
             )
             return _report_vacuum_number(spec)
-        mean = mean_total_energy(rho)
+        mean = mean_total_energy(state)
         grid = np.unique(np.concatenate([default_energy_grid(mean), [mean]]))
-        diag = diag_classical_minimize(rho, grid)
-        sup = q_sup(rho, [np.array([math.sqrt(mean) + 0.0j])], seed=seed)
-        return _assemble(sid, [], [diag, upper_q(sup.value)], rho, sup_overlap=sup.value)
-
-    wit = _mode_energy_rings(rho)
-    hints = [np.sqrt(_mode_energies(rho)).astype(np.complex128)]
-    sup = q_sup(rho, hints, seed=seed)
-    return _assemble(sid, [], [wit, upper_q(sup.value)], rho, sup_overlap=sup.value)
+        wit = diag_classical_minimize(state, grid)
+    else:
+        rings = ProductComponent(tuple(RingFactor(float(e)) for e in energies))
+        wit = upper_witness(state, ClassicalEnsemble(((1.0, rings),)), name="mode-energy-rings")
+    sup = q_sup(state, [np.sqrt(energies).astype(np.complex128)], seed=seed)
+    m = sup.value
+    if pure:
+        lowers, uppers = _pure_lowers(m), [_point_upper(m, sup.argmax[0]), wit]
+    else:
+        lowers, uppers = [], [wit, upper_q(m)]
+    return _assemble(_default_id(state), lowers, uppers, state, sup_overlap=m)
 
 
 def _default_id(state) -> str:
@@ -1156,9 +1138,8 @@ def report(state, *, seed: int = DEFAULT_SEED) -> BoundReport:
 
     Accepts a StateSpec (family metadata unlocks analytic suprema and the
     matching witnesses), a FockVector, a DensityMatrix, or a
-    ClassicalEnsemble.  Pure density matrices are re-expressed as vectors,
-    raw vectors are matched against the known families, and exact tensor
-    factorizations are split and recombined.  A state is built at its own
+    ClassicalEnsemble; a vector or density matrix takes
+    :func:`_report_raw`.  A state is built at its own
     truncation (``StateSpec.trunc``, else the family default), whose tail
     budget also bounds the error of any witness realized on a padded
     truncation.  ``seed`` drives the multistart Husimi search on states
@@ -1168,8 +1149,6 @@ def report(state, *, seed: int = DEFAULT_SEED) -> BoundReport:
         return _report_spec(state, seed)
     if isinstance(state, ClassicalEnsemble):
         return _report_classical_ensemble(state, _default_id(state))
-    if isinstance(state, FockVector):
-        return _report_vector(state, seed)
-    if isinstance(state, DensityMatrix):
-        return _report_density(state, seed)
+    if isinstance(state, (FockVector, DensityMatrix)):
+        return _report_raw(state, seed)
     raise TypeError(f"cannot build a report for {type(state).__name__}")

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -38,19 +39,25 @@ EXIT_NUMERICAL = 4
 def _load_spec(args) -> StateSpec:
     """The state, with ``--trunc`` and ``--tail-tol`` each replacing their
     own half of its truncation (the JSON ``trunc``, else the family
-    default); ``TruncationSpec`` checks both."""
+    default); ``TruncationSpec`` checks both.  A family default past the
+    basis cap stays unset, as without the flags: a report may build no
+    state (a coherent product)."""
     with open(args.state, "r", encoding="utf-8") as fh:
         spec = parse_state(fh.read())
     if args.trunc is None and args.tail_tol is None:
         return spec
-    # the family default's cutoffs are resolved only when they are kept:
-    # on a state that --trunc shrinks they may pass the basis cap
-    if args.trunc is None:
-        cutoffs = spec.resolved_trunc().cutoffs
-    else:
-        cutoffs = (args.trunc,) * spec.nmodes
     budget = DEFAULT_TAIL_TOL if spec.trunc is None else spec.trunc.tail_tol
     tail_tol = budget if args.tail_tol is None else args.tail_tol
+    # the family default's cutoffs are resolved only when they are kept:
+    # on a state that --trunc shrinks they may pass the basis cap
+    if args.trunc is not None:
+        cutoffs = (args.trunc,) * spec.nmodes
+    else:
+        try:
+            cutoffs = spec.resolved_trunc().cutoffs
+        except DimensionTooLarge:
+            TruncationSpec((1,), tail_tol)  # the budget's range is checked all the same
+            return spec
     return dataclasses.replace(spec, trunc=TruncationSpec(cutoffs, tail_tol))
 
 
@@ -90,7 +97,8 @@ def _cmd_qsup(args) -> int:
             [[float(z.real), float(z.imag)] for z in np.atleast_1d(a)]
             for a in sup.argmax
         ],
-        "certificate": sup.certificate,
+        # strict JSON has no Infinity: an uncertified search prints null
+        "certificate": sup.certificate if math.isfinite(sup.certificate) else None,
         "method": sup.method,
         "n_evaluations": sup.n_evaluations,
         "ties": sup.ties,

@@ -451,6 +451,17 @@ def mode_means(state) -> np.ndarray:
     raise TypeError(f"unsupported state type {type(state)!r}")
 
 
+def mode_energies(state) -> np.ndarray:
+    """<n_m> for every mode, for a FockVector or DensityMatrix."""
+    p = state.probabilities() if isinstance(state, FockVector) else state.diagonal()
+    p = p.reshape(state.trunc.shape)
+    out = np.zeros(p.ndim)
+    for mode in range(p.ndim):
+        marg = p.sum(axis=tuple(i for i in range(p.ndim) if i != mode))
+        out[mode] = float(marg @ np.arange(len(marg)))
+    return out
+
+
 def mean_total_energy(state) -> float:
     """Expected total photon number."""
     if isinstance(state, FockVector):

@@ -506,6 +506,10 @@ _RAW_TWO_MODE = FockVector(
     TruncationSpec((2, 2)), np.array([[0, 0.6, 0], [0.48j, 0, 0], [0, 0, 0.64]])
 )
 _INV2 = 1.0 / math.sqrt(2.0)
+_ONE = number_basis_vector((1,), TruncationSpec((1,)))
+# |1> (x) |0.5>: a pure product with a coherent factor
+_ONE_COHERENT = tensor(_ONE, coherent_amps([0.5], TruncationSpec((12,))))
+_DIAG = DensityMatrix(TruncationSpec((2,)), np.diag([0.5, 0.3, 0.2]))
 
 
 @pytest.mark.parametrize(
@@ -541,10 +545,22 @@ _INV2 = 1.0 / math.sqrt(2.0)
         (StateSpec("coherent", {"alpha": (0.5 + 0.2j,)}), [], ["self-witness"]),
         (StateSpec("phase_randomized", {"energy": 1.0}), [], ["self-witness"]),
         (_RAW_TWO_MODE, ["pure-overlap"], ["best-point", "mode-energy-rings"]),
+        (outer(_RAW_TWO_MODE), ["pure-overlap"], ["best-point", "mode-energy-rings"]),
+        (_DIAG, [], ["diag-minimize", "overlap-sqrt"]),
+        (DensityMatrix(TruncationSpec((2,)), np.diag([0.6, 0.0, 0.4])), ["triangle"], ["diag-minimize"]),
+        (
+            DensityMatrix(TruncationSpec((1,)), np.array([[0.5, 0.3], [0.3, 0.5]])),
+            [],
+            ["mode-energy-rings", "overlap-sqrt"],
+        ),
+        (_ONE_COHERENT, ["pure-overlap"], ["factor-witness", "overlap-sqrt"]),
+        (tensor(outer(_ONE), _DIAG), ["factor-monotone"], ["factor-witness", "overlap-sqrt"]),
     ],
     ids=[
         "number", "single-photon", "noon-equal", "noon-unequal", "even-cat",
         "odd-cat", "entangled-coherent", "coherent", "phase-randomized", "raw-vector",
+        "rank-one-density", "one-mode-diagonal", "raw-vacuum-number", "one-mode-coherences",
+        "pure-product", "mixed-product",
     ],
 )
 def test_report_lists_only_bounds_that_can_set_the_bracket(state, lowers, uppers):
@@ -778,6 +794,24 @@ def test_report_adjoining_a_classical_factor():
     rep_c = _spec_report("cat", {"parity": "even", "beta": 1.0})
     assert abs(rep_j2.best_lower - rep_c.best_lower) < 1e-8
     assert abs(rep_j2.best_upper - rep_c.best_upper) < 1e-8
+
+
+def test_pure_product_keeps_the_exact_value_of_its_factor():
+    # |1> (x) |0.5> is exactly as far from the classical set as |1>
+    rep = report(_ONE_COHERENT)
+    assert abs(rep.exact - (1.0 - G1)) <= 1e-9
+
+
+def test_raw_product_reports_when_its_padded_witness_passes_the_dense_cap():
+    # the state has 252 basis states; its tensored cat and axis-ring
+    # witness would be realized densely on a (27, 19, 19) truncation
+    cat = StateSpec("cat", {"parity": "odd", "beta": 0.7}).build()
+    noon = StateSpec("noon", {"n": 2, "c": (0.6, 0.8)}).build()
+    rep = report(tensor(cat, noon))
+    m = cat_qmax(CatParams("odd", 0.7)).value * husimi.noon_qmax_analytic(2, [0.6, 0.8]).value
+    assert [b.name for b in rep.uppers] == ["overlap-sqrt"]
+    assert abs(rep.best_lower - (1.0 - m)) <= 1e-12
+    assert abs(rep.best_upper - math.sqrt(1.0 - m)) <= 1e-12
 
 
 def test_product_state_lower_bound_multiplies():

@@ -194,7 +194,12 @@ def test_non_finite_number_is_schema_error(tmp_path, capsys, text, pointer):
 @pytest.mark.parametrize("tail_tol", ["-1", "0", "1.5", "nan"])
 @pytest.mark.parametrize(
     "state",
-    [{"kind": "number", "ns": [1, 1]}, {"kind": "cat", "parity": "odd", "beta": 1.0}],
+    [
+        {"kind": "number", "ns": [1, 1]},
+        {"kind": "cat", "parity": "odd", "beta": 1.0},
+        # its family default cutoffs pass the basis cap
+        {"kind": "coherent", "alpha": [[1, 0]] * 6},
+    ],
 )
 def test_tail_tol_outside_the_unit_interval_is_schema_error(tmp_path, capsys, state, tail_tol):
     path = write_state(tmp_path, "state.json", state)
@@ -219,6 +224,18 @@ def test_cat_reports_do_not_depend_on_tail_tol(tmp_path, capsys, state, trunc):
     outs = []
     for extra in ((), ("--tail-tol", "1e-6")):
         code, out, _ = run_cli(capsys, "report", path, *trunc, *extra)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_tail_tol_leaves_an_unbuilt_coherent_product_alone(tmp_path, capsys):
+    # six modes at the family default cutoffs pass the basis cap, but the
+    # report of a coherent product builds no state
+    path = write_state(tmp_path, "coherent.json", {"kind": "coherent", "alpha": [[1, 0]] * 6})
+    outs = []
+    for extra in ((), ("--tail-tol", "1e-10")):
+        code, out, _ = run_cli(capsys, "report", path, *extra)
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
@@ -327,6 +344,18 @@ def test_qsup_number_state(tmp_path, capsys):
     top = payload["argmax"][0]
     assert len(top) == 1
     assert math.hypot(*top[0]) == pytest.approx(math.sqrt(2.0), abs=1e-6)
+
+
+def test_qsup_prints_strict_json_for_an_uncertified_search(tmp_path, capsys):
+    path = write_state(tmp_path, "two.json", {"kind": "number", "ns": [2]})
+    code, out, _ = run_cli(capsys, "qsup", path, "--steps", "1")
+    assert code == 0
+
+    def reject(token):
+        raise AssertionError(f"{token} is not a JSON value")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["certificate"] is None and payload["converged"] is False
 
 
 def test_verify_only_filter(capsys):
