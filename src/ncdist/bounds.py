@@ -18,30 +18,28 @@ Each per-family report lists its lower bounds and its witnesses; one
 assembly step keeps the best of each side, cross-checks the ordering, and
 marks the bracket exact only when a computed witness distance meets the
 best lower bound within ``EXACT_TOL`` (on pure states, by the saturation
-mechanism).  Each witness is measured once: its distance and, on a pure
-state, its eigenvector residual come from one framing of the state.
-Number-diagonal witnesses are evaluated exactly on the state's support,
-and a cat's coherent-pair witnesses exactly on the span of the coherent
-vectors involved (the span route, :func:`.metrics.cat_span_distance`),
-neither with a truncation; the others, tensor products of factor
-witnesses, on the state's truncation padded until their certified tail
-mass is within the state's own tail budget (``TruncationSpec.tail_tol``),
-which bounds their error.  A state given without family metadata (a
-vector or a density matrix) takes one path, :func:`_report_raw`.
+mechanism).  Each witness is measured once, exactly, on the frame it
+keeps (:class:`_Frame`): a number-diagonal witness on the state's support,
+a cat's coherent pair on the cat's coherent span, a coherent product
+against itself as (1, 1, 0), and a tensor product of factor witnesses on
+the Kronecker product of its factors' frames; no witness is realized on a
+truncation.  A state given without family metadata (a vector or a density
+matrix) takes one path, :func:`_report_raw`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.special import gammainc
 
 from .channels import AffineOptics, affine_image, apply_affine
-from .errors import DimensionTooLarge, NumericalInconsistency, TruncationTooSmall
+from .errors import NumericalInconsistency, TruncationTooSmall
 from .fock import (
     DensityMatrix,
     FockVector,
@@ -49,7 +47,6 @@ from .fock import (
     beam_splitter,
     mean_total_energy,
     mode_energies,
-    outer,
     partial_trace,
     poisson_pmf,
 )
@@ -63,6 +60,7 @@ from .husimi import (
 )
 from .metrics import (
     cat_span_distance,
+    cat_span_frame,
     trace_distance,
     trace_distance_diag,
     trace_distance_pure_diag,
@@ -199,79 +197,61 @@ def _ensemble_obj(ens: ClassicalEnsemble) -> dict:
 
 
 @dataclass
+class _Frame:
+    """A state and a witness on a finite orthonormal set where the witness
+    is diagonal: the state's amplitudes (a vector) or block (a matrix)
+    there, the witness's eigenvalues ``q`` there, and ``off``, its mass off
+    the set, where the state has none."""
+
+    state: np.ndarray
+    q: np.ndarray
+    off: float
+
+    def measure(self) -> tuple[float, float | None]:
+        """The trace distance and, for a vector f, the eigenvector residual
+        ||(q - <q>) f|| / ||f||: by the secular route, the l1 route for a
+        diagonal block, or dense eigenvalues, plus half the mass off."""
+        unlisted = 0.5 * self.off
+        f, q = self.state, self.q
+        if f.ndim == 1:
+            a = f.real * f.real + f.imag * f.imag
+            norm2 = float(a.sum())
+            dev = q - float(a @ q) / norm2
+            residual = math.sqrt(float((dev * dev) @ a) / norm2)
+            return trace_distance_pure_diag(f, q) + unlisted, residual
+        if np.abs(f - np.diag(f.diagonal())).max() <= 1e-12:
+            return trace_distance_diag(f.diagonal().real, q) + unlisted, None
+        box = TruncationSpec((len(q) - 1,))  # the set, indexed as one mode
+        dense = DensityMatrix(box, np.diag(q).astype(np.complex128))
+        return trace_distance(DensityMatrix(box, f), dense) + unlisted, None
+
+    def tensor(self, other: "_Frame") -> "_Frame":
+        a, b = self.state, other.state
+        if a.ndim != b.ndim:  # a pure factor beside a mixed one: its block
+            a, b = (np.outer(x, x.conj()) if x.ndim == 1 else x for x in (a, b))
+        off = self.off + other.off - self.off * other.off
+        return _Frame(np.kron(a, b), np.kron(self.q, other.q), off)
+
+
+# a pure coherent product measured against itself
+_SELF_FRAME = _Frame(np.ones(1, dtype=np.complex128), np.ones(1), 0.0)
+
+
+@dataclass
 class _WitnessCandidate:
     """A classical witness: an ensemble, optionally conjugated by a passive
     interferometer (the rotation maps the ensemble's labels onto the
-    state's frame; distances are evaluated by rotating the state back
-    through :func:`.channels.apply_affine`).  ``residual`` is the
-    eigenvector residual ||sigma f - <f|sigma|f> f|| of the pure state f
-    the witness was measured against, computed with its distance (by
-    :meth:`measure`, or on a cat's coherent span); saturation reads it and
-    frames nothing.  It is 0 where the state is an eigenvector of the
-    witness by construction, and None where no pure state was measured."""
+    state's modes).  ``residual`` is the eigenvector residual
+    ||sigma f - <f|sigma|f> f|| of the pure state f the witness was
+    measured against (0 where f is an eigenvector by construction, None
+    where no pure state was measured); saturation reads it.  ``frame`` is
+    the :class:`_Frame` it was measured on, or a callable that builds it
+    when a product needs it; a witness without one is not tensored."""
 
     ensemble: ClassicalEnsemble
     rotation: np.ndarray | None = None
     residual: float | None = None
-
-    def frame(self, state):
-        """The state rotated back into the ensemble's frame, with the
-        ensemble: a number-diagonal one as its diagonal on the state's own
-        truncation, exact on the state's support and zero off it; any other
-        realized densely where it holds to the state's own tail budget
-        ``state.trunc.tail_tol``, the state padded."""
-        s, trunc = state, state.trunc
-        if not self.ensemble.is_diagonal():
-            tol = trunc.tail_tol
-            trunc = trunc.union(TruncationSpec(self.ensemble.required_cutoffs(tol), tol))
-            s = state.pad(trunc)
-        if self.rotation is not None:
-            # W(u)^+ = W(u^+); a leak past the cutoffs is a truncation limit
-            back = AffineOptics(self.rotation.conj().T, np.zeros(len(self.rotation)))
-            s = apply_affine(back, s)
-        if not self.ensemble.is_diagonal():
-            return s, self.ensemble.realize(trunc)
-        support = np.flatnonzero(s.flat) if isinstance(s, FockVector) else np.arange(trunc.dim)
-        q = np.zeros(trunc.dim)
-        q[support] = self.ensemble.diag_on(np.unravel_index(support, trunc.shape))
-        return s, q
-
-    def measure(self, state) -> tuple[float, float | None]:
-        """The trace distance from ``state`` (a FockVector or DensityMatrix)
-        to the witness and, for a vector, its eigenvector residual, with the
-        state framed once.
-
-        A number-diagonal witness q is exact on the state's support: against
-        a vector by the secular route, with the residual ||(q_S - <q>) f_S||
-        over the support S of the unit vector f, and against a diagonal
-        density by the l1 route; the witness mass the state's truncation
-        leaves out, 1 - sum(q), adds half of itself.  Any other witness, or a
-        density with coherences, goes dense, the residual from sigma f; the
-        witness is then realized to the state's own tail budget.
-        """
-        s, sigma = self.frame(state)
-        pure = isinstance(s, FockVector)
-        if isinstance(sigma, DensityMatrix):
-            residual = None
-            if pure:
-                f = s.flat / s.norm()
-                sigma_f = sigma.mat @ f
-                residual = float(np.linalg.norm(sigma_f - np.vdot(f, sigma_f).real * f))
-                s = outer(s)
-            return trace_distance(s, sigma), residual
-        unlisted = 0.5 * (1.0 - float(sigma.sum()))
-        if pure:
-            f = s.flat
-            a = f.real * f.real + f.imag * f.imag
-            norm2 = float(a.sum())
-            # ||(q - <q>) f|| with f normalized: a vanishes off the support
-            dev = sigma - float(a @ sigma) / norm2
-            residual = math.sqrt(float((dev * dev) @ a) / norm2)
-            return trace_distance_pure_diag(s, sigma) + unlisted, residual
-        if s.is_diagonal(1e-12):
-            return trace_distance_diag(s.diagonal(), sigma) + unlisted, None
-        dense = DensityMatrix(s.trunc, np.diag(sigma).astype(np.complex128))
-        return trace_distance(s, dense) + unlisted, None
+    frame: "_Frame | Callable[[], _Frame] | None" = field(default=None, repr=False)
 
     def to_obj(self) -> dict:
         obj = _ensemble_obj(self.ensemble)
@@ -289,24 +269,34 @@ class _WitnessCandidate:
         )
         rot = None
         if self.rotation is not None or other.rotation is not None:
-            ma = self.ensemble.nmodes
-            mb = other.ensemble.nmodes
-            ra = self.rotation if self.rotation is not None else np.eye(ma)
-            rb = other.rotation if other.rotation is not None else np.eye(mb)
-            rot = np.zeros((ma + mb, ma + mb), dtype=np.complex128)
-            rot[:ma, :ma] = ra
-            rot[ma:, ma:] = rb
-        return _WitnessCandidate(ClassicalEnsemble(comps), rot)
+            rot = block_diag(*(
+                np.eye(c.ensemble.nmodes) if c.rotation is None else c.rotation
+                for c in (self, other)
+            )).astype(np.complex128)
+        fa, fb = (c.frame() if callable(c.frame) else c.frame for c in (self, other))
+        frame = None if fa is None or fb is None else fa.tensor(fb)
+        return _WitnessCandidate(ClassicalEnsemble(comps), rot, frame=frame)
 
 
 def upper_witness(rho, sigma, *, name: str = "witness",
                   rotation: np.ndarray | None = None) -> Bound:
-    """Upper bound from one explicit classical state: the computed trace
-    distance, with the witness attached.  A witness that is not number
-    diagonal is realized to ``rho``'s own tail budget."""
-    cand = _WitnessCandidate(sigma, rotation)
-    d, cand.residual = cand.measure(rho)
-    return _witness_bound(name, d, cand)
+    """Upper bound from one number-diagonal classical state (rings and
+    vacuum factors), optionally conjugated by ``rotation``: the exact trace
+    distance, with the witness framed on ``rho``'s number basis, rotated
+    back, its diagonal evaluated on the support only."""
+    if not sigma.is_diagonal():
+        raise ValueError("upper_witness takes number-diagonal witnesses only")
+    s = rho
+    if rotation is not None:
+        # W(u)^+ = W(u^+); a leak past the cutoffs is a truncation limit
+        s = apply_affine(AffineOptics(rotation.conj().T, np.zeros(len(rotation))), s)
+    pure = isinstance(s, FockVector)
+    support = np.flatnonzero(s.flat) if pure else np.arange(s.trunc.dim)
+    q = np.zeros(s.trunc.dim)
+    q[support] = sigma.diag_on(np.unravel_index(support, s.trunc.shape))
+    frame = _Frame(s.flat if pure else s.mat, q, 1.0 - float(q.sum()))
+    d, residual = frame.measure()
+    return _witness_bound(name, d, _WitnessCandidate(sigma, rotation, residual, frame))
 
 
 def _witness_bound(name: str, d: float, cand: _WitnessCandidate) -> Bound:
@@ -413,10 +403,14 @@ def diag_mixture_distance(rho: DensityMatrix, energies, weights) -> float:
 
 # the ring LP's pivot cap, per column of its standard form
 _RING_LP_PIVOTS_PER_COLUMN = 20
-# reduced costs above -_RING_LP_TOL are optimal, and a step of at most
-# _RING_LP_TOL is degenerate; pivots below _RING_LP_PIVOT_TOL are not taken
+# reduced costs above -_RING_LP_TOL are optimal; pivots below
+# _RING_LP_PIVOT_TOL are not taken
 _RING_LP_TOL = 1e-12
 _RING_LP_PIVOT_TOL = 1e-11
+# the largest shift of a row's target in the perturbed problem, and the
+# golden-ratio step that spreads the shifts over the rows
+_RING_LP_SHIFT = 1e-13
+_GOLDEN_FRACTION = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 def _ring_lp(cols: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -437,24 +431,32 @@ def _ring_lp(cols: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarr
     test takes a long step (Barrodale and Roberts, SIAM J. Numer. Anal. 10,
     839 (1973)): a basic slack that reaches zero hands its row to its twin
     while the objective still falls, so one pivot crosses many kinks.
-    Ties go to the smallest variable index, and after a run of degenerate
-    pivots both the entering and the leaving variable are the smallest
-    eligible index, with no long step (Bland, Math. Oper. Res. 2, 103
-    (1977)), so the method cannot cycle.
+    Ties go to the smallest variable index.
+
+    The pivots run on a perturbed target, each row moved up by a distinct
+    amount below ``_RING_LP_SHIFT`` (Charnes, Econometrica 20, 160 (1952)),
+    so the kinks of the objective along an edge do not coincide: on an
+    even mixture of two grid rings, where every row turns tight at once,
+    the simplex neither cycles nor makes a row of rounding-sized entries
+    tight.  In floating point a basis can still recur once the objective
+    falls by less than its rounding; the simplex then stops there.  The
+    weights are solved from the final basis on the true target.
 
     Returns the weights, the row duals (length ``len(target)``) and the
     pivot count.  Passing the pivot cap, a singular basis, or a pivot
     column with no blocking entry raises ``NumericalInconsistency``.
     """
     m, k = cols.shape
-    resid = target[:, None] - cols
-    j0 = int(np.argmin(np.abs(resid).sum(axis=0)))
+    j0 = int(np.argmin(np.abs(target[:, None] - cols).sum(axis=0)))
+    # the perturbed target: row r moves by a distinct fraction of the shift
+    shifted = target + _RING_LP_SHIFT * ((np.arange(1, m + 1) * _GOLDEN_FRACTION) % 1.0)
     basic = [j0]  # basic columns, in the order of the reduced system
     # +1: v_r is basic (p_r >= C_r w), -1: u_r is basic, 0: the row is tight
-    sign = np.where(resid[:, j0] < 0.0, -1.0, 1.0)
+    sign = np.where(shifted < cols[:, j0], -1.0, 1.0)
 
     cap = _RING_LP_PIVOTS_PER_COLUMN * (k + 2 * m)
-    pivots = stall = 0
+    pivots = 0
+    seen = set()
     while True:
         tight = np.flatnonzero(sign == 0.0)
         cj = cols[:, basic]
@@ -464,9 +466,9 @@ def _ring_lp(cols: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarr
         if info != 0:
             raise NumericalInconsistency("ring-mixture LP basis is singular")
         rhs = np.ones(len(basic))
-        rhs[:-1] = target[tight]
+        rhs[:-1] = shifted[tight]
         w_basic = dgetrs(lu, perm, rhs)[0]
-        slack = sign * (target - cj @ w_basic)
+        slack = sign * (shifted - cj @ w_basic)
         # a basic slack prices its row at +-1/2; the basic columns fix the rest
         y = 0.5 * sign
         z = dgetrs(lu, perm, -(cj.T @ y), trans=1)[0]
@@ -474,15 +476,13 @@ def _ring_lp(cols: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarr
         d = np.concatenate([-(y @ cols + z[-1]), 0.5 + y, 0.5 - y])
         d[basic] = 0.0
 
-        bland = stall > m
-        if bland:
-            neg = np.flatnonzero(d < -_RING_LP_TOL)
-            q = int(neg[0]) if neg.size else -1
-        else:
-            q = int(np.argmin(d))
-            q = q if d[q] < -_RING_LP_TOL else -1
-        if q < 0:
+        q = int(np.argmin(d))
+        # a basis met before means the objective stopped falling past its
+        # rounding: every basis on that cycle is optimal to within it
+        basis = (frozenset(basic), sign.tobytes())
+        if d[q] >= -_RING_LP_TOL or basis in seen:
             break
+        seen.add(basis)
         if pivots >= cap:
             raise NumericalInconsistency(f"ring-mixture LP passed its pivot cap ({cap})")
 
@@ -510,18 +510,15 @@ def _ring_lp(cols: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarr
             raise NumericalInconsistency("ring-mixture LP found no positive pivot")
         ratios = np.maximum(value[eligible], 0.0) / alpha[eligible]
         order = np.lexsort((var[eligible], ratios))
-        eligible, ratios = eligible[order], ratios[order]
-        if bland:
-            stop = 0
-        else:
-            # long step: a slack that reaches 0 hands its row to its twin
-            # while the objective still falls, the slope rising by alpha_i
-            is_slack = eligible >= nb
-            slope = d[q] + np.cumsum(np.where(is_slack, alpha[eligible], 0.0))
-            stop = int(np.argmax(~is_slack | (slope >= -_RING_LP_TOL)))
-            if is_slack[stop] and slope[stop] < -_RING_LP_TOL:
-                raise NumericalInconsistency("ring-mixture LP found no blocking pivot")
-            sign[eligible[:stop] - nb] *= -1.0
+        eligible = eligible[order]
+        # long step: a slack that reaches 0 hands its row to its twin while
+        # the objective still falls, the slope rising by alpha_i
+        is_slack = eligible >= nb
+        slope = d[q] + np.cumsum(np.where(is_slack, alpha[eligible], 0.0))
+        stop = int(np.argmax(~is_slack | (slope >= -_RING_LP_TOL)))
+        if is_slack[stop] and slope[stop] < -_RING_LP_TOL:
+            raise NumericalInconsistency("ring-mixture LP found no blocking pivot")
+        sign[eligible[:stop] - nb] *= -1.0
         leave = int(eligible[stop])
 
         if q < k:
@@ -533,10 +530,12 @@ def _ring_lp(cols: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarr
         else:
             sign[leave - nb] = 0.0
         pivots += 1
-        stall = stall + 1 if ratios[stop] <= _RING_LP_TOL else 0
 
+    # the optimal basis of the perturbed problem, solved on the true target
+    rhs = np.ones(len(basic))
+    rhs[:-1] = target[tight]
     w = np.zeros(k)
-    w[basic] = w_basic
+    w[basic] = dgetrs(lu, perm, rhs)[0]
     return w, y, pivots
 
 
@@ -600,7 +599,9 @@ def diag_classical_minimize(rho: DensityMatrix, energy_grid) -> Bound:
         },
         # a pure number-diagonal state is a basis vector: an eigenvector
         # of every number-diagonal witness
-        candidate=_WitnessCandidate(ring, residual=0.0),
+        candidate=_WitnessCandidate(
+            ring, residual=0.0, frame=_Frame(rho.mat, cols[:-1] @ w, cols[-1] @ w)
+        ),
     )
 
 
@@ -859,10 +860,12 @@ def _report_cat(spec: StateSpec) -> BoundReport:
     _check_attained(psi, alpha_star, m, spec)
 
     def pair(name, a):
-        # the pair +-a (the vacuum at a = 0), exact on the coherent span
+        # the pair +-a (the vacuum at a = 0), exact on the coherent span,
+        # and framed there only if a product needs it
         ens = two_point_mixture([a], [-a]) if a else coherent_point_ensemble([0.0])
-        d, residual = cat_span_distance(parity, beta, [1.0], [a])
-        return _witness_bound(name, d, _WitnessCandidate(ens, residual=residual))
+        d, residual, span = cat_span_distance(parity, beta, [1.0], [a])
+        cand = _WitnessCandidate(ens, residual=residual, frame=lambda: _Frame(*cat_span_frame(span)))
+        return _witness_bound(name, d, cand)
 
     uppers = [_point_upper(m, alpha_star), pair("sigma-beta", beta)]
     if spec.kind == "cat" or float(spec.params["eta"]) in (0.0, 1.0):
@@ -876,12 +879,16 @@ def _report_cat(spec: StateSpec) -> BoundReport:
     if spec.kind == "cat":
         return rep
 
-    # carry each witness, padded with the vacuum mode, through the splitter
+    # carry each witness, padded with the vacuum mode, through the splitter;
+    # its frame carries unchanged, the vacuum's being (1, 1, 0)
     optics = AffineOptics(beam_splitter(float(spec.params["eta"])).T, np.zeros(2))
-    vacuum = _WitnessCandidate(coherent_point_ensemble([0.0]))
 
     def image(cand):
-        return _WitnessCandidate(affine_image(optics, cand.tensor_with(vacuum).ensemble))
+        padded = ClassicalEnsemble(tuple(
+            (w, ProductComponent(c.factors + (CoherentFactor(0.0),)))
+            for w, c in cand.ensemble.components
+        ))
+        return _WitnessCandidate(affine_image(optics, padded), frame=cand.frame)
 
     def carried(b):
         if b.name == "best-point":
@@ -902,9 +909,10 @@ def _report_classical_ensemble(
     """A classical state is its own witness: d(sigma, sigma) = 0 holds
     exactly, so nothing is realized, and the lower bound is the default 0.
     A pure one (a coherent product) passes its exact peak overlap, 1, on to
-    a factor split that contains it, and is an eigenvector of itself
-    (residual 0)."""
-    cand = _WitnessCandidate(ens, residual=0.0)
+    a factor split that contains it, is an eigenvector of itself (residual
+    0), and is framed as (1, 1, 0), dropping out of a tensored witness."""
+    frame = _SELF_FRAME if sup_overlap is not None else None
+    cand = _WitnessCandidate(ens, residual=0.0, frame=frame)
     uppers = [
         Bound(
             "self-witness",
@@ -970,9 +978,12 @@ def _report_mixture(spec: StateSpec, seed: int) -> BoundReport:
 # raw containers: factor splitting and generic paths
 
 
-def _vector_factor_split(psi: FockVector) -> list[FockVector] | None:
+def _vector_factor_split(psi: FockVector) -> tuple[list[FockVector], float] | None:
     """Split a pure state across the first contiguous bipartition where it
-    factorizes exactly (within FACTOR_TOL); recurse on the pieces."""
+    factorizes exactly (within FACTOR_TOL); recurse on the pieces.  Returns
+    the factors and the sum over the splits of sqrt(sum_{i>=1} s_i^2) / ||s||
+    (s the singular values), which bounds the state's trace distance to the
+    product of the factors."""
     m = psi.trunc.nmodes
     if m == 1:
         return None
@@ -988,6 +999,7 @@ def _vector_factor_split(psi: FockVector) -> list[FockVector] | None:
         if len(s) > 1 and s[1] > FACTOR_TOL * max(s[0], 1.0):
             continue
         u, sv, vh = np.linalg.svd(mat, full_matrices=False)
+        defect = float(np.linalg.norm(sv[1:]) / np.linalg.norm(sv))
         a = u[:, 0] * math.sqrt(sv[0])
         b = vh[0] * math.sqrt(sv[0])
         va = FockVector(
@@ -998,53 +1010,60 @@ def _vector_factor_split(psi: FockVector) -> list[FockVector] | None:
             TruncationSpec(psi.trunc.cutoffs[k:], psi.trunc.tail_tol),
             b.reshape(shape[k:]),
         )
-        left = _vector_factor_split(va) or [va]
-        right = _vector_factor_split(vb) or [vb]
-        return left + right
+        left, dl = _vector_factor_split(va) or ([va], 0.0)
+        right, dr = _vector_factor_split(vb) or ([vb], 0.0)
+        return left + right, defect + dl + dr
     return None
 
 
-def _density_factor_split(rho: DensityMatrix) -> list[DensityMatrix] | None:
+def _density_factor_split(rho: DensityMatrix) -> tuple[list[DensityMatrix], float] | None:
+    """As :func:`_vector_factor_split`, with the factors the marginals and
+    each split's distance bounded by 0.5 sqrt(d) ||rho - rho_A (x) rho_B||_F
+    (the trace norm is at most sqrt(rank) times the Frobenius norm)."""
     m = rho.trunc.nmodes
     if m == 1:
         return None
     for k in range(1, m):
         ra = partial_trace(rho, keep=range(k))
         rb = partial_trace(rho, keep=range(k, m))
-        prod = np.kron(ra.mat, rb.mat)
-        if np.abs(rho.mat - prod).max() > FACTOR_TOL:
+        gap = rho.mat - np.kron(ra.mat, rb.mat)
+        if np.abs(gap).max() > FACTOR_TOL:
             continue
-        left = _density_factor_split(ra) or [ra]
-        right = _density_factor_split(rb) or [rb]
-        return left + right
+        defect = 0.5 * math.sqrt(rho.trunc.dim) * float(np.linalg.norm(gap))
+        left, dl = _density_factor_split(ra) or ([ra], 0.0)
+        right, dr = _density_factor_split(rb) or ([rb], 0.0)
+        return left + right, defect + dl + dr
     return None
 
 
-def _combine_factor_reports(parts: list[BoundReport], state) -> BoundReport:
-    """An exact tensor product's bracket from its factors' reports.  A pure
+def _combine_factor_reports(parts: list[BoundReport], state, defect: float) -> BoundReport:
+    """An exact tensor product's bracket from its factors' reports, measured
+    on the product of the factors, which lies within the split's ``defect``
+    of the state: its bounds are widened by that on both sides.  A pure
     product's eq23 lower 1 - prod m_i is never below a factor's 1 - m_i, so
-    only a mixed one lists its best factor lower (discarding factors cannot
-    raise the distance).  The tensored factor witness is left out where its
-    padded realization passes the dense cap, which the state does not set."""
+    only a mixed one lists its best factor lower, unwidened, as a factor is
+    the state's exact marginal (discarding factors cannot raise the
+    distance).  The tensored witness is measured on its frame."""
+
+    def widened(b: Bound, sign: float) -> Bound:
+        return replace(b, value=min(max(b.value + sign * defect, 0.0), _ONE_MINUS))
+
     sup_joint = None
     if all(p.sup_overlap is not None for p in parts):
         sup_joint = float(np.prod([p.sup_overlap for p in parts]))
     if isinstance(state, FockVector):
-        lowers = _pure_lowers(sup_joint)
+        lowers = [widened(b, -1.0) for b in _pure_lowers(sup_joint)]
     else:
         best_part = max(p.best_lower for p in parts)
         lowers = [Bound("factor-monotone", best_part, "factor-monotone-lower")]
-    uppers = [] if sup_joint is None else [upper_q(sup_joint)]
+    uppers = [] if sup_joint is None else [widened(upper_q(sup_joint), 1.0)]
     if all(p.best_witness is not None for p in parts):
         joint = parts[0].best_witness
         for p in parts[1:]:
             joint = joint.tensor_with(p.best_witness)
-        with contextlib.suppress(DimensionTooLarge):
-            uppers.append(
-                upper_witness(
-                    state, joint.ensemble, name="factor-witness", rotation=joint.rotation
-                )
-            )
+        if joint.frame is not None:
+            d, joint.residual = joint.frame.measure()
+            uppers.append(_witness_bound("factor-witness", d + defect, joint))
     if not uppers:
         uppers.append(Bound("trivial-cap", _ONE_MINUS, "trivial-upper"))
     return _assemble(
@@ -1073,10 +1092,11 @@ def _report_raw(state, seed: int) -> BoundReport:
     spec = identify_pure_state(state) if pure else None
     if spec is not None:
         return _report_spec(spec, seed)
-    factors = _vector_factor_split(state) if pure else _density_factor_split(state)
-    if factors is not None:
+    split = _vector_factor_split(state) if pure else _density_factor_split(state)
+    if split is not None:
+        factors, defect = split
         parts = [_report_raw(f, seed) for f in factors]
-        return _combine_factor_reports(parts, state)
+        return _combine_factor_reports(parts, state, defect)
 
     energies = mode_energies(state)
     if not pure and state.trunc.nmodes == 1 and state.is_diagonal(1e-10):
@@ -1139,11 +1159,9 @@ def report(state, *, seed: int = DEFAULT_SEED) -> BoundReport:
     Accepts a StateSpec (family metadata unlocks analytic suprema and the
     matching witnesses), a FockVector, a DensityMatrix, or a
     ClassicalEnsemble; a vector or density matrix takes
-    :func:`_report_raw`.  A state is built at its own
-    truncation (``StateSpec.trunc``, else the family default), whose tail
-    budget also bounds the error of any witness realized on a padded
-    truncation.  ``seed`` drives the multistart Husimi search on states
-    without an analytic supremum.
+    :func:`_report_raw`.  A state is built at its own truncation
+    (``StateSpec.trunc``, else the family default).  ``seed`` drives the
+    multistart Husimi search on states without an analytic supremum.
     """
     if isinstance(state, StateSpec):
         return _report_spec(state, seed)

@@ -78,13 +78,6 @@ class TruncationSpec:
     def unravel(self, i: int) -> tuple[int, ...]:
         return tuple(int(k) for k in np.unravel_index(i, self.shape))
 
-    def union(self, other: "TruncationSpec") -> "TruncationSpec":
-        """Elementwise-max cutoffs; the stricter tail tolerance wins."""
-        if other.nmodes != self.nmodes:
-            raise ValueError("mode count mismatch")
-        cuts = tuple(max(a, b) for a, b in zip(self.cutoffs, other.cutoffs))
-        return TruncationSpec(cuts, min(self.tail_tol, other.tail_tol))
-
     def totals(self) -> np.ndarray:
         """Total photon number of every flat basis state (int64, len dim)."""
         out = np.zeros(self.shape, dtype=np.int64)
@@ -132,16 +125,6 @@ class FockVector:
     def norm_defect(self) -> float:
         """1 - ||psi||^2, the probability mass beyond the cutoffs."""
         return 1.0 - float(np.vdot(self.flat, self.flat).real)
-
-    def pad(self, trunc: TruncationSpec) -> "FockVector":
-        """Embed into a space with (elementwise) at-least-as-large cutoffs."""
-        if trunc.nmodes != self.trunc.nmodes:
-            raise ValueError("mode count mismatch")
-        if any(b < a for a, b in zip(self.trunc.cutoffs, trunc.cutoffs)):
-            raise ValueError("pad target must not shrink any cutoff")
-        out = np.zeros(trunc.shape, dtype=np.complex128)
-        out[tuple(slice(0, n + 1) for n in self.trunc.cutoffs)] = self.amps
-        return FockVector(trunc, out)
 
     def probabilities(self) -> np.ndarray:
         """Flat number-basis probabilities |psi_n|^2."""
@@ -193,21 +176,6 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.vdot(self.mat, self.mat).real)
-
-    def pad(self, trunc: TruncationSpec) -> "DensityMatrix":
-        """Embed into a space with (elementwise) at-least-as-large cutoffs;
-        equal cutoffs return the matrix itself."""
-        if trunc.cutoffs == self.trunc.cutoffs:
-            return self
-        if trunc.nmodes != self.trunc.nmodes:
-            raise ValueError("mode count mismatch")
-        if any(b < a for a, b in zip(self.trunc.cutoffs, trunc.cutoffs)):
-            raise ValueError("pad target must not shrink any cutoff")
-        src = self.mat.reshape(self.trunc.shape + self.trunc.shape)
-        out = np.zeros(trunc.shape + trunc.shape, dtype=np.complex128)
-        sl = tuple(slice(0, d) for d in self.trunc.shape)
-        out[sl + sl] = src
-        return DensityMatrix(trunc, out.reshape(trunc.dim, trunc.dim))
 
 
 # ---------------------------------------------------------------------------

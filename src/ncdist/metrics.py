@@ -1,16 +1,19 @@
 """Distance and fidelity computations on truncated Fock spaces.
 
-Besides the dense routes this module carries three structured
+Besides the dense route this module carries three structured
 trace-distance paths that stay exact while avoiding dense matrices:
 
 * diagonal vs diagonal: half the l1 distance of the probability vectors;
 * pure vs diagonal: the difference operator splits over the exact support
   of the pure state, leaving one rank-one-plus-diagonal block plus the
   unmatched diagonal mass; the block's one positive eigenvalue is the
-  root of a secular equation, so the cost is linear in the support;
+  root of a secular equation, so the cost is linear in the support.  The
+  pure state may be given by its amplitudes on any orthonormal set where
+  the other state is diagonal, not only on a Fock truncation;
 * a parity cat vs a mixture of symmetric coherent pairs: both live on the
   span of a few coherent vectors, so the distance is a small eigenproblem
-  on that span, with no truncation at all.
+  on that span, with no truncation at all.  :func:`cat_span_frame` gives
+  the cat on the mixture's eigenbasis there, for the first two routes.
 
 The first two serve the large multimode witness computations where a
 dense realization would be far past the dimension cap, whatever the size
@@ -63,8 +66,11 @@ _SECULAR_STEPS = 100
 _SECULAR_RESOLUTION = 8.0 * np.finfo(float).eps
 
 
-def trace_distance_pure_diag(psi: FockVector, q: np.ndarray) -> float:
+def trace_distance_pure_diag(psi: FockVector | np.ndarray, q: np.ndarray) -> float:
     """Trace distance between |psi><psi| and the diagonal state diag(q).
+
+    ``psi`` is a FockVector, or a flat array of its amplitudes on any
+    orthonormal set where the other state is diag(q).
 
     Exact, at a cost linear in the support S of psi (its amplitudes f with
     |f_i|^2 > 0): the difference operator is block-diagonal as
@@ -75,7 +81,7 @@ def trace_distance_pure_diag(psi: FockVector, q: np.ndarray) -> float:
     Sorensen, Numer. Math. 31, 31 (1978)).
     """
     q = np.asarray(q, dtype=float)
-    f = psi.flat
+    f = psi if isinstance(psi, np.ndarray) else psi.flat
     if f.shape != q.shape:
         raise ValueError("diagonal length does not match the state dimension")
     # the support is taken where |f_i|^2 > 0: an amplitude that squares to
@@ -150,7 +156,7 @@ def _scaled_f(sign: float, p: complex, q: complex) -> complex:
     return sign * out if t < 0 else out
 
 
-def cat_span_distance(parity: str, beta: complex, weights, amps) -> tuple[float, float]:
+def cat_span_distance(parity: str, beta: complex, weights, amps) -> tuple[float, float, tuple]:
     """Trace distance from a parity cat to a mixture of symmetric coherent
     pairs, and the cat's eigenvector residual under that mixture; exact,
     with no truncation.
@@ -168,7 +174,9 @@ def cat_span_distance(parity: str, beta: complex, weights, amps) -> tuple[float,
     accuracy.  The columns of B are the span vectors in an orthonormal
     basis, so the residual ||sigma psi - <psi|sigma|psi> psi|| =
     ||Q^{1/2} (c conj(g))|| is a vector norm there, c_k = w_k p_k^s.  The
-    span holds a few vectors, so its entries are scalar arithmetic.
+    span holds a few vectors, so its entries are scalar arithmetic.  The
+    third value is the span, (B, c, the mixture's mass off the sector), for
+    :func:`cat_span_frame`.
     """
     sign = {"even": 1.0, "odd": -1.0}[parity]
     w = [float(x) for x in weights]
@@ -211,7 +219,17 @@ def cat_span_distance(parity: str, beta: complex, weights, amps) -> tuple[float,
     if d > 1.0 + 1e-12:
         raise NumericalInconsistency(f"coherent-span distance {d} exceeds 1")
     residual = float(np.linalg.norm(root @ (c * g.conj())))
-    return min(d, 1.0), residual
+    return min(d, 1.0), residual, (cols, c, other)
+
+
+def cat_span_frame(span) -> tuple[np.ndarray, np.ndarray, float]:
+    """The cat on an eigenbasis of the pair mixture, from the span that
+    :func:`cat_span_distance` returns: its amplitudes on the eigenvectors of
+    the mixture's part in the span, B C B^+ (the cat is the first basis
+    vector), the eigenvalues there, and the mixture's mass off the span."""
+    cols, c, other = span
+    lam, vec = np.linalg.eigh((cols * c) @ cols.conj().T)
+    return vec[0].conj(), np.clip(lam, 0.0, None), other
 
 
 def _psd_sqrt(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -749,8 +749,11 @@ def identify_pure_state(psi: FockVector) -> StateSpec | None:
 
     Used when a density matrix arrives without metadata (e.g. a factor
     obtained by partial tracing): matching against a family unlocks the
-    analytic bounds and the family's classical witnesses. Matches are
-    verified to 1e-8 in l2 before being accepted.
+    analytic bounds and the family's classical witnesses. The vector's norm
+    must lie within 1e-6 of 1, and a match is accepted when the vector lies
+    within an l2 distance of the family's reference, phases matched: 1e-8
+    for a number state and a N00N or single-photon state, 1e-7 for a
+    coherent state and a cat.
     """
     f = psi.flat
     nrm = float(np.linalg.norm(f))

@@ -67,12 +67,54 @@ def test_upper_witness_number_states():
     assert abs(b2.value - (1.0 - math.exp(-2.0))) < 1e-10
 
 
+def _reference_distance(state, ens):
+    """The trace distance from ``state`` to ``ens`` and, for a vector, the
+    eigenvector residual: a number-diagonal witness by ``upper_witness``, any
+    other realized densely to the state's own tail budget on the state's
+    truncation padded to hold it."""
+    if ens.is_diagonal():
+        b = upper_witness(state, ens)
+        return b.value, b.candidate.residual
+    return _padded_dense_distance(state, ens)
+
+
+def _padded(state, cutoffs, tail_tol):
+    """``state`` embedded in a truncation with at least ``cutoffs`` and a
+    budget of at most ``tail_tol``."""
+    cuts = tuple(max(a, b) for a, b in zip(state.trunc.cutoffs, cutoffs))
+    trunc = TruncationSpec(cuts, min(state.trunc.tail_tol, tail_tol))
+    own = tuple(slice(0, n + 1) for n in state.trunc.cutoffs)
+    if isinstance(state, FockVector):
+        amps = np.zeros(trunc.shape, dtype=np.complex128)
+        amps[own] = state.amps
+        return FockVector(trunc, amps)
+    mat = np.zeros(trunc.shape * 2, dtype=np.complex128)
+    mat[own * 2] = state.mat.reshape(state.trunc.shape * 2)
+    return DensityMatrix(trunc, mat.reshape(trunc.dim, trunc.dim))
+
+
+def _padded_dense_distance(state, ens):
+    """The dense half of :func:`_reference_distance`, for any witness."""
+    tol = state.trunc.tail_tol
+    s = _padded(state, ens.required_cutoffs(tol), tol)
+    sigma = ens.realize(s.trunc)
+    if isinstance(s, DensityMatrix):
+        return trace_distance(s, sigma), None
+    f = s.flat / s.norm()
+    sigma_f = sigma.mat @ f
+    residual = float(np.linalg.norm(sigma_f - np.vdot(f, sigma_f).real * f))
+    return trace_distance(outer(s), sigma), residual
+
+
 def test_upper_witness_cat_two_point():
     from ncdist import two_point_mixture
 
     psi = StateSpec("cat", {"parity": "even", "beta": 2.0}).build()
-    b = upper_witness(psi, two_point_mixture([2.0], [-2.0]))
-    assert abs(b.value - 0.5 * (1.0 - math.exp(-8.0))) < 1e-9
+    with pytest.raises(ValueError, match="number-diagonal"):
+        upper_witness(psi, two_point_mixture([2.0], [-2.0]))
+    d, _ = _reference_distance(psi, two_point_mixture([2.0], [-2.0]))
+    assert abs(d - 0.5 * (1.0 - math.exp(-8.0))) < 1e-9
+    assert abs(cat_span_distance("even", 2.0, [1.0], [2.0])[0] - d) < 1e-12
 
 
 def test_convexity_upper_weighted_sum():
@@ -280,10 +322,10 @@ def test_ring_lp_breaks_ties_between_equally_good_rings():
         _check_against_highs(rho, grid)
 
 
-def test_ring_lp_matches_highs_past_its_bland_switch():
-    # the even mixture of two rings of this grid: from its best single ring
-    # the LP takes a run of more than m degenerate pivots, which hands
-    # pricing and the ratio test to Bland's rule for its last pivots
+def test_ring_lp_matches_highs_on_a_degenerate_optimum():
+    # the even mixture of two rings of this grid: at the optimum every row
+    # is tight, and on the true target the simplex from the best single ring
+    # met a run of more than m degenerate pivots
     cutoff = 9
     grid = np.array([
         0.09173793958026932, 0.9658385470146418, 1.2896517813706105,
@@ -296,6 +338,26 @@ def test_ring_lp_matches_highs_past_its_bland_switch():
     b = diag_classical_minimize(rho, grid)
     assert b.value <= 1e-12
     _check_against_highs(rho, grid)
+
+
+# even two-ring mixtures on which the simplex cycled until its pivot cap
+# (11226, 13179, 13348, 16354) or stopped on a vertex above its dual bound
+# (18368, after making the row past the cutoff, of entries near 1e-13 and
+# 1e-18, tight), and two where a basis recurs in rounding (2640, 3468)
+@pytest.mark.parametrize("s", [2640, 3468, 11226, 13179, 13348, 16354, 18368])
+def test_ring_lp_solves_even_two_ring_mixtures(s):
+    r = np.random.default_rng(s)
+    cutoff = int(r.integers(1, 12))
+    k = int(r.integers(2, 12))
+    grid = np.sort(r.uniform(0, 6, k))
+    i, j = r.choice(k, 2, replace=False)
+    p = 0.5 * bounds._pois_columns(cutoff, grid[[i, j]]).sum(axis=1)[:-1]
+    rho = DensityMatrix(TruncationSpec((cutoff,)), np.diag(p).astype(complex))
+    b = diag_classical_minimize(rho, grid)
+    # the two rings at weight 1/2 each are at distance 0
+    assert b.value <= 1e-10
+    heavy = {e for e, w in zip(b.witness["energies"], b.witness["weights"]) if w > 1e-6}
+    assert heavy == {float(grid[i]), float(grid[j])}
 
 
 def test_ring_columns_equal_the_poisson_pmf_bit_for_bit():
@@ -458,8 +520,8 @@ def test_report_entangled_coherent_matches_cat():
         images = [b for b in ecs.uppers if b.name.endswith("-image")]
         assert {b.name for b in images} == {"sigma-beta-image", "sigma-alpha-star-image"}
         for b in images:
-            dense = upper_witness(psi, b.candidate.ensemble)
-            assert abs(b.value - dense.value) < 1e-12, (spec.state_id(), b.name)
+            dense, _ = _reference_distance(psi, b.candidate.ensemble)
+            assert abs(b.value - dense) < 1e-12, (spec.state_id(), b.name)
         # the bracket is the cat's without its ring
         cat = report(StateSpec("cat", {"parity": parity, "beta": beta}))
         no_ring = [b for b in cat.uppers if b.name != "dephased-ring"]
@@ -480,8 +542,8 @@ def test_report_entangled_coherent_keeps_the_ring_where_the_splitter_mixes_nothi
     assert "dephased-ring-image" in {b.name for b in images}
     psi = spec.build()
     for b in images:
-        dense = upper_witness(psi, b.candidate.ensemble)
-        assert abs(b.value - dense.value) < 1e-14, b.name
+        dense, _ = _reference_distance(psi, b.candidate.ensemble)
+        assert abs(b.value - dense) < 1e-14, b.name
 
 
 def test_report_entangled_coherent_builds_no_two_mode_state(monkeypatch):
@@ -587,8 +649,8 @@ def test_best_point_is_the_distance_to_the_peak_coherent_point(state):
     assert point.witness["type"] == "coherent-point"
     psi = state.build() if isinstance(state, StateSpec) else state
     alpha = [complex(*a) for a in point.witness["alpha"]]
-    big = psi.trunc.union(TruncationSpec((30,) * psi.trunc.nmodes, 1e-13))
-    dense = trace_distance(outer(psi.pad(big)), outer(coherent_amps(alpha, big)))
+    big = _padded(psi, (30,) * psi.trunc.nmodes, 1e-13)
+    dense = trace_distance(outer(big), outer(coherent_amps(alpha, big.trunc)))
     assert abs(point.value - dense) <= 1e-9
 
 
@@ -654,24 +716,25 @@ def test_pure_vacuum_number_reports_stay_exact_and_saturated(n, eta):
     ],
 )
 def test_exact_reports_frame_each_witness_once(monkeypatch, kind, params, rotations):
-    framed, rotated = [], []
-    frame, rotate = bounds._WitnessCandidate.frame, bounds.apply_affine
+    measured, rotated = [], []
+    measure, rotate = bounds._Frame.measure, bounds.apply_affine
 
-    def counting_frame(self, state):
-        framed.append(id(self))
-        return frame(self, state)
+    def counting_measure(self):
+        measured.append(id(self))
+        return measure(self)
 
     def counting_rotate(*args):
         rotated.append(args)
         return rotate(*args)
 
-    monkeypatch.setattr(bounds._WitnessCandidate, "frame", counting_frame)
+    monkeypatch.setattr(bounds._Frame, "measure", counting_measure)
     monkeypatch.setattr(bounds, "apply_affine", counting_rotate)
     rep = _spec_report(kind, params)
     assert rep.exact is not None and rep.saturation["ok"]
-    # the saturation check reads the residual measured with the distance
+    # the saturation check reads the residual measured with the distance,
+    # and each witness keeps the one frame it was measured on
     witnesses = [b.candidate for b in rep.uppers if b.candidate is not None]
-    assert sorted(framed) == sorted(id(c) for c in witnesses)
+    assert sorted(measured) == sorted(id(c.frame) for c in witnesses)
     assert len(rotated) == rotations
 
 
@@ -804,14 +867,50 @@ def test_pure_product_keeps_the_exact_value_of_its_factor():
 
 def test_raw_product_reports_when_its_padded_witness_passes_the_dense_cap():
     # the state has 252 basis states; its tensored cat and axis-ring
-    # witness would be realized densely on a (27, 19, 19) truncation
+    # witness, realized densely, would need a (27, 19, 19) truncation, but
+    # it is measured on its factors' frames: 2 x 9 entries
     cat = StateSpec("cat", {"parity": "odd", "beta": 0.7}).build()
     noon = StateSpec("noon", {"n": 2, "c": (0.6, 0.8)}).build()
     rep = report(tensor(cat, noon))
     m = cat_qmax(CatParams("odd", 0.7)).value * husimi.noon_qmax_analytic(2, [0.6, 0.8]).value
-    assert [b.name for b in rep.uppers] == ["overlap-sqrt"]
+    assert [b.name for b in rep.uppers] == ["factor-witness", "overlap-sqrt"]
     assert abs(rep.best_lower - (1.0 - m)) <= 1e-12
-    assert abs(rep.best_upper - math.sqrt(1.0 - m)) <= 1e-12
+    (wit,) = [b for b in rep.uppers if b.name == "factor-witness"]
+    assert rep.best_upper == wit.value
+    # below the overlap-sqrt upper that was the bracket's only one
+    assert rep.best_lower <= wit.value < math.sqrt(1.0 - m) - 0.02
+
+
+_EVEN_CAT = StateSpec("cat", {"parity": "even", "beta": 1.0}).build()
+_ODD_CAT = StateSpec("cat", {"parity": "odd", "beta": 0.7}).build()
+_NOON = StateSpec("noon", {"n": 2, "c": (0.6, 0.8)}).build()
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        tensor(_EVEN_CAT, _ONE),
+        _ONE_COHERENT,
+        tensor(_EVEN_CAT, _EVEN_CAT),
+        tensor(outer(_EVEN_CAT), _DIAG),
+        tensor(_ODD_CAT, _NOON),
+    ],
+    ids=["cat-one", "one-coherent", "cat-cat", "cat-density-diagonal", "cat-noon"],
+)
+def test_raw_products_measure_their_witness_on_the_factors_frames(monkeypatch, state):
+    monkeypatch.setattr(ClassicalEnsemble, "realize", _refuse_dense)
+    rep = report(state)
+    monkeypatch.undo()
+    (wit,) = [b for b in rep.uppers if b.name == "factor-witness"]
+    assert rep.best_lower <= wit.value
+    if state.trunc.nmodes == 3:
+        # cat (x) N00N: no dense reference fits under the dense cap
+        assert wit.value < 0.9628412
+        return
+    if state is _ONE_COHERENT:
+        assert rep.exact == pytest.approx(1.0 - G1, abs=1e-12)
+    dense, _ = _padded_dense_distance(state, wit.candidate.ensemble)
+    assert abs(wit.value - dense) <= state.trunc.tail_tol
 
 
 def test_product_state_lower_bound_multiplies():
@@ -967,8 +1066,8 @@ def test_support_route_matches_dense_on_a_padded_truncation(state, ens):
     value = upper_witness(state, ens).value
     # generous padding: the witness kept to a thousandth of the budget
     cuts = tuple(c + 4 for c in ens.required_cutoffs(tail * 1e-3))
-    big = state.trunc.union(TruncationSpec(cuts, tail))
-    rho = state.pad(big)
+    rho = _padded(state, cuts, tail)
+    big = rho.trunc
     rho = outer(rho) if isinstance(rho, FockVector) else rho
     dense = trace_distance(rho, ens.realize(big))
     assert -1e-15 <= value - dense <= tail
@@ -991,8 +1090,7 @@ def _padded_pair_reference(parity, beta, weights, amps):
     )
     trunc = TruncationSpec((int(beta * beta + 10 * beta + 30),), tail)
     psi = StateSpec("cat", {"parity": parity, "beta": beta}, trunc).build()
-    b = upper_witness(psi, ens)
-    return b.value, b.candidate.residual
+    return _reference_distance(psi, ens)
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
@@ -1006,7 +1104,7 @@ def test_cat_span_kernel_matches_the_padded_route(parity, beta):
         ([0.3, 0.7], [beta, 1.3 * beta * np.exp(2.0j)]),
     ]
     for weights, amps in mixtures:
-        d, residual = cat_span_distance(parity, beta, weights, amps)
+        d, residual, _ = cat_span_distance(parity, beta, weights, amps)
         d_ref, residual_ref = _padded_pair_reference(parity, beta, weights, amps)
         assert abs(d - d_ref) <= 1e-12, amps
         assert abs(residual - residual_ref) <= 1e-10, amps

@@ -255,8 +255,8 @@ def test_tail_tol_binds_the_state_truncation_without_trunc(tmp_path, capsys):
 
 def test_tail_tol_flag_and_json_budget_give_one_factor_witness(tmp_path, capsys):
     # (|0.5> <0.5|) x (an even mixture of |0.3> and |-0.3>): the factor
-    # witness carries a coherent point, so it is realized on a padded
-    # truncation; 8 levels per mode hold the state to 1e-6 but not to 1e-12
+    # witness carries a coherent point; 8 levels per mode hold the state to
+    # 1e-6 but not to 1e-12
     terms = [
         {"w": 0.5, "state": {"kind": "coherent", "alpha": [[0.5, 0.0], [b, 0.0]]}}
         for b in (0.3, -0.3)

@@ -162,14 +162,6 @@ def test_number_vector_and_overlap():
     assert ov == pytest.approx(ref, abs=1e-15)
 
 
-def test_pad_preserves_amplitudes():
-    t = TruncationSpec((2,))
-    v = number_basis_vector((1,), t)
-    w = v.pad(TruncationSpec((5,)))
-    assert w.amps[1] == 1.0
-    assert w.norm() == pytest.approx(1.0)
-
-
 def test_outer_and_partial_trace_roundtrip():
     ta = TruncationSpec((2,))
     tb = TruncationSpec((3,))
