@@ -23,7 +23,11 @@ keeps (:class:`_Frame`): a number-diagonal witness on the state's support,
 a cat's coherent pair on the cat's coherent span, a coherent product
 against itself as (1, 1, 0), and a tensor product of factor witnesses on
 the Kronecker product of its factors' frames; no witness is realized on a
-truncation.  A state given without family metadata (a vector or a density
+truncation.  Passive optics leaves every distance unchanged, so an optics
+image of a family (an entangled-coherent state is B(eta)(cat (x) |0>), a
+one-photon superposition W(u)|1, 0, ..., 0>) gets the family's report with
+its witnesses carried through the optics by :func:`_image`; no state is
+rotated.  A state given without family metadata (a vector or a density
 matrix) takes one path, :func:`_report_raw`.
 """
 
@@ -38,7 +42,7 @@ from scipy.linalg import block_diag
 from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.special import gammainc
 
-from .channels import AffineOptics, affine_image, apply_affine
+from .channels import AffineOptics, affine_image
 from .errors import NumericalInconsistency, TruncationTooSmall
 from .fock import (
     DensityMatrix,
@@ -278,25 +282,19 @@ class _WitnessCandidate:
         return _WitnessCandidate(ClassicalEnsemble(comps), rot, frame=frame)
 
 
-def upper_witness(rho, sigma, *, name: str = "witness",
-                  rotation: np.ndarray | None = None) -> Bound:
+def upper_witness(rho, sigma, *, name: str = "witness") -> Bound:
     """Upper bound from one number-diagonal classical state (rings and
-    vacuum factors), optionally conjugated by ``rotation``: the exact trace
-    distance, with the witness framed on ``rho``'s number basis, rotated
-    back, its diagonal evaluated on the support only."""
+    vacuum factors): the exact trace distance, with the witness framed on
+    ``rho``'s number basis, its diagonal evaluated on the support only."""
     if not sigma.is_diagonal():
         raise ValueError("upper_witness takes number-diagonal witnesses only")
-    s = rho
-    if rotation is not None:
-        # W(u)^+ = W(u^+); a leak past the cutoffs is a truncation limit
-        s = apply_affine(AffineOptics(rotation.conj().T, np.zeros(len(rotation))), s)
-    pure = isinstance(s, FockVector)
-    support = np.flatnonzero(s.flat) if pure else np.arange(s.trunc.dim)
-    q = np.zeros(s.trunc.dim)
-    q[support] = sigma.diag_on(np.unravel_index(support, s.trunc.shape))
-    frame = _Frame(s.flat if pure else s.mat, q, 1.0 - float(q.sum()))
+    pure = isinstance(rho, FockVector)
+    support = np.flatnonzero(rho.flat) if pure else np.arange(rho.trunc.dim)
+    q = np.zeros(rho.trunc.dim)
+    q[support] = sigma.diag_on(np.unravel_index(support, rho.trunc.shape))
+    frame = _Frame(rho.flat if pure else rho.mat, q, 1.0 - float(q.sum()))
     d, residual = frame.measure()
-    return _witness_bound(name, d, _WitnessCandidate(sigma, rotation, residual, frame))
+    return _witness_bound(name, d, _WitnessCandidate(sigma, residual=residual, frame=frame))
 
 
 def _witness_bound(name: str, d: float, cand: _WitnessCandidate) -> Bound:
@@ -321,6 +319,43 @@ def _unitary_with_first_column(c: np.ndarray) -> np.ndarray:
     if np.linalg.norm(u[:, 0] - c) > 1e-12:
         raise NumericalInconsistency("unitary completion lost the leading column")
     return u
+
+
+def _image(rep: "BoundReport", u: np.ndarray, state_id: str) -> "BoundReport":
+    """The report of W(u)(psi (x) |0...0>) from ``rep``, psi's report, whose
+    witnesses carry no rotation of their own.
+
+    Passive optics maps the classical set onto itself, so the bounds, the
+    frames the witnesses were measured on, ``exact`` and the saturation
+    diagnostics carry over unchanged.  Each witness, padded with the vacuum,
+    is renamed ``-image`` and has its labels moved by :func:`affine_image`
+    where they can be (coherent points anywhere, rings through a phased
+    permutation); otherwise u rides along as its rotation.  The best point
+    alpha maps to u alpha."""
+
+    def carry(cand: _WitnessCandidate) -> _WitnessCandidate:
+        k = len(u) - cand.ensemble.nmodes
+        ens = ClassicalEnsemble(tuple(
+            (w, ProductComponent(c.factors + (CoherentFactor(0.0),) * k))
+            for w, c in cand.ensemble.components
+        ))
+        try:
+            return replace(cand, ensemble=affine_image(AffineOptics(u, np.zeros(len(u))), ens))
+        except ValueError:  # a ring that the interferometer mixes with other modes
+            return replace(cand, ensemble=ens, rotation=u)
+
+    def carried(b: Bound) -> Bound:
+        if b.name == "best-point":
+            alpha = [complex(*a) for a in b.witness["alpha"]]
+            return _point_upper(rep.sup_overlap, u @ (alpha + [0.0] * (len(u) - len(alpha))))
+        if b.candidate is None:
+            return b
+        cand = carry(b.candidate)
+        return replace(b, name=b.name + "-image", witness=cand.to_obj(), candidate=cand)
+
+    best = None if rep.best_witness is None else carry(rep.best_witness)
+    uppers = [carried(b) for b in rep.uppers]
+    return replace(rep, state_id=state_id, uppers=uppers, best_witness=best)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +442,9 @@ _RING_LP_PIVOTS_PER_COLUMN = 20
 # _RING_LP_PIVOT_TOL are not taken
 _RING_LP_TOL = 1e-12
 _RING_LP_PIVOT_TOL = 1e-11
+# basic values above -_RING_LP_FEAS_TOL are feasible; a lower one leaves
+# the basis by a dual pivot
+_RING_LP_FEAS_TOL = 1e-14
 # the largest shift of a row's target in the perturbed problem, and the
 # golden-ratio step that spreads the shifts over the rows
 _RING_LP_SHIFT = 1e-13
@@ -433,18 +471,20 @@ def _ring_lp(cols: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarr
     while the objective still falls, so one pivot crosses many kinks.
     Ties go to the smallest variable index.
 
-    The pivots run on a perturbed target, each row moved up by a distinct
-    amount below ``_RING_LP_SHIFT`` (Charnes, Econometrica 20, 160 (1952)),
-    so the kinks of the objective along an edge do not coincide: on an
-    even mixture of two grid rings, where every row turns tight at once,
-    the simplex neither cycles nor makes a row of rounding-sized entries
-    tight.  In floating point a basis can still recur once the objective
-    falls by less than its rounding; the simplex then stops there.  The
-    weights are solved from the final basis on the true target.
+    The pivots run first on a perturbed target, each row moved up by a
+    distinct amount below ``_RING_LP_SHIFT`` (Charnes, Econometrica 20, 160
+    (1952)), so the kinks of the objective along an edge do not coincide:
+    on an even mixture of two grid rings, where every row turns tight at
+    once, the simplex neither cycles nor makes a row of rounding-sized
+    entries tight.  They go on from that basis on the true target, where
+    it can price optimal yet hold a negative basic value (zero weights near
+    -5e-10 on such a mixture); a dual simplex pivot takes that out.  In
+    floating point a basis can recur once the objective falls by less than
+    its rounding; each of the two runs then stops there.
 
     Returns the weights, the row duals (length ``len(target)``) and the
-    pivot count.  Passing the pivot cap, a singular basis, or a pivot
-    column with no blocking entry raises ``NumericalInconsistency``.
+    pivot count.  Passing the pivot cap (over both runs), a singular basis,
+    or a pivot with no blocking entry raises ``NumericalInconsistency``.
     """
     m, k = cols.shape
     j0 = int(np.argmin(np.abs(target[:, None] - cols).sum(axis=0)))
@@ -456,86 +496,87 @@ def _ring_lp(cols: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     cap = _RING_LP_PIVOTS_PER_COLUMN * (k + 2 * m)
     pivots = 0
-    seen = set()
-    while True:
-        tight = np.flatnonzero(sign == 0.0)
-        cj = cols[:, basic]
-        reduced = np.ones((len(basic), len(basic)))
-        reduced[:-1] = cj[tight]
-        lu, perm, info = dgetrf(reduced)
-        if info != 0:
-            raise NumericalInconsistency("ring-mixture LP basis is singular")
-        rhs = np.ones(len(basic))
-        rhs[:-1] = shifted[tight]
-        w_basic = dgetrs(lu, perm, rhs)[0]
-        slack = sign * (shifted - cj @ w_basic)
-        # a basic slack prices its row at +-1/2; the basic columns fix the rest
-        y = 0.5 * sign
-        z = dgetrs(lu, perm, -(cj.T @ y), trans=1)[0]
-        y[tight] = z[:-1]
-        d = np.concatenate([-(y @ cols + z[-1]), 0.5 + y, 0.5 - y])
-        d[basic] = 0.0
+    for goal in (shifted, target):
+        seen = set()
+        while True:
+            tight = np.flatnonzero(sign == 0.0)
+            cj = cols[:, basic]
+            nb = len(basic)
+            lu, perm, info = dgetrf(np.vstack([cj[tight], np.ones(nb)]))
+            if info != 0:
+                raise NumericalInconsistency("ring-mixture LP basis is singular")
+            w_basic = dgetrs(lu, perm, np.append(goal[tight], 1.0))[0]
+            # basic values: the basic columns, then the rows' slacks (0 if tight)
+            value = np.concatenate([w_basic, sign * (goal - cj @ w_basic)])
+            # a basic slack prices its row at +-1/2; the basic columns fix the rest
+            y = 0.5 * sign
+            z = dgetrs(lu, perm, -(cj.T @ y), trans=1)[0]
+            y[tight] = z[:-1]
+            d = np.concatenate([-(y @ cols + z[-1]), 0.5 + y, 0.5 - y])
+            d[basic] = 0.0
 
-        q = int(np.argmin(d))
-        # a basis met before means the objective stopped falling past its
-        # rounding: every basis on that cycle is optimal to within it
-        basis = (frozenset(basic), sign.tobytes())
-        if d[q] >= -_RING_LP_TOL or basis in seen:
-            break
-        seen.add(basis)
-        if pivots >= cap:
-            raise NumericalInconsistency(f"ring-mixture LP passed its pivot cap ({cap})")
+            q, leave = int(np.argmin(d)), int(np.argmin(value))
+            # a basis met before means the objective stopped falling past its
+            # rounding: every basis on that cycle is optimal to within it
+            basis = (frozenset(basic), sign.tobytes())
+            if (d[q] >= -_RING_LP_TOL and value[leave] >= -_RING_LP_FEAS_TOL) or basis in seen:
+                break
+            seen.add(basis)
+            if pivots >= cap:
+                raise NumericalInconsistency(f"ring-mixture LP passed its pivot cap ({cap})")
+            if d[q] < -_RING_LP_TOL:
+                # the pivot column: B alpha = a_q, in the basic columns then the rows
+                if q < k:
+                    a_rows, last = cols[:, q], 1.0
+                else:
+                    a_rows, last = np.zeros(m), 0.0
+                    a_rows[(q - k) % m] = 1.0 if q >= k + m else -1.0
+                alpha_basic = dgetrs(lu, perm, np.append(a_rows[tight], last))[0]
+                alpha = np.concatenate([alpha_basic, sign * (a_rows - cj @ alpha_basic)])
+                # leaving candidates: basic columns, then the rows' basic slacks
+                # (a tight row has none, and its alpha is 0)
+                var = np.concatenate([basic, k + np.arange(m) + np.where(sign > 0, m, 0)])
+                eligible = np.flatnonzero(alpha > _RING_LP_PIVOT_TOL)
+                if eligible.size == 0:
+                    raise NumericalInconsistency("ring-mixture LP found no positive pivot")
+                ratios = np.maximum(value[eligible], 0.0) / alpha[eligible]
+                eligible = eligible[np.lexsort((var[eligible], ratios))]
+                # long step: a slack that reaches 0 hands its row to its twin
+                # while the objective still falls, the slope rising by alpha_i
+                is_slack = eligible >= nb
+                slope = d[q] + np.cumsum(np.where(is_slack, alpha[eligible], 0.0))
+                stop = int(np.argmax(~is_slack | (slope >= -_RING_LP_TOL)))
+                if is_slack[stop] and slope[stop] < -_RING_LP_TOL:
+                    raise NumericalInconsistency("ring-mixture LP found no blocking pivot")
+                sign[eligible[:stop] - nb] *= -1.0
+                leave = int(eligible[stop])
+            else:
+                # the dual pivot: the pivot row rho B = e_leave, solved as y is
+                e = np.zeros(nb + m)
+                e[leave] = 1.0
+                rho = e[nb:] * sign
+                z = dgetrs(lu, perm, e[:nb] - cj.T @ rho, trans=1)[0]
+                rho[tight] = z[:-1]
+                alpha = -np.concatenate([rho @ cols + z[-1], -rho, rho])
+                alpha[basic] = 0.0
+                eligible = np.flatnonzero(alpha > _RING_LP_PIVOT_TOL)
+                if eligible.size == 0:
+                    raise NumericalInconsistency("ring-mixture LP found no dual pivot")
+                ratios = np.maximum(d[eligible], 0.0) / alpha[eligible]
+                q = int(eligible[np.lexsort((eligible, ratios))[0]])
 
-        # the pivot column: B alpha = a_q, in the basic columns then the rows
-        if q < k:
-            a_rows = cols[:, q]
-            rhs[-1] = 1.0
-        else:
-            r0, q_sign = (q - k, -1.0) if q < k + m else (q - k - m, 1.0)
-            a_rows = np.zeros(m)
-            a_rows[r0] = q_sign
-            rhs[-1] = 0.0
-        rhs[:-1] = a_rows[tight]
-        alpha_basic = dgetrs(lu, perm, rhs)[0]
-        alpha_rows = sign * (a_rows - cj @ alpha_basic)
+            if leave < nb:
+                basic.pop(leave)
+            else:
+                sign[leave - nb] = 0.0
+            if q < k:
+                basic.append(q)
+            else:
+                sign[(q - k) % m] = 1.0 if q >= k + m else -1.0
+            pivots += 1
 
-        # leaving candidates: basic columns, then the rows' basic slacks
-        nb = len(basic)
-        alpha = np.concatenate([alpha_basic, alpha_rows])
-        value = np.concatenate([w_basic, slack])
-        var = np.concatenate([basic, k + np.arange(m) + np.where(sign > 0, m, 0)])
-        # (a tight row has no basic slack, and its alpha is 0)
-        eligible = np.flatnonzero(alpha > _RING_LP_PIVOT_TOL)
-        if eligible.size == 0:
-            raise NumericalInconsistency("ring-mixture LP found no positive pivot")
-        ratios = np.maximum(value[eligible], 0.0) / alpha[eligible]
-        order = np.lexsort((var[eligible], ratios))
-        eligible = eligible[order]
-        # long step: a slack that reaches 0 hands its row to its twin while
-        # the objective still falls, the slope rising by alpha_i
-        is_slack = eligible >= nb
-        slope = d[q] + np.cumsum(np.where(is_slack, alpha[eligible], 0.0))
-        stop = int(np.argmax(~is_slack | (slope >= -_RING_LP_TOL)))
-        if is_slack[stop] and slope[stop] < -_RING_LP_TOL:
-            raise NumericalInconsistency("ring-mixture LP found no blocking pivot")
-        sign[eligible[:stop] - nb] *= -1.0
-        leave = int(eligible[stop])
-
-        if q < k:
-            basic.append(q)
-        else:
-            sign[r0] = q_sign
-        if leave < nb:
-            basic.pop(leave)
-        else:
-            sign[leave - nb] = 0.0
-        pivots += 1
-
-    # the optimal basis of the perturbed problem, solved on the true target
-    rhs = np.ones(len(basic))
-    rhs[:-1] = target[tight]
     w = np.zeros(k)
-    w[basic] = dgetrs(lu, perm, rhs)[0]
+    w[basic] = w_basic
     return w, y, pivots
 
 
@@ -793,20 +834,26 @@ def _report_number(spec: StateSpec) -> BoundReport:
     return _assemble(spec.state_id(), _pure_lowers(m), uppers, psi, sup_overlap=m)
 
 
-def _report_axis_superposition(spec: StateSpec) -> BoundReport:
-    """Superpositions of a single excited mode: one photon along an
-    arbitrary direction, or n photons spread over the modes.
+def _report_one_photon(spec: StateSpec) -> BoundReport:
+    """One photon along c, sum_m c_m |1_m> = W(u)|1, 0, ..., 0> for any
+    unitary u whose first column is c: the number state's report, carried
+    through u by :func:`_image`, with the superposition never built."""
+    c = np.asarray(spec.params["c"], dtype=np.complex128)
+    ns = (1,) + (0,) * (len(c) - 1)
+    rep = _report_number(StateSpec("number", {"ns": ns}, trunc=spec.trunc))
+    return _image(rep, _unitary_with_first_column(c), spec.state_id())
 
-    For n >= 2 the witness is the mixture of axis rings weighted by
+
+def _report_axis_superposition(spec: StateSpec) -> BoundReport:
+    """N00N states, n >= 2 photons spread over the modes.
+
+    The witness is the mixture of axis rings weighted by
     a_m = |c_m|^2.  Against rings of weights w the distance is the root
     lambda of sum_m a_m / (lambda + w_m gamma_n) = 1; equal weights give
     1 - gamma_n / M, and since a -> a / (lambda + a gamma_n) is concave the
     sum at that lambda is at most 1 with w = a, so these weights do at
     least as well as equal ones."""
-    if spec.kind == "single_photon":
-        n, c = 1, np.asarray(spec.params["c"], dtype=np.complex128)
-    else:
-        n, c = int(spec.params["n"]), np.asarray(spec.params["c"], dtype=np.complex128)
+    n, c = int(spec.params["n"]), np.asarray(spec.params["c"], dtype=np.complex128)
     c = c / np.linalg.norm(c)
     nmodes = len(c)
     psi = spec.build()
@@ -814,31 +861,11 @@ def _report_axis_superposition(spec: StateSpec) -> BoundReport:
     m = sup.value
     _check_attained(psi, sup.argmax[0], m, spec)
 
-    uppers = [_point_upper(m, sup.argmax[0])]
-    if n == 1:
-        # a ring along the excitation direction is an eigenstate mixture
-        uppers.append(
-            upper_witness(
-                psi,
-                phase_ring(1.0, mode=0, nmodes=nmodes),
-                name="directional-ring",
-                rotation=_unitary_with_first_column(c),
-            )
-        )
-    else:
-        comps = tuple(
-            (
-                float(w),
-                ProductComponent(
-                    tuple(
-                        RingFactor(float(n)) if j == mode else CoherentFactor(0.0)
-                        for j in range(nmodes)
-                    )
-                ),
-            )
-            for mode, w in enumerate(np.abs(c) ** 2)
-        )
-        uppers.append(upper_witness(psi, ClassicalEnsemble(comps), name="axis-rings"))
+    rings = ClassicalEnsemble(tuple(
+        (float(w), phase_ring(float(n), mode, nmodes).components[0][1])
+        for mode, w in enumerate(np.abs(c) ** 2)
+    ))
+    uppers = [_point_upper(m, sup.argmax[0]), upper_witness(psi, rings, name="axis-rings")]
     return _assemble(spec.state_id(), _pure_lowers(m), uppers, psi, sup_overlap=m)
 
 
@@ -878,29 +905,7 @@ def _report_cat(spec: StateSpec) -> BoundReport:
     rep = _assemble(spec.state_id(), _pure_lowers(m), uppers, psi, sup_overlap=m)
     if spec.kind == "cat":
         return rep
-
-    # carry each witness, padded with the vacuum mode, through the splitter;
-    # its frame carries unchanged, the vacuum's being (1, 1, 0)
-    optics = AffineOptics(beam_splitter(float(spec.params["eta"])).T, np.zeros(2))
-
-    def image(cand):
-        padded = ClassicalEnsemble(tuple(
-            (w, ProductComponent(c.factors + (CoherentFactor(0.0),)))
-            for w, c in cand.ensemble.components
-        ))
-        return _WitnessCandidate(affine_image(optics, padded), frame=cand.frame)
-
-    def carried(b):
-        if b.name == "best-point":
-            return _point_upper(m, optics.label_map([alpha_star, 0.0]))
-        cand = image(b.candidate)
-        return replace(b, name=b.name + "-image", witness=cand.to_obj(), candidate=cand)
-
-    return replace(
-        rep,
-        uppers=[carried(b) for b in rep.uppers],
-        best_witness=image(rep.best_witness),
-    )
+    return _image(rep, beam_splitter(float(spec.params["eta"])).T, spec.state_id())
 
 
 def _report_classical_ensemble(
@@ -913,15 +918,7 @@ def _report_classical_ensemble(
     0), and is framed as (1, 1, 0), dropping out of a tensored witness."""
     frame = _SELF_FRAME if sup_overlap is not None else None
     cand = _WitnessCandidate(ens, residual=0.0, frame=frame)
-    uppers = [
-        Bound(
-            "self-witness",
-            0.0,
-            "eq2-witness-upper",
-            witness=cand.to_obj(),
-            candidate=cand,
-        )
-    ]
+    uppers = [_witness_bound("self-witness", 0.0, cand)]
     return _assemble(state_id, [], uppers, ens, sup_overlap=sup_overlap)
 
 
@@ -954,14 +951,34 @@ def _report_vacuum_number(spec: StateSpec) -> BoundReport:
     return _assemble(spec.state_id(), [tri_lo], [diag], rho, sup_overlap=sup)
 
 
+def _classical_terms(spec: StateSpec) -> ClassicalEnsemble | None:
+    """The ensemble of a coherent or phase-randomized state, or of a
+    mixture whose present terms are all such (through nested mixtures);
+    None for any other state."""
+    if spec.kind == "coherent":
+        return coherent_point_ensemble(spec.params["alpha"])
+    if spec.kind == "phase_randomized":
+        return spec.build()
+    if spec.kind != "mixture":
+        return None
+    present = [(w, _classical_terms(t)) for w, t in spec.params["terms"] if w > 0]
+    if any(ens is None for _, ens in present):
+        return None
+    return ClassicalEnsemble(tuple((w * v, c) for w, ens in present for v, c in ens.components))
+
+
 def _report_mixture(spec: StateSpec, seed: int) -> BoundReport:
-    terms = [(float(w), report(term, seed=seed)) for w, term in spec.params["terms"] if w > 0]
-    if len(terms) == 1:
+    present = [(float(w), term) for w, term in spec.params["terms"] if w > 0]
+    if len(present) == 1:
         # the weights are normalized at parse time, so the mixture is its
         # one present term, and that term's report keeps its exact value
-        rep = terms[0][1]
+        rep = report(present[0][1], seed=seed)
         rep.state_id = spec.state_id()
         return rep
+    ens = _classical_terms(spec)
+    if ens is not None:  # a mixture of classical states is classical
+        return _report_classical_ensemble(ens, spec.state_id())
+    terms = [(w, report(term, seed=seed)) for w, term in present]
     convex = convexity_upper(terms)
     rho = spec.build()
     base = _report_raw(rho, seed)
@@ -1137,7 +1154,9 @@ def _default_id(state) -> str:
 def _report_spec(spec: StateSpec, seed: int) -> BoundReport:
     if spec.kind == "number":
         return _report_number(spec)
-    if spec.kind in ("single_photon", "noon"):
+    if spec.kind == "single_photon" or (spec.kind == "noon" and spec.params["n"] == 1):
+        return _report_one_photon(spec)
+    if spec.kind == "noon":
         return _report_axis_superposition(spec)
     if spec.kind in ("cat", "entangled_coherent"):
         return _report_cat(spec)

@@ -61,7 +61,9 @@ class AffineOptics:
 def apply_affine(channel: AffineOptics, state):
     """Apply the channel to a FockVector or DensityMatrix on its truncation.
 
-    The interferometer acts first, then the displacements. The
+    The interferometer acts first, then the displacements.  Each is an
+    operator U whose ``apply`` multiplies along the flat basis axis: U psi
+    for a vector, and U rho U^+ = (U (U rho)^+)^+ for a matrix.  The
     interferometer keeps the photon number, so it is built only on the
     shells the state's diagonal occupies, and D(0) = I is skipped.
     Probability lost past the cutoffs must stay within 10x the truncation
@@ -74,18 +76,20 @@ def apply_affine(channel: AffineOptics, state):
     if channel.nmodes != trunc.nmodes:
         raise ValueError("channel/state mode count mismatch")
     vec = isinstance(state, FockVector)
-    diag = state.flat if vec else state.mat.diagonal()
+    x = state.flat if vec else state.mat
+    diag = x if vec else x.diagonal()
     shells = np.unique(trunc.totals()[diag != 0])
     ops = [passive_unitary(channel.mode_matrix, trunc, shells)]
     if np.any(channel.displacements):
         ops.append(displacement(channel.displacements, trunc))
-    out = state
     for op in ops:
-        out = op.apply_vec(out) if vec else op.apply_density(out)
+        x = op.apply(x) if vec else op.apply(op.apply(x).conj().T).conj().T
 
     if vec:
+        out = FockVector(trunc, x.reshape(trunc.shape))
         leak = abs(out.norm_defect() - state.norm_defect())
     else:
+        out = DensityMatrix(trunc, x)
         leak = abs(state.trace() - out.trace())
     if leak > 10.0 * trunc.tail_tol:
         grow = max(4, int(math.ceil(4.0 * float(np.abs(channel.displacements).max() + 1.0)
@@ -94,8 +98,6 @@ def apply_affine(channel: AffineOptics, state):
             f"channel leaked {leak:.3e} probability past the cutoffs",
             suggested_cutoffs=tuple(n + grow for n in trunc.cutoffs),
         )
-    if not vec:
-        out.meta = {**(out.meta or {}), "leakage_bound": leak}
     return out
 
 
@@ -160,7 +162,6 @@ def dephase_number(state) -> DensityMatrix:
         return DensityMatrix(
             state.trunc,
             np.diag(state.mat.diagonal().real).astype(np.complex128),
-            meta=state.meta,
         )
     raise TypeError(f"unsupported state type {type(state)!r}")
 

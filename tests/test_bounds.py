@@ -29,7 +29,7 @@ from ncdist import (
     upper_witness,
     vacuum_number_diag,
 )
-from ncdist import bounds, channels, husimi, metrics, states
+from ncdist import bounds, channels, fock, husimi, metrics, states
 from ncdist.fock import coherent_amps, poisson_pmf, poisson_tail
 from ncdist.husimi import cat_qmax, gamma_n, q_sup
 from ncdist.metrics import cat_span_distance, trace_distance
@@ -344,7 +344,10 @@ def test_ring_lp_matches_highs_on_a_degenerate_optimum():
 # (11226, 13179, 13348, 16354) or stopped on a vertex above its dual bound
 # (18368, after making the row past the cutoff, of entries near 1e-13 and
 # 1e-18, tight), and two where a basis recurs in rounding (2640, 3468)
-@pytest.mark.parametrize("s", [2640, 3468, 11226, 13179, 13348, 16354, 18368])
+# and two where the perturbed problem's optimal basis, solved on the true
+# target, held weights near -5e-10 and stopped 1.9e-11 (13179) and 2.4e-11
+# (15044) above the optimum 0, until a dual pivot took them out
+@pytest.mark.parametrize("s", [2640, 3468, 11226, 13179, 13348, 15044, 16354, 18368])
 def test_ring_lp_solves_even_two_ring_mixtures(s):
     r = np.random.default_rng(s)
     cutoff = int(r.integers(1, 12))
@@ -355,7 +358,7 @@ def test_ring_lp_solves_even_two_ring_mixtures(s):
     rho = DensityMatrix(TruncationSpec((cutoff,)), np.diag(p).astype(complex))
     b = diag_classical_minimize(rho, grid)
     # the two rings at weight 1/2 each are at distance 0
-    assert b.value <= 1e-10
+    assert b.value <= (1e-13 if s in (13179, 15044) else 1e-10)
     heavy = {e for e, w in zip(b.witness["energies"], b.witness["weights"]) if w > 1e-6}
     assert heavy == {float(grid[i]), float(grid[j])}
 
@@ -423,22 +426,34 @@ def test_report_single_photon_any_direction():
         assert abs(rep.exact - (1.0 - G1)) < 1e-8
 
 
-def test_report_single_photon_rotates_only_the_one_photon_shell(monkeypatch):
+def _refuse_optics(*args, **kwargs):
+    raise AssertionError("an interferometer or a one-photon superposition was built")
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("single_photon", {}), ("noon", {"n": 1})],
+)
+def test_one_photon_reports_are_images_of_the_number_state(monkeypatch, kind, params):
+    # sum_m c_m |1_m> is W(u)|1, 0, ..., 0>: the number state's report is
+    # carried through u, and neither the interferometer nor the
+    # superposition itself is built
     m = 10
-    built = []
-
-    def recording(u, trunc, shells=None):
-        w = builder(u, trunc, shells)
-        built.extend(b.shape for _, b in w.blocks)
-        return w
-
-    builder = channels.passive_unitary
-    monkeypatch.setattr(channels, "passive_unitary", recording)
-    rep = _spec_report("single_photon", {"c": (1.0 / math.sqrt(m),) * m})
-    assert abs(rep.exact - (1.0 - G1)) < 1e-12
-    # the state's truncation holds 2^10 amplitudes; only its one-photon
-    # shell, the 10 x 10 mode matrix, is built
-    assert built and set(built) == {(m, m)}
+    for mod in (channels, fock):
+        monkeypatch.setattr(mod, "passive_unitary", _refuse_optics)
+    monkeypatch.setattr(states, "noon_vector", _refuse_optics)
+    c = np.exp(1j * np.arange(m)) / math.sqrt(m)
+    rep = _spec_report(kind, {**params, "c": tuple(c)})
+    assert abs(rep.exact - (1.0 - G1)) < 1e-12 and rep.saturation["ok"]
+    ring, point = rep.uppers
+    assert ring.name == "ring-product-image" and point.name == "best-point"
+    # the ring rides on an interferometer whose first column is c, and the
+    # point where the Q function of |1, 0, ..., 0> peaks maps to c
+    u = rep.best_witness.rotation
+    assert np.abs(u[:, 0] - c).max() < 1e-12
+    assert np.abs(u.conj().T @ u - np.eye(m)).max() < 1e-12
+    alpha = np.array([complex(*a) for a in point.witness["alpha"]])
+    assert np.abs(alpha - c).max() < 1e-12
 
 
 def test_report_noon_equal_amplitudes_exact():
@@ -581,7 +596,7 @@ _DIAG = DensityMatrix(TruncationSpec((2,)), np.diag([0.5, 0.3, 0.2]))
         (
             StateSpec("single_photon", {"c": (0.6, 0.8j)}),
             ["pure-overlap"],
-            ["directional-ring", "best-point"],
+            ["ring-product-image", "best-point"],
         ),
         (
             StateSpec("noon", {"n": 2, "c": (_INV2, _INV2)}),
@@ -707,17 +722,38 @@ def test_pure_vacuum_number_reports_stay_exact_and_saturated(n, eta):
     assert sat["attainment_defect"] <= 1e-15
 
 
+def test_raw_one_photon_states_report_through_the_number_state():
+    c = np.array([0.6, 0.48j, 0.64])
+    photon = StateSpec("single_photon", {"c": tuple(c)}).build()
+    rep = report(photon)
+    assert abs(rep.exact - (1.0 - G1)) <= 1e-12 and rep.saturation["ok"]
+    assert [b.name for b in rep.uppers] == ["ring-product-image", "best-point"]
+
+    # beside a coherent factor, the tensored witness keeps the number
+    # state's frame and the interferometer on the photon's modes
+    joint = tensor(photon, coherent_amps([0.5], TruncationSpec((12,))))
+    rep = report(joint)
+    (wit,) = [b for b in rep.uppers if b.name == "factor-witness"]
+    assert abs(rep.exact - (1.0 - G1)) <= 1e-12
+    u = wit.candidate.rotation
+    assert np.abs(u[:3, 0] - c).max() < 1e-12 and u[3, 3] == 1.0
+    # in-test reference: rotate the state back and measure the witness densely
+    back = channels.apply_affine(channels.AffineOptics(u.conj().T, np.zeros(4)), joint)
+    dense, _ = _padded_dense_distance(back, wit.candidate.ensemble)
+    assert abs(wit.value - dense) <= joint.trunc.tail_tol
+
+
 @pytest.mark.parametrize(
     "kind, params, rotations",
     [
-        ("single_photon", {"c": (0.6, 0.48j, 0.64)}, 1),
+        ("single_photon", {"c": (0.6, 0.48j, 0.64)}, 0),
         ("number", {"ns": (1, 2)}, 0),
         ("noon", {"n": 2, "c": (0.5, 0.5j, -0.5, 0.5)}, 0),
     ],
 )
 def test_exact_reports_frame_each_witness_once(monkeypatch, kind, params, rotations):
     measured, rotated = [], []
-    measure, rotate = bounds._Frame.measure, bounds.apply_affine
+    measure, rotate = bounds._Frame.measure, channels.passive_unitary
 
     def counting_measure(self):
         measured.append(id(self))
@@ -728,13 +764,14 @@ def test_exact_reports_frame_each_witness_once(monkeypatch, kind, params, rotati
         return rotate(*args)
 
     monkeypatch.setattr(bounds._Frame, "measure", counting_measure)
-    monkeypatch.setattr(bounds, "apply_affine", counting_rotate)
+    monkeypatch.setattr(channels, "passive_unitary", counting_rotate)
     rep = _spec_report(kind, params)
     assert rep.exact is not None and rep.saturation["ok"]
     # the saturation check reads the residual measured with the distance,
     # and each witness keeps the one frame it was measured on
     witnesses = [b.candidate for b in rep.uppers if b.candidate is not None]
     assert sorted(measured) == sorted(id(c.frame) for c in witnesses)
+    # no state is rotated: a single photon's witness is carried instead
     assert len(rotated) == rotations
 
 
@@ -746,6 +783,36 @@ def test_report_mixture_kind_matches_dedicated_path():
     rep_v = _spec_report("vacuum_number_mixture", {"n": 1, "eta": 0.6})
     assert abs(rep_m.best_lower - rep_v.best_lower) < 1e-9
     assert abs(rep_m.best_upper - rep_v.best_upper) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [(0.5, {"kind": "coherent", "alpha": [[1, 0]]}), (0.5, {"kind": "coherent", "alpha": [[-1, 0]]})],
+        [(0.3, {"kind": "phase_randomized", "energy": 2.0}), (0.7, {"kind": "mixture", "terms": [
+            {"w": 0.5, "state": {"kind": "coherent", "alpha": [[0.4, 0.3]]}},
+            {"w": 0.5, "state": {"kind": "phase_randomized", "energy": 0.5}},
+            {"w": 0.0, "state": {"kind": "number", "ns": [3]}},
+        ]})],
+        [(0.5, {"kind": "coherent", "alpha": [[0.5, 0], [0.3, 0]]}),
+         (0.5, {"kind": "coherent", "alpha": [[0.5, 0], [-0.3, 0]]})],
+    ],
+    ids=["two-points", "nested-rings-and-point", "two-mode-points"],
+)
+def test_mixture_of_classical_terms_is_its_own_witness(monkeypatch, terms):
+    # no state is realized and no Husimi search runs: the weighted ensemble
+    # is at distance 0 from itself
+    def refuse(*args, **kwargs):
+        raise AssertionError("a classical mixture was realized or searched")
+
+    monkeypatch.setattr(ClassicalEnsemble, "realize", refuse)
+    monkeypatch.setattr(bounds, "q_sup", refuse)
+    spec = parse_state({"kind": "mixture", "terms": [{"w": w, "state": t} for w, t in terms]})
+    rep = report(spec)
+    assert rep.exact == 0.0 and rep.best_upper == 0.0
+    assert [b.name for b in rep.uppers] == ["self-witness"]
+    weights = [c["weight"] for c in rep.uppers[0].witness["components"]]
+    assert sum(weights) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_one_term_coherent_mixture_saturates_with_its_own_witness():

@@ -254,12 +254,13 @@ def test_tail_tol_binds_the_state_truncation_without_trunc(tmp_path, capsys):
 
 
 def test_tail_tol_flag_and_json_budget_give_one_factor_witness(tmp_path, capsys):
-    # (|0.5> <0.5|) x (an even mixture of |0.3> and |-0.3>): the factor
-    # witness carries a coherent point; 8 levels per mode hold the state to
-    # 1e-6 but not to 1e-12
+    # (an even mixture of the even cat at 0.5 and the odd cat at 0.4) x
+    # |0><0|, as entangled-coherent states at eta = 1: 8 levels per mode
+    # hold the state to 1e-6 but not to 1e-12 (a mixture of coherent states
+    # alone is its own witness and builds nothing)
     terms = [
-        {"w": 0.5, "state": {"kind": "coherent", "alpha": [[0.5, 0.0], [b, 0.0]]}}
-        for b in (0.3, -0.3)
+        {"w": 0.5, "state": {"kind": "entangled_coherent", "parity": p, "beta": b, "eta": 1.0}}
+        for p, b in (("even", 0.5), ("odd", 0.4))
     ]
     flag = write_state(tmp_path, "flag.json",
                        {"kind": "mixture", "terms": terms, "trunc": {"cutoffs": [8, 8]}})
@@ -274,7 +275,7 @@ def test_tail_tol_flag_and_json_budget_give_one_factor_witness(tmp_path, capsys)
     assert code == 0 and by_flag == by_json
     (wit,) = [u for u in json.loads(by_flag)["uppers"] if u["name"] == "factor-witness"]
     factors = wit["witness"]["components"][0]["factors"]
-    assert [f["type"] for f in factors] == ["coherent", "ring"]
+    assert [f["type"] for f in factors] == ["ring", "ring"]
 
 
 @pytest.mark.parametrize("tail_tol", ["-1", "0", "1.5", "nan"])

@@ -243,7 +243,7 @@ def test_q_sup_displaced_number_state():
     # optimizer must follow the displaced peak; the mode-mean start does it
     t = TruncationSpec((20,), tail_tol=1e-9)
     d = displacement(0.4, t)
-    v = d.apply_vec(number_basis_vector((1,), t))
+    v = FockVector(t, d.apply(number_basis_vector((1,), t).flat))
     r = q_sup(v)
     assert r.value == pytest.approx(GAMMA_REF[1], abs=1e-7)
 

@@ -167,7 +167,11 @@ def test_unitary_invariance_of_trace_distance():
     d0 = trace_distance(a, b)
     u = random_unitary(2, rng)
     w = passive_unitary(u, t)
-    d1 = trace_distance(w.apply_density(a), w.apply_density(b))
+    def conjugated(op, r):
+        # U rho U^+ = (U (U rho)^+)^+, from the operator's one apply
+        return wrap_nd(op.apply(op.apply(r.mat).conj().T).conj().T, r.trunc)
+
+    d1 = trace_distance(conjugated(w, a), conjugated(w, b))
     assert d1 == pytest.approx(d0, abs=1e-9)
     # and under displacements
     dsp = displacement([0.3, -0.2j], TruncationSpec((12, 12), tail_tol=1e-9))
@@ -176,7 +180,7 @@ def test_unitary_invariance_of_trace_distance():
     b2 = outer(tensor(number_basis_vector((1,), TruncationSpec((12,), tail_tol=1e-9)),
                       number_basis_vector((0,), TruncationSpec((12,), tail_tol=1e-9))))
     d2 = trace_distance(a2, b2)
-    d3 = trace_distance(dsp.apply_density(a2), dsp.apply_density(b2))
+    d3 = trace_distance(conjugated(dsp, a2), conjugated(dsp, b2))
     assert d3 == pytest.approx(d2, abs=1e-7)
 
 

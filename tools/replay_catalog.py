@@ -14,7 +14,8 @@ replayed from two checkouts.  Nothing under ``perfbench/`` is written.
 ``diff`` prints, per workload and output field, the largest absolute
 difference between two replays, every ``exact`` that is set in one and not
 in the other, and every input whose failure changed.  It exits 1 when a
-value moved by more than 1e-12 or anything flipped, else 0.
+value moved by more than 1e-12 (a value that turned NaN, or an infinity
+that changed sign, counts as moved) or anything flipped, else 0.
 """
 
 from __future__ import annotations
@@ -63,6 +64,16 @@ def _by_input(path: Path) -> dict:
     return {name: {r["input"]: r for r in rows} for name, rows in data["workloads"].items()}
 
 
+def _moved(x: float, y: float) -> float:
+    """How far a value moved: |x - y|, 0 for equal values (NaN on both
+    sides included), and inf where the difference is no finite number
+    (NaN on one side, or infinities of opposite sign)."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    d = abs(x - y)
+    return d if math.isfinite(d) else math.inf
+
+
 def diff(before: Path, after: Path) -> int:
     a, b = _by_input(before), _by_input(after)
     bad = False
@@ -84,8 +95,7 @@ def diff(before: Path, after: Path) -> int:
                 if (x is None) != (y is None):
                     flips.append((k, field, x, y))
                 elif x is not None:
-                    d = abs(x - y) if math.isfinite(x) or math.isfinite(y) else 0.0
-                    worst[field] = max(worst.get(field, 0.0), d)
+                    worst[field] = max(worst.get(field, 0.0), _moved(x, y))
         print(f"{name}: {len(ra.keys() & rb.keys())} inputs in both")
         for field in sorted(worst):
             mark = "" if worst[field] <= VALUE_TOL else "  > 1e-12"
