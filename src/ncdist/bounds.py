@@ -890,7 +890,7 @@ def _report_cat(spec: StateSpec) -> BoundReport:
         # the pair +-a (the vacuum at a = 0), exact on the coherent span,
         # and framed there only if a product needs it
         ens = two_point_mixture([a], [-a]) if a else coherent_point_ensemble([0.0])
-        d, residual, span = cat_span_distance(parity, beta, [1.0], [a])
+        d, residual, span = cat_span_distance(parity, beta, a)
         cand = _WitnessCandidate(ens, residual=residual, frame=lambda: _Frame(*cat_span_frame(span)))
         return _witness_bound(name, d, cand)
 
@@ -952,11 +952,14 @@ def _report_vacuum_number(spec: StateSpec) -> BoundReport:
 
 
 def _classical_terms(spec: StateSpec) -> ClassicalEnsemble | None:
-    """The ensemble of a coherent or phase-randomized state, or of a
-    mixture whose present terms are all such (through nested mixtures);
-    None for any other state."""
+    """The ensemble of a coherent or phase-randomized state, of the vacuum
+    (the coherent point 0 on every mode), or of a mixture whose present
+    terms are all such (through nested mixtures); None for any other
+    state."""
     if spec.kind == "coherent":
         return coherent_point_ensemble(spec.params["alpha"])
+    if spec.kind == "number" and not any(spec.params["ns"]):
+        return coherent_point_ensemble([0.0] * len(spec.params["ns"]))
     if spec.kind == "phase_randomized":
         return spec.build()
     if spec.kind != "mixture":

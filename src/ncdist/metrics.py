@@ -10,10 +10,11 @@ trace-distance paths that stay exact while avoiding dense matrices:
   root of a secular equation, so the cost is linear in the support.  The
   pure state may be given by its amplitudes on any orthonormal set where
   the other state is diagonal, not only on a Fock truncation;
-* a parity cat vs a mixture of symmetric coherent pairs: both live on the
-  span of a few coherent vectors, so the distance is a small eigenproblem
-  on that span, with no truncation at all.  :func:`cat_span_frame` gives
-  the cat on the mixture's eigenbasis there, for the first two routes.
+* a parity cat vs a symmetric coherent pair: on the cat's parity sector
+  both live on the span of two vectors, so the distance is a closed form
+  in a few scalars, with no truncation and no eigensolver.
+  :func:`cat_span_frame` gives the cat on the pair's eigenbasis there, for
+  the first two routes.
 
 The first two serve the large multimode witness computations where a
 dense realization would be far past the dimension cap, whatever the size
@@ -156,80 +157,73 @@ def _scaled_f(sign: float, p: complex, q: complex) -> complex:
     return sign * out if t < 0 else out
 
 
-def cat_span_distance(parity: str, beta: complex, weights, amps) -> tuple[float, float, tuple]:
-    """Trace distance from a parity cat to a mixture of symmetric coherent
-    pairs, and the cat's eigenvector residual under that mixture; exact,
-    with no truncation.
+def cat_span_distance(parity: str, beta: complex, a: complex) -> tuple[float, float, tuple]:
+    """Trace distance from a parity cat to the symmetric coherent pair
+    sigma = (|a><a| + |-a><-a|) / 2, and the cat's eigenvector residual
+    under sigma; exact, with no truncation.
 
-    The mixture is sum_k w_k (|a_k><a_k| + |-a_k><-a_k|) / 2.  Each pair
-    splits by parity as p_k^+ |cat_k^+><cat_k^+| + p_k^- |cat_k^-><cat_k^-|,
+    The pair splits by parity as p^+ |cat_a^+><cat_a^+| + p^- |cat_a^-><cat_a^-|,
     p^+- = (1 +- e^{-2|a|^2}) / 2, and the cat psi lies wholly in its own
     sector s.  Off that sector the difference is minus a state of trace
-    sum_k w_k p_k^{-s}; on it, it is V C V^+ with V the normalized cats
-    [psi, cat_{a_k}^s] and C = diag(1, -w_k p_k^s), whose nonzero spectrum
-    is that of G^{1/2} C G^{1/2}, G = V^+ V.  Here G^{1/2} is replaced by
-    the factor B = [[1, g], [0, Q^{1/2}]] with B^+ B = G: g_k = <psi|cat_k>
-    and Q the Gram matrix of the cats' parts orthogonal to psi, both in
-    closed form, so cats nearly parallel to psi keep their relative
-    accuracy.  The columns of B are the span vectors in an orthonormal
-    basis, so the residual ||sigma psi - <psi|sigma|psi> psi|| =
-    ||Q^{1/2} (c conj(g))|| is a vector norm there, c_k = w_k p_k^s.  The
-    span holds a few vectors, so its entries are scalar arithmetic.  The
-    third value is the span, (B, c, the mixture's mass off the sector), for
-    :func:`cat_span_frame`.
+    p^{-s}; on it, it lives on the span of psi and cat_a^s.  In the
+    orthonormal basis (psi, e), e the unit part of cat_a^s orthogonal to
+    psi, cat_a^s is v = (g, sqrt(q)), g = <psi|cat_a^s> and q = 1 - |g|^2,
+    both in closed form, so cats nearly parallel to psi keep their
+    relative accuracy.  The difference there is m = e_0 e_0^+ - c v v^+,
+    c = p^s, with det m = -c q <= 0: one eigenvalue of each sign, so
+    ||m||_1 = sqrt(tr(m)^2 + 4 c q).  The residual
+    ||sigma psi - <psi|sigma|psi> psi|| is the e part of c conj(g) v,
+    c sqrt(q) |g|.  The third value is the span, (g, sqrt(q), c, p^{-s}),
+    for :func:`cat_span_frame`.
     """
     sign = {"even": 1.0, "odd": -1.0}[parity]
-    w = [float(x) for x in weights]
-    a = [complex(x) for x in amps]
-    if len(w) != len(a) or min(w, default=-1.0) < 0 or abs(sum(w) - 1.0) > 1e-9:
-        raise ValueError("pair weights must be >= 0, sum to 1 and match the amplitudes")
-    other = sum(wk * _scaled_f(-sign, ak, ak).real for wk, ak in zip(w, a))
-    p = [_scaled_f(sign, ak, ak).real for ak in a]
-    # an odd sector holds nothing of a pair at a = 0
-    span = [(wk * pk, pk, ak) for wk, pk, ak in zip(w, p, a) if wk * pk > 0]
-    c = np.array([ck for ck, _, _ in span])
-    b = complex(beta)
+    a, b = complex(a), complex(beta)
+    other = _scaled_f(-sign, a, a).real
+    c = _scaled_f(sign, a, a).real
+    if not c > 0:
+        # an odd sector holds nothing of the pair at a = 0: sigma is all
+        # off the sector, and psi is the whole span
+        return min(0.5 * (1.0 + other), 1.0), 0.0, (0j, 1.0, 0.0, other)
     pb = _scaled_f(sign, b, b).real
-    g = np.array([_scaled_f(sign, b, ak) / math.sqrt(pb * pk) for _, pk, ak in span])
-    # Q_kl = G_kl - conj(g_k) g_l, from whichever of two exact forms has
-    # the smaller terms: that difference itself, or (times sqrt(p_k p_l)
-    # p_beta) the identity f(a_k' a_l) f(b' b) - f(a_k' b) f(b' a_l) =
-    # sinh(u_k' u_l) sinh(v_k' v_l) + sign sinh(v_k' u_l) sinh(u_k' v_l),
-    # u, v = (a +- b) / sqrt 2 (' the conjugate), which keeps the small Q
-    # of cats nearly parallel to psi but cancels where p_beta is small
-    uv = [((ak + b) / math.sqrt(2.0), (ak - b) / math.sqrt(2.0)) for _, _, ak in span]
-    q = np.empty((len(span), len(span)), dtype=np.complex128)
-    for k, (_, pk, ak) in enumerate(span):
-        uk, vk = uv[k]
-        for l, (_, pl, al) in enumerate(span):
-            ul, vl = uv[l]
-            gram, ggt = _scaled_f(sign, ak, al) / math.sqrt(pk * pl), g[k].conjugate() * g[l]
-            scale = math.sqrt(pk * pl) * pb
-            t1 = _scaled_f(-1.0, uk, ul) * _scaled_f(-1.0, vk, vl)
-            t2 = sign * _scaled_f(-1.0, vk, ul) * _scaled_f(-1.0, uk, vl)
-            if abs(t1) + abs(t2) < scale * (abs(gram) + abs(ggt)):
-                q[k, l] = (t1 + t2) / scale
-            else:
-                q[k, l] = gram - ggt
-    root = _psd_sqrt(q) if span else q
-    cols = np.vstack([g, root])
-    m = -(cols * c) @ cols.conj().T
-    m[0, 0] += 1.0
-    d = 0.5 * (float(np.abs(np.linalg.eigvalsh(m)).sum()) + other)
+    g = _scaled_f(sign, b, a) / math.sqrt(pb * c)
+    g2 = g.real * g.real + g.imag * g.imag
+    # q = 1 - |g|^2 from whichever of two exact forms has the smaller
+    # terms: that difference itself, or (times p_a p_beta) the identity
+    # f(a' a) f(b' b) - f(a' b) f(b' a) = sinh(u' u) sinh(v' v) + sign
+    # sinh(v' u) sinh(u' v), u, v = (a +- b) / sqrt 2 (' the conjugate),
+    # which keeps the small q of cats nearly parallel to psi but cancels
+    # where p_beta is small
+    u, v = (a + b) / math.sqrt(2.0), (a - b) / math.sqrt(2.0)
+    scale = c * pb
+    t1 = _scaled_f(-1.0, u, u) * _scaled_f(-1.0, v, v)
+    t2 = sign * _scaled_f(-1.0, v, u) * _scaled_f(-1.0, u, v)
+    if abs(t1) + abs(t2) < scale * (1.0 + g2):
+        q = ((t1 + t2) / scale).real
+    else:
+        q = 1.0 - g2
+    if q < -1e-10:
+        raise NumericalInconsistency(f"coherent-span Gram defect {q:.3e} is negative")
+    q = max(q, 0.0)
+    tr = (1.0 - c * g2) - c * q
+    d = 0.5 * (math.sqrt(tr * tr + 4.0 * c * q) + other)
     if d > 1.0 + 1e-12:
         raise NumericalInconsistency(f"coherent-span distance {d} exceeds 1")
-    residual = float(np.linalg.norm(root @ (c * g.conj())))
-    return min(d, 1.0), residual, (cols, c, other)
+    root = math.sqrt(q)
+    return min(d, 1.0), c * root * abs(g), (g, root, c, other)
 
 
 def cat_span_frame(span) -> tuple[np.ndarray, np.ndarray, float]:
-    """The cat on an eigenbasis of the pair mixture, from the span that
-    :func:`cat_span_distance` returns: its amplitudes on the eigenvectors of
-    the mixture's part in the span, B C B^+ (the cat is the first basis
-    vector), the eigenvalues there, and the mixture's mass off the span."""
-    cols, c, other = span
-    lam, vec = np.linalg.eigh((cols * c) @ cols.conj().T)
-    return vec[0].conj(), np.clip(lam, 0.0, None), other
+    """The cat on an eigenbasis of the pair, from the span that
+    :func:`cat_span_distance` returns.  The pair's part in the span is the
+    rank-one c v v^+, with eigenvalues 0 and c ||v||^2 on the complement
+    of v and on v / ||v||; the cat, e_0, has amplitudes sqrt(q) / ||v|| and
+    conj(g) / ||v|| there.  Returns those amplitudes, the eigenvalues, and
+    the pair's mass off the span."""
+    g, root, c, other = span
+    norm2 = g.real * g.real + g.imag * g.imag + root * root
+    norm = math.sqrt(norm2)
+    amps = np.array([root / norm, g.conjugate() / norm], dtype=np.complex128)
+    return amps, np.array([0.0, c * norm2]), other
 
 
 def _psd_sqrt(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:

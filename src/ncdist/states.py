@@ -286,16 +286,17 @@ class CatParams:
 def cat_vector(params: CatParams, trunc: TruncationSpec) -> FockVector:
     """Normalized even/odd coherent superposition of +/-beta (single mode).
 
-    Built from the two coherent expansions; the mismatched-parity entries
-    cancel exactly in floating point, and the analytic normalization keeps
-    the tiny-beta odd cat stable.
+    Built from one coherent expansion: <n|-beta> = (-1)^n <n|beta> bit for
+    bit, so the cat holds 2 <n|beta> on its own parity and exactly 0 on
+    the other, and the analytic normalization keeps the tiny-beta odd cat
+    stable.
     """
     if trunc.nmodes != 1:
         raise ValueError("cat states are single-mode")
-    plus = coherent_amps(params.beta, trunc)
-    minus = coherent_amps(-params.beta, trunc)
+    plus = coherent_amps(params.beta, trunc).amps
     norm = math.sqrt(2.0 * params.normalization())
-    amps = (plus.amps + params.sign * minus.amps) / norm
+    own = np.arange(trunc.cutoffs[0] + 1) % 2 == (0 if params.parity == "even" else 1)
+    amps = np.where(own, 2.0 * plus, 0.0) / norm
     v = FockVector(trunc, amps)
     defect = v.norm_defect()
     if defect > trunc.tail_tol:

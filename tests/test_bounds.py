@@ -114,7 +114,7 @@ def test_upper_witness_cat_two_point():
         upper_witness(psi, two_point_mixture([2.0], [-2.0]))
     d, _ = _reference_distance(psi, two_point_mixture([2.0], [-2.0]))
     assert abs(d - 0.5 * (1.0 - math.exp(-8.0))) < 1e-9
-    assert abs(cat_span_distance("even", 2.0, [1.0], [2.0])[0] - d) < 1e-12
+    assert abs(cat_span_distance("even", 2.0, 2.0)[0] - d) < 1e-12
 
 
 def test_convexity_upper_weighted_sum():
@@ -796,8 +796,14 @@ def test_report_mixture_kind_matches_dedicated_path():
         ]})],
         [(0.5, {"kind": "coherent", "alpha": [[0.5, 0], [0.3, 0]]}),
          (0.5, {"kind": "coherent", "alpha": [[0.5, 0], [-0.3, 0]]})],
+        [(0.5, {"kind": "number", "ns": [0]}), (0.5, {"kind": "coherent", "alpha": [[1, 0]]})],
+        [(0.4, {"kind": "number", "ns": [0, 0]}), (0.6, {"kind": "mixture", "terms": [
+            {"w": 0.5, "state": {"kind": "coherent", "alpha": [[0.3, 0], [0, 0.2]]}},
+            {"w": 0.5, "state": {"kind": "number", "ns": [0, 0]}},
+        ]})],
     ],
-    ids=["two-points", "nested-rings-and-point", "two-mode-points"],
+    ids=["two-points", "nested-rings-and-point", "two-mode-points", "vacuum-and-point",
+         "two-mode-vacuum-nested"],
 )
 def test_mixture_of_classical_terms_is_its_own_witness(monkeypatch, terms):
     # no state is realized and no Husimi search runs: the weighted ensemble
@@ -1144,37 +1150,40 @@ def test_support_route_matches_dense_on_a_padded_truncation(state, ens):
 # coherent-pair witnesses of cats on their coherent span
 
 
-def _padded_pair_reference(parity, beta, weights, amps):
-    """Distance and eigenvector residual of the cat against the pair
-    mixture by the padded route: the cat and the witness realized to 1e-15."""
+def _padded_pair_reference(parity, beta, a):
+    """Distance and eigenvector residual of the cat against the pair +-a
+    by the padded route: the cat and the witness realized to 1e-15."""
     tail = 1e-15
     ens = ClassicalEnsemble(
         tuple(
-            (w / 2, states.ProductComponent((states.CoherentFactor(sgn * a),)))
-            for w, a in zip(weights, amps)
+            (0.5, states.ProductComponent((states.CoherentFactor(sgn * a),)))
             for sgn in (1, -1)
         )
     )
-    trunc = TruncationSpec((int(beta * beta + 10 * beta + 30),), tail)
+    reach = max(beta, abs(a))
+    trunc = TruncationSpec((int(reach * reach + 10 * reach + 30),), tail)
     psi = StateSpec("cat", {"parity": parity, "beta": beta}, trunc).build()
     return _reference_distance(psi, ens)
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
-@pytest.mark.parametrize("beta", [0.001, 0.05, 0.3, 1.0, 2.0, 3.0, 4.5])
+@pytest.mark.parametrize("beta", [1e-4, 0.001, 0.05, 0.3, 1.0, 2.0, 3.0, 4.5, 6.0])
 def test_cat_span_kernel_matches_the_padded_route(parity, beta):
     alpha_star = float(np.real(cat_qmax(CatParams(parity, beta)).argmax[0][0]))
-    mixtures = [
-        ([1.0], [beta]),
-        ([1.0], [alpha_star if alpha_star > 1e-9 else 0.0]),
-        ([1.0], [0.8 * beta * np.exp(0.7j)]),
-        ([0.3, 0.7], [beta, 1.3 * beta * np.exp(2.0j)]),
+    amps = [
+        beta,
+        alpha_star if alpha_star > 1e-9 else 0.0,
+        0.8 * beta * np.exp(0.7j),
+        # farther out than the cat, off the real axis
+        (beta + 0.6) * np.exp(2.0j),
+        # the vacuum: an odd cat's sector holds nothing of it
+        0.0,
     ]
-    for weights, amps in mixtures:
-        d, residual, _ = cat_span_distance(parity, beta, weights, amps)
-        d_ref, residual_ref = _padded_pair_reference(parity, beta, weights, amps)
-        assert abs(d - d_ref) <= 1e-12, amps
-        assert abs(residual - residual_ref) <= 1e-10, amps
+    for a in amps:
+        d, residual, _ = cat_span_distance(parity, beta, a)
+        d_ref, residual_ref = _padded_pair_reference(parity, beta, a)
+        assert abs(d - d_ref) <= 1e-12, a
+        assert abs(residual - residual_ref) <= 1e-10, a
 
 
 def _refuse_dense(*args, **kwargs):
