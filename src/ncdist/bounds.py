@@ -970,6 +970,26 @@ def _classical_terms(spec: StateSpec) -> ClassicalEnsemble | None:
     return ClassicalEnsemble(tuple((w * v, c) for w, ens in present for v, c in ens.components))
 
 
+def _cat_mixture_upper(present: list[tuple[float, StateSpec]]) -> Bound | None:
+    """sigma_beta against a mixture of parity cats of one beta, in closed
+    form.  sigma_beta = (|beta><beta| + |-beta><-beta|) / 2 is
+    N+ |cat+><cat+| + N- |cat-><cat-| with N+- = (1 +- e^{-2 beta^2}) / 2,
+    diagonal in the cat basis like the mixture, so with W- the summed odd
+    weight the distance is |W- - N-|; nothing is realized.  None unless
+    every present term is such a cat and both parities are present (cats of
+    one parity mix to that cat, whose own report lists sigma-beta)."""
+    if any(t.kind != "cat" for _, t in present):
+        return None
+    betas = {float(t.params["beta"]) for _, t in present}
+    if len(betas) != 1 or len({t.params["parity"] for _, t in present}) != 2:
+        return None
+    beta = betas.pop()
+    w_odd = sum(w for w, t in present if t.params["parity"] == "odd")
+    d = abs(w_odd + 0.5 * math.expm1(-2.0 * beta * beta))
+    ens = two_point_mixture([beta], [-beta])
+    return _witness_bound("sigma-beta", d, _WitnessCandidate(ens))
+
+
 def _report_mixture(spec: StateSpec, seed: int) -> BoundReport:
     present = [(float(w), term) for w, term in spec.params["terms"] if w > 0]
     if len(present) == 1:
@@ -982,13 +1002,16 @@ def _report_mixture(spec: StateSpec, seed: int) -> BoundReport:
     if ens is not None:  # a mixture of classical states is classical
         return _report_classical_ensemble(ens, spec.state_id())
     terms = [(w, report(term, seed=seed)) for w, term in present]
-    convex = convexity_upper(terms)
+    uppers = [convexity_upper(terms)]
+    pair = _cat_mixture_upper(present)
+    if pair is not None:
+        uppers.append(pair)
     rho = spec.build()
     base = _report_raw(rho, seed)
     return _assemble(
         spec.state_id(),
         list(base.lowers),
-        list(base.uppers) + [convex],
+        list(base.uppers) + uppers,
         rho,
         sup_overlap=base.sup_overlap,
     )

@@ -33,9 +33,11 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy.special import gammaln, i0e, i1e
 
 from .errors import NumericalInconsistency, TruncationTooSmall
@@ -496,22 +498,78 @@ def q_tilde(state, alpha) -> float:
 # multistart search
 
 
+_SOBOL_BITS = 30
+
+
+@functools.lru_cache(maxsize=1)
+def _sobol_table() -> tuple[np.ndarray, np.ndarray]:
+    """Joe & Kuo's primitive polynomials and initial direction numbers
+    (SIAM J. Sci. Comput. 30, 2635 (2008)), one row per dimension, from the
+    table that scipy ships beside its own Sobol sampler. Reading the file
+    loads no scipy submodule."""
+    path = os.path.join(os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz")
+    with np.load(path) as table:
+        return table["poly"], table["vinit"]
+
+
 @functools.lru_cache(maxsize=64)
 def _sobol_points(n: int, dim: int, seed: int) -> np.ndarray:
     """The first n scrambled Sobol points in [0, 1)^dim for a seed.
 
-    Building the scrambled sampler is a fixed cost of every search, and a
-    process that runs several searches (a library caller, a figure, a batch
-    of reports) asks again and again for the same few (count, dimension,
-    seed) keys, so the points are drawn once per process. The cached array
-    is shared, so it is read-only.
-    """
-    # scipy.stats costs about half a second to import; only a search needs it
-    from scipy.stats import qmc
+    These are the points of ``scipy.stats.qmc.Sobol(dim, scramble=True,
+    seed=seed)``, bit for bit, drawn without importing ``scipy.stats``: 30-bit
+    direction numbers from the Joe-Kuo recurrence, an LMS-plus-shift
+    scramble drawn from ``default_rng(seed)`` in scipy's order (first the
+    shift bits, then the lower-triangular matrices with unit diagonal), and a
+    Gray-code walk from the shifted first point, scaled by 2^-30.
 
-    sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    m = max(1, int(math.ceil(math.log2(max(n, 2)))))
-    pts = sampler.random_base2(m)[:n]
+    A process that runs several searches (a library caller, a figure, a
+    batch of reports) asks again and again for the same few (count,
+    dimension, seed) keys, so the points are drawn once per process. The
+    cached array is shared, so it is read-only.
+    """
+    bits = _SOBOL_BITS
+    poly, vinit = _sobol_table()
+    if dim > len(poly):
+        raise ValueError(f"Sobol points are tabulated up to {len(poly)} dimensions, got {dim}")
+    poly, vinit = poly[:dim], vinit[:dim]
+    # v[d, top + j] is direction number j of dimension d, with top zero
+    # columns in front so that the recurrence reads its last `top` terms
+    top = vinit.shape[1]
+    # taps[d, k] is the coefficient a_{k+1} of dimension d's polynomial of
+    # degree deg[d]; a_deg, its constant term, is 1
+    deg = np.frexp(poly)[1] - 1
+    k = np.arange(top)
+    taps = (k < deg[:, None]) & ((poly[:, None] >> np.maximum(deg[:, None] - 1 - k, 0)) & 1 == 1)
+    v = np.zeros((dim, top + bits), dtype=np.int64)
+    v[:, top : 2 * top] = vinit
+    v[0, top:] = 1
+    rows = np.arange(dim)
+    for j in range(1, bits):
+        c = top + j
+        # Bratley & Fox: v_j = v_{j-deg} ^ XOR_k a_{k+1} 2^{k+1} v_{j-k-1}
+        recent = v[:, j:c][:, ::-1]  # v_{j-1-k} for k < top
+        step = np.bitwise_xor.reduce(np.where(taps, recent << (k + 1), 0), axis=1)
+        v[:, c] = np.where(deg <= j, v[rows, c - deg] ^ step, v[:, c])
+    weights = 1 << np.arange(bits - 1, -1, -1)
+    v = v[:, top:] * weights
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(dim, bits), dtype=np.uint32).astype(np.int64) @ weights[::-1]
+    ltm = np.tril(rng.integers(2, size=(dim, bits, bits), dtype=np.uint32)).astype(np.int64)
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    # bit (bits-1-p) of a scrambled number is the parity of row p of its
+    # dimension's matrix (column 0 the top bit) against the unscrambled one
+    x = v[:, :, None] & (ltm @ weights)[:, None, :]
+    for s in (16, 8, 4, 2, 1):
+        x ^= x >> s
+    sv = (x & 1) @ weights
+    # point i flips the direction number at the lowest set bit of i
+    i = np.arange(1, n)
+    quasi = np.empty((n, dim), dtype=np.int64)
+    quasi[:1] = shift
+    quasi[1:] = sv[:, np.frexp(i & -i)[1] - 1].T
+    np.bitwise_xor.accumulate(quasi, axis=0, out=quasi)
+    pts = quasi * 2.0**-bits
     pts.setflags(write=False)
     return pts
 

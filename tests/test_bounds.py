@@ -821,6 +821,38 @@ def test_mixture_of_classical_terms_is_its_own_witness(monkeypatch, terms):
     assert sum(weights) == pytest.approx(1.0, abs=1e-15)
 
 
+def _parity_cat_mixture(beta, w_even, **extra):
+    return parse_state({"kind": "mixture", **extra, "terms": [
+        {"w": w_even, "state": {"kind": "cat", "parity": "even", "beta": beta}},
+        {"w": 1.0 - w_even, "state": {"kind": "cat", "parity": "odd", "beta": beta}},
+    ]})
+
+
+def test_classical_parity_cat_mixture_is_exact_by_sigma_beta():
+    # (1 + e^-2)/2 cat+ + (1 - e^-2)/2 cat- at beta 1 is (|1><1| + |-1><-1|)/2
+    rep = report(_parity_cat_mixture(1, 0.5676676416183064))
+    assert rep.exact is not None
+    assert rep.best_upper <= 1e-15
+    assert rep.uppers[0].name == "sigma-beta"
+    assert rep.uppers[0].witness["components"][0]["factors"][0]["alpha"] == [1.0, 0.0]
+
+
+def test_one_parity_cat_mixture_lists_sigma_beta_once():
+    # two even cats of one beta mix to that cat, whose own report lists it
+    terms = [{"w": 0.5, "state": {"kind": "cat", "parity": "even", "beta": 1.0}}] * 2
+    rep = report(parse_state({"kind": "mixture", "terms": terms}))
+    assert [b.name for b in rep.uppers].count("sigma-beta") == 1
+
+
+@pytest.mark.parametrize("beta, w_even", [(0.3, 0.2), (1.0, 0.9), (1.7, 0.5), (2.5, 0.05)])
+def test_parity_cat_mixture_sigma_beta_matches_the_dense_distance(beta, w_even):
+    spec = _parity_cat_mixture(beta, w_even, trunc={"cutoffs": [60]})
+    [pair] = [b for b in report(spec).uppers if b.name == "sigma-beta"]
+    rho = spec.build()
+    sigma = states.two_point_mixture([beta], [-beta]).realize(rho.trunc)
+    assert pair.value == pytest.approx(trace_distance(rho, sigma), abs=1e-12)
+
+
 def test_one_term_coherent_mixture_saturates_with_its_own_witness():
     # the mixture is pure, and its saturation check reads the residual of
     # the coherent state's self-witness: a state is an eigenvector of itself

@@ -37,14 +37,24 @@ def test_report_number_state(tmp_path, capsys):
 
 
 def test_import_and_reports_leave_scipy_optimize_and_stats_unloaded(tmp_path):
-    # each costs a large part of a second to import; only a Husimi search
-    # (the Sobol starts) and verify's cat features (brentq) load them
+    # each costs a large part of a second to import; only verify's cat
+    # features (brentq) load scipy.optimize, and a Husimi search draws its
+    # Sobol starts in-house, so reports, qsup and figures load neither
     one = write_state(tmp_path, "one.json", {"kind": "number", "ns": [1]})
     mix = write_state(tmp_path, "mix.json", {"kind": "vacuum_number_mixture", "n": 2, "eta": 0.5})
+    searched = write_state(tmp_path, "searched.json", {"kind": "mixture", "terms": [
+        {"w": 0.5, "state": {"kind": "number", "ns": [1]}},
+        {"w": 0.5, "state": {"kind": "coherent", "alpha": [[1, 0]]}},
+    ]})
+    fig = str(tmp_path / "fig1.csv")
     code = (
-        "import sys, ncdist, ncdist.cli\n"
-        f"assert ncdist.cli.main(['report', {one!r}]) == 0\n"
-        f"assert ncdist.cli.main(['report', {mix!r}]) == 0\n"
+        "import contextlib, io, sys, ncdist, ncdist.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert ncdist.cli.main(['report', {one!r}]) == 0\n"
+        f"    assert ncdist.cli.main(['report', {mix!r}]) == 0\n"
+        f"    assert ncdist.cli.main(['report', {searched!r}]) == 0\n"
+        f"    assert ncdist.cli.main(['qsup', {searched!r}]) == 0\n"
+        f"    assert ncdist.cli.main(['figure', 'fig1', '--steps', '3', '--out', {fig!r}]) == 0\n"
         "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))\n"
     )
     src = str(Path(ncdist.__file__).resolve().parents[1])
@@ -52,6 +62,7 @@ def test_import_and_reports_leave_scipy_optimize_and_stats_unloaded(tmp_path):
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+    assert Path(fig).exists()
 
 
 def test_report_cat_has_open_interval(tmp_path, capsys):

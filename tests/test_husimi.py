@@ -596,3 +596,23 @@ def test_q_sup_repeats_its_result_and_shares_a_read_only_sobol_array():
     assert pts is _sobol_points(18, 4, 1729)
     with pytest.raises(ValueError):
         pts[0, 0] = 0.5
+
+
+# every mode count a FockVector can have (dimension 2m), and some ensemble
+# search dimensions
+@pytest.mark.parametrize("dim", [2 * m for m in range(1, 22)] + [1, 3, 64])
+def test_sobol_points_are_scipys_scrambled_sobol_points(dim):
+    from scipy.stats import qmc
+
+    m = max(1, dim // 2)
+    for n in (1, 2, 8 * m + 1, 8 * m + 2, 300):
+        for seed in (0, 1729, 2**31 - 1):
+            ref = qmc.Sobol(dim, scramble=True, seed=seed).random_base2(
+                max(1, math.ceil(math.log2(max(n, 2))))
+            )[:n]
+            assert np.array_equal(_sobol_points(n, dim, seed), ref), (n, dim, seed)
+
+
+def test_sobol_points_stop_past_the_direction_number_table():
+    with pytest.raises(ValueError):
+        _sobol_points(1, 21202, 0)
