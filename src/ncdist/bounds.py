@@ -18,17 +18,20 @@ Each per-family report lists its lower bounds and its witnesses; one
 assembly step keeps the best of each side, cross-checks the ordering, and
 marks the bracket exact only when a computed witness distance meets the
 best lower bound within ``EXACT_TOL`` (on pure states, by the saturation
-mechanism).  Each witness is measured once, exactly, on the frame it
-keeps (:class:`_Frame`): a number-diagonal witness on the state's support,
-a cat's coherent pair on the cat's coherent span, a coherent product
-against itself as (1, 1, 0), and a tensor product of factor witnesses on
-the Kronecker product of its factors' frames; no witness is realized on a
+mechanism).  A pure state reaches the witness kernels as its support
+(``fock._Support``), the occupations and amplitudes of its nonzero entries:
+number and N00N reports write it down from their parameters and build no
+Fock vector.  Each witness is measured once, exactly, on the frame it keeps
+(:class:`_Frame`): a number-diagonal witness on the state's support, a
+cat's coherent pair on the cat's coherent span, a coherent product against
+itself as (1, 1, 0), and a tensor product of factor witnesses on the
+Kronecker product of its factors' frames; no witness is realized on a
 truncation.  Passive optics leaves every distance unchanged, so an optics
 image of a family (an entangled-coherent state is B(eta)(cat (x) |0>), a
-one-photon superposition W(u)|1, 0, ..., 0>) gets the family's report with
-its witnesses carried through the optics by :func:`_image`; no state is
-rotated.  A state given without family metadata (a vector or a density
-matrix) takes one path, :func:`_report_raw`.
+one-photon state W(u)(|1> (x) |0, ..., 0>)) gets the family's report with
+its witnesses, padded with the vacuum, carried through the optics by
+:func:`_image`; no state is rotated.  A state given without family metadata
+(a vector or a density matrix) takes one path, :func:`_report_raw`.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .fock import (
     DensityMatrix,
     FockVector,
     TruncationSpec,
+    _Support,
     beam_splitter,
     mean_total_energy,
     mode_energies,
@@ -284,15 +288,18 @@ class _WitnessCandidate:
 
 def upper_witness(rho, sigma, *, name: str = "witness") -> Bound:
     """Upper bound from one number-diagonal classical state (rings and
-    vacuum factors): the exact trace distance, with the witness framed on
-    ``rho``'s number basis, its diagonal evaluated on the support only."""
+    vacuum factors): the exact trace distance.  A pure ``rho`` (a
+    FockVector, or its support) is measured on its support, where the
+    witness is diagonal, and a DensityMatrix on its number basis."""
     if not sigma.is_diagonal():
         raise ValueError("upper_witness takes number-diagonal witnesses only")
-    pure = isinstance(rho, FockVector)
-    support = np.flatnonzero(rho.flat) if pure else np.arange(rho.trunc.dim)
-    q = np.zeros(rho.trunc.dim)
-    q[support] = sigma.diag_on(np.unravel_index(support, rho.trunc.shape))
-    frame = _Frame(rho.flat if pure else rho.mat, q, 1.0 - float(q.sum()))
+    if isinstance(rho, FockVector):
+        rho = _Support.of(rho)
+    if isinstance(rho, DensityMatrix):
+        rho = np.unravel_index(np.arange(rho.trunc.dim), rho.trunc.shape), rho.mat
+    occ, state = rho
+    q = sigma.diag_on(occ)
+    frame = _Frame(state, q, 1.0 - float(q.sum()))
     d, residual = frame.measure()
     return _witness_bound(name, d, _WitnessCandidate(sigma, residual=residual, frame=frame))
 
@@ -653,21 +660,18 @@ def diag_classical_minimize(rho: DensityMatrix, energy_grid) -> Bound:
 def _as_pure_vector(state) -> FockVector | None:
     if isinstance(state, FockVector):
         return state
-    if isinstance(state, DensityMatrix):
-        tr = state.trace()
-        if tr <= 0:
-            return None
-        if state.purity() / (tr * tr) >= 1.0 - PURITY_TOL:
-            vals, vecs = np.linalg.eigh(state.mat)
-            amps = vecs[:, -1] * math.sqrt(max(vals[-1], 0.0))
-            return FockVector(state.trunc, amps.reshape(state.trunc.shape))
+    tr = state.trace()
+    if tr > 0 and state.purity() / (tr * tr) >= 1.0 - PURITY_TOL:
+        vals, vecs = np.linalg.eigh(state.mat)
+        amps = vecs[:, -1] * math.sqrt(max(vals[-1], 0.0))
+        return FockVector(state.trunc, amps.reshape(state.trunc.shape))
     return None
 
 
 def _saturation_diagnostics(psi, cand: _WitnessCandidate, m_sup: float) -> dict:
-    """Check the two exactness mechanisms on a pure state (a FockVector or
-    a coherent product): the state is an eigenvector of the witness (the
-    residual measured with the witness's distance), and every coherent
+    """Check the two exactness mechanisms on a pure state (its support or a
+    coherent product's ensemble): the state is an eigenvector of the witness
+    (the residual measured with the witness's distance), and every coherent
     point the witness is built from attains the peak overlap."""
     # a component of weight w moves the witness by at most w in trace
     # distance, so one lighter than the tolerance need not attain the peak
@@ -680,7 +684,7 @@ def _saturation_diagnostics(psi, cand: _WitnessCandidate, m_sup: float) -> dict:
     ]
     attain_defect = 0.0
     if points:
-        if isinstance(psi, FockVector):
+        if isinstance(psi, _Support):
             overlaps = _support_overlaps(psi, points)
         else:
             # a coherent product at beta overlaps |alpha> by e^{-|alpha - beta|^2}
@@ -709,11 +713,13 @@ def _assemble(
 ) -> BoundReport:
     """Rank the bounds of one state and certify its bracket.
 
-    The report's witness is the best upper that carries a candidate.  When
-    the bracket closes on a pure ``state``, the candidates within
-    ``EXACT_TOL`` of it are tried in value order and the first that passes
-    the saturation mechanism is kept; if none does, the bracket is left
-    without an exact value.
+    ``state`` is what the saturation check reads: a pure state's support (or
+    a FockVector), a coherent product's ensemble, a DensityMatrix, pure when
+    its purity is 1, or None.  The report's witness is the best upper that
+    carries a candidate.  When the bracket closes on a pure state, the
+    candidates within ``EXACT_TOL`` of it are tried in value order and the
+    first that passes the saturation mechanism is kept; if none does, the
+    bracket is left without an exact value.
     """
     if not uppers:
         raise ValueError("a report needs at least one upper bound")
@@ -743,7 +749,10 @@ def _assemble(
     if exact is not None and ranked:
         # an ensemble reported with a peak overlap is a coherent product,
         # pure as well
-        psi = state if isinstance(state, ClassicalEnsemble) else _as_pure_vector(state)
+        psi = state
+        if isinstance(state, (FockVector, DensityMatrix)):
+            vec = _as_pure_vector(state)
+            psi = None if vec is None else _Support.of(vec)
         if psi is not None and sup_overlap is not None:
             tied = [b.candidate for b in ranked if b.value - ranked[0].value <= EXACT_TOL]
             diags = []
@@ -790,9 +799,9 @@ def _point_upper(m_sup: float, points) -> Bound:
     )
 
 
-def _check_attained(state: FockVector, alpha, claimed: float, spec: StateSpec):
-    # exact on the state's own truncation: only amplitudes on the state's
-    # support enter |<alpha|psi>|^2, and the sum runs over those alone
+def _check_attained(state: _Support, alpha, claimed: float, spec: StateSpec):
+    # exact: only amplitudes on the state's support enter |<alpha|psi>|^2,
+    # and the sum runs over those alone
     got = _support_overlaps(state, np.atleast_1d(alpha)[None])[0]
     miss = abs(got - claimed)
     if miss <= 1e-8:
@@ -803,7 +812,7 @@ def _check_attained(state: FockVector, alpha, claimed: float, spec: StateSpec):
     )
     # the mass delta cut off past the cutoffs moves |<alpha|psi>|^2 by at
     # most 2 sqrt(m delta) + delta: a miss within that is the truncation's
-    delta = max(state.norm_defect(), 0.0)
+    delta = max(1.0 - float(np.vdot(state.amps, state.amps).real), 0.0)
     if miss <= 2.0 * math.sqrt(claimed * delta) + delta:
         raise TruncationTooSmall(msg, suggested_cutoffs=spec.default_trunc().cutoffs)
     raise NumericalInconsistency(msg)
@@ -821,8 +830,9 @@ def _pure_lowers(m_sup: float) -> list[Bound]:
 
 
 def _report_number(spec: StateSpec) -> BoundReport:
+    """|n_1, ..., n_M> as a support of one entry, met by its ring product."""
     ns = tuple(int(n) for n in spec.params["ns"])
-    psi = spec.build()
+    psi = _Support(tuple(np.array([n]) for n in ns), np.ones(1, dtype=np.complex128))
     m = float(np.prod([gamma_n(n) for n in ns]))
     point = np.sqrt(np.asarray(ns, dtype=float)).astype(np.complex128)
     _check_attained(psi, point, m, spec)
@@ -835,13 +845,11 @@ def _report_number(spec: StateSpec) -> BoundReport:
 
 
 def _report_one_photon(spec: StateSpec) -> BoundReport:
-    """One photon along c, sum_m c_m |1_m> = W(u)|1, 0, ..., 0> for any
-    unitary u whose first column is c: the number state's report, carried
-    through u by :func:`_image`, with the superposition never built."""
-    c = np.asarray(spec.params["c"], dtype=np.complex128)
-    ns = (1,) + (0,) * (len(c) - 1)
-    rep = _report_number(StateSpec("number", {"ns": ns}, trunc=spec.trunc))
-    return _image(rep, _unitary_with_first_column(c), spec.state_id())
+    """One photon along c, sum_m c_m |1_m> = W(u)(|1> (x) |0, ..., 0>) for any
+    unitary u whose first column is c: the one-mode report of |1>, padded with
+    the vacuum and carried through u by :func:`_image`; nothing is built."""
+    rep = _report_number(StateSpec("number", {"ns": (1,)}))
+    return _image(rep, _unitary_with_first_column(spec.params["c"]), spec.state_id())
 
 
 def _report_axis_superposition(spec: StateSpec) -> BoundReport:
@@ -852,11 +860,13 @@ def _report_axis_superposition(spec: StateSpec) -> BoundReport:
     lambda of sum_m a_m / (lambda + w_m gamma_n) = 1; equal weights give
     1 - gamma_n / M, and since a -> a / (lambda + a gamma_n) is concave the
     sum at that lambda is at most 1 with w = a, so these weights do at
-    least as well as equal ones."""
+    least as well as equal ones.  The state is its support, the occupations
+    n e_m with amplitudes c_m wherever c_m != 0; no Fock vector is built."""
     n, c = int(spec.params["n"]), np.asarray(spec.params["c"], dtype=np.complex128)
     c = c / np.linalg.norm(c)
     nmodes = len(c)
-    psi = spec.build()
+    lit = np.flatnonzero(c)
+    psi = _Support(tuple(np.where(lit == j, n, 0) for j in range(nmodes)), c[lit])
     sup = noon_qmax_analytic(n, c)
     m = sup.value
     _check_attained(psi, sup.argmax[0], m, spec)
@@ -873,14 +883,14 @@ def _report_cat(spec: StateSpec) -> BoundReport:
     """Parity cats, and entangled-coherent states as the cat's beam-splitter
     image.  An entangled-coherent state is B(eta) applied to the cat and the
     vacuum; passive optics leaves every distance unchanged, so only the cat
-    is built and evaluated, and its witnesses are carried through the
+    is built, and read once as its support; its witnesses go through the
     splitter as ``-image`` (the ring only at eta 0 or 1: no modes mix).
     The coherent pairs sigma_beta and sigma_alpha* are evaluated, with their
     saturation residuals, on the cat's coherent span; the ring on the cat's
     support."""
     parity, beta = spec.params["parity"], float(spec.params["beta"])
     cat = spec if spec.kind == "cat" else StateSpec("cat", {"parity": parity, "beta": beta})
-    psi = cat.build()
+    psi = _Support.of(cat.build())
     sup = cat_qmax(CatParams(parity, beta))
     m = sup.value
     alpha_star = float(np.real(sup.argmax[0][0]))
@@ -1006,6 +1016,8 @@ def _report_mixture(spec: StateSpec, seed: int) -> BoundReport:
     pair = _cat_mixture_upper(present)
     if pair is not None:
         uppers.append(pair)
+        if pair.value <= EXACT_TOL:  # sigma_beta itself: no search can move the bracket
+            return _assemble(spec.state_id(), [], uppers, None)
     rho = spec.build()
     base = _report_raw(rho, seed)
     return _assemble(
@@ -1109,9 +1121,7 @@ def _combine_factor_reports(parts: list[BoundReport], state, defect: float) -> B
             uppers.append(_witness_bound("factor-witness", d + defect, joint))
     if not uppers:
         uppers.append(Bound("trivial-cap", _ONE_MINUS, "trivial-upper"))
-    return _assemble(
-        _default_id(state), lowers, uppers, state, sup_overlap=sup_joint
-    )
+    return _assemble(_default_id(state), lowers, uppers, state, sup_overlap=sup_joint)
 
 
 def _vacuum_number_params(p: np.ndarray) -> tuple[int, float] | None:
@@ -1142,6 +1152,7 @@ def _report_raw(state, seed: int) -> BoundReport:
         return _combine_factor_reports(parts, state, defect)
 
     energies = mode_energies(state)
+    form = _Support.of(state) if pure else state
     if not pure and state.trunc.nmodes == 1 and state.is_diagonal(1e-10):
         vn = _vacuum_number_params(state.diagonal())
         if vn is not None:
@@ -1155,14 +1166,14 @@ def _report_raw(state, seed: int) -> BoundReport:
         wit = diag_classical_minimize(state, grid)
     else:
         rings = ProductComponent(tuple(RingFactor(float(e)) for e in energies))
-        wit = upper_witness(state, ClassicalEnsemble(((1.0, rings),)), name="mode-energy-rings")
+        wit = upper_witness(form, ClassicalEnsemble(((1.0, rings),)), name="mode-energy-rings")
     sup = q_sup(state, [np.sqrt(energies).astype(np.complex128)], seed=seed)
     m = sup.value
     if pure:
         lowers, uppers = _pure_lowers(m), [_point_upper(m, sup.argmax[0]), wit]
     else:
         lowers, uppers = [], [wit, upper_q(m)]
-    return _assemble(_default_id(state), lowers, uppers, state, sup_overlap=m)
+    return _assemble(_default_id(state), lowers, uppers, form, sup_overlap=m)
 
 
 def _default_id(state) -> str:

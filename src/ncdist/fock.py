@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -69,7 +69,7 @@ class TruncationSpec:
 
     @property
     def dim(self) -> int:
-        return int(np.prod([n + 1 for n in self.cutoffs], dtype=np.int64))
+        return math.prod(n + 1 for n in self.cutoffs)
 
     def index(self, ns: Sequence[int]) -> int:
         """Flat index of the basis state |n_1..n_M>."""
@@ -130,6 +130,19 @@ class FockVector:
         """Flat number-basis probabilities |psi_n|^2."""
         f = self.flat
         return (f.real * f.real + f.imag * f.imag)
+
+
+class _Support(NamedTuple):
+    """A pure state as its support: the occupations of its nonzero amplitudes,
+    one integer array per mode (``np.unravel_index``'s layout), and those amplitudes."""
+
+    occ: tuple[np.ndarray, ...]
+    amps: np.ndarray
+
+    @classmethod
+    def of(cls, psi: FockVector) -> "_Support":
+        nz = np.flatnonzero(psi.flat)
+        return cls(np.unravel_index(nz, psi.trunc.shape), psi.flat[nz])
 
 
 @dataclass

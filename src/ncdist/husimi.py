@@ -25,8 +25,8 @@ Hessian.
 Callers that need Q alone at given points, with no derivatives (``q_tilde``
 on Fock-space states, and the report's attainment checks in
 ``bounds._check_attained`` and ``bounds._saturation_diagnostics``), read it
-from ``_support_overlaps``: a value-only sum over the state's nonzero
-amplitudes, whose cost is the support's size rather than the truncation's.
+from ``_support_overlaps`` on a pure state's support (``fock._Support``) or a
+density's nonzero rows: a value-only sum whose cost is the support's size.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .errors import NumericalInconsistency, TruncationTooSmall
 from .fock import (
     DensityMatrix,
     FockVector,
+    _Support,
     _coherent_mode_amps,
     mean_total_energy,
     mode_means,
@@ -157,14 +158,26 @@ def noon_qmax_analytic(n: int, c) -> QSupremum:
     return QSupremum(value, args, 0.0, "analytic", ties=len(args) > 1)
 
 
+def _bisect(f, lo: float, hi: float, tol: float) -> float:
+    """The midpoint of [lo, hi], halved onto a sign change of ``f`` until
+    narrower than ``tol``; f(lo) and f(hi) must differ in sign."""
+    up = f(lo) > 0
+    if up == (f(hi) > 0):
+        raise NumericalInconsistency(f"no sign change to bisect on [{lo}, {hi}]")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if (f(mid) > 0) == up else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 def cat_qmax(params: CatParams) -> QSupremum:
     """Supremum for the parity cats via the stationarity root find.
 
     Even cats with beta <= 1 peak at the origin with value sech(beta^2).
     Otherwise the optimal real displacement solves
     ``beta tanh(beta a) = a`` (even) or ``beta coth(beta a) = a`` (odd);
-    both brackets are sign-checked and the polished root's residual must
-    come out below 1e-12.
+    both brackets are sign-checked by the bisection, and the polished
+    root's residual must come out below 1e-12.
     """
     b = params.beta
     if params.parity == "even" and b <= 1.0:
@@ -183,18 +196,7 @@ def cat_qmax(params: CatParams) -> QSupremum:
         lo = b
         hi = b / math.tanh(b * b) + 1.0
 
-    flo, fhi = g(lo), g(hi)
-    if not (flo > 0 >= fhi):
-        raise NumericalInconsistency(
-            f"root bracket failed for beta={b}: g({lo})={flo}, g({hi})={fhi}"
-        )
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    a = 0.5 * (lo + hi)
+    a = _bisect(g, lo, hi, 1e-10)
     for _ in range(2):
         a = a - g(a) / dg(a)
     resid = abs(g(a))
@@ -361,8 +363,8 @@ class _BargmannTarget:
 
 def _support_overlaps(state, alphas) -> np.ndarray:
     """<alpha|state|alpha> at each row of ``alphas`` (points x modes) for a
-    FockVector or DensityMatrix, as a value-only sum over the state's
-    nonzero amplitudes.
+    pure state given as its support (a ``fock._Support``) or a
+    DensityMatrix, as a value-only sum over the state's nonzero amplitudes.
 
     Each mode's coherent amplitudes u_j[n] = <alpha_j|n> come from
     ``fock._coherent_mode_amps``, as in the Bargmann contraction, and are
@@ -372,24 +374,21 @@ def _support_overlaps(state, alphas) -> np.ndarray:
     the support's size, not the truncation's.
     """
     alphas = np.atleast_2d(np.asarray(alphas, dtype=np.complex128))
-    trunc = state.trunc
-    if alphas.shape[1] != trunc.nmodes:
+    if isinstance(state, DensityMatrix):
+        # a row of a positive semidefinite matrix is zero where its diagonal is
+        rows = np.flatnonzero(state.mat.any(axis=0))
+        state = np.unravel_index(rows, state.trunc.shape), state.mat[np.ix_(rows, rows)]
+    occ, block = state
+    if alphas.shape[1] != len(occ):
         raise ValueError("mode count mismatch")
-    if isinstance(state, FockVector):
-        support = np.flatnonzero(state.flat)
-    else:
-        # a row of a positive semidefinite matrix is zero where its
-        # diagonal entry is
-        support = np.flatnonzero(state.mat.any(axis=0))
-    u = _coherent_mode_amps(alphas.conj(), max(trunc.cutoffs))
-    amps = np.ones((len(alphas), len(support)), dtype=np.complex128)
-    for j, occ in enumerate(np.unravel_index(support, trunc.shape)):
-        amps *= u[:, j, occ]
-    if isinstance(state, FockVector):
-        ov = amps @ state.flat[support]
+    u = _coherent_mode_amps(alphas.conj(), max(int(o.max(initial=0)) for o in occ))
+    amps = np.ones((len(alphas), len(block)), dtype=np.complex128)
+    for j, o in enumerate(occ):
+        amps *= u[:, j, o]
+    if block.ndim == 1:
+        ov = amps @ block
         return ov.real**2 + ov.imag**2
-    rho = state.mat[np.ix_(support, support)]
-    return np.einsum("pk,kl,pl->p", amps, rho, amps.conj()).real
+    return np.einsum("pk,kl,pl->p", amps, block, amps.conj()).real
 
 
 def _factor_derivatives(f, re: np.ndarray, im: np.ndarray):
@@ -491,6 +490,8 @@ def q_tilde(state, alpha) -> float:
             f"evaluation point tail {1.0 - kept:.3e} exceeds "
             f"tail_tol {trunc.tail_tol:.1e}"
         )
+    if isinstance(state, FockVector):
+        state = _Support.of(state)
     return max(0.0, float(_support_overlaps(state, alphas[None])[0]))
 
 

@@ -29,7 +29,7 @@ from .fock import (
     outer,
     tensor,
 )
-from .husimi import cat_qmax, gamma_n, noon_qmax_analytic, q_sup
+from .husimi import _bisect, cat_qmax, gamma_n, noon_qmax_analytic, q_sup
 from .metrics import fuchs_vdg_check, helstrom_saturation, trace_distance
 from .states import (
     CatParams,
@@ -244,8 +244,7 @@ def check_qsup_oracle() -> list[CheckLine]:
 
 
 def _even_cat_features() -> tuple[float, float, float]:
-    """(beta_c, beta_p, beta_5) from the closed forms above."""
-    from scipy.optimize import brentq  # kept off the import path of ncdist
+    """(beta_c, beta_p, beta_5) from the closed forms above, bisected to 1e-12."""
 
     def crossing(b):
         x = b * b
@@ -259,9 +258,9 @@ def _even_cat_features() -> tuple[float, float, float]:
         m = cat_qmax(CatParams("even", b)).value
         return m - 0.5 * (1.0 + math.exp(-2.0 * b * b)) - 5e-3
 
-    beta_c = brentq(crossing, 0.1, 1.0, xtol=1e-12)
-    beta_p = brentq(gap_slope, 0.1, 1.0, xtol=1e-12)
-    beta_5 = brentq(gap_excess, beta_p, 3.0, xtol=1e-12)
+    beta_c = _bisect(crossing, 0.1, 1.0, 1e-12)
+    beta_p = _bisect(gap_slope, 0.1, 1.0, 1e-12)
+    beta_5 = _bisect(gap_excess, beta_p, 3.0, 1e-12)
     return beta_c, beta_p, beta_5
 
 

@@ -496,6 +496,45 @@ def test_weighted_axis_rings_never_lose_to_equal_weights(m, n):
         assert rings.value <= uniform.value + 1e-15
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [11, 14, 28, 64])
+def test_uniform_noon_reaches_its_closed_form_at_many_modes(m, n):
+    # the distance 1 - gamma_n / M approaches 1 as the modes grow; the
+    # support holds M entries, whatever the basis size (n + 1)^M
+    rep = _spec_report("noon", {"n": n, "c": (1.0 / math.sqrt(m),) * m})
+    assert abs(rep.exact - (1.0 - gamma_n(n) / m)) <= 1e-12
+    assert rep.saturation["ok"]
+
+
+def test_many_mode_number_and_one_photon_reports_are_exact():
+    rep = _spec_report("single_photon", {"c": (0.125,) * 64})
+    assert abs(rep.exact - (1.0 - G1)) <= 1e-12 and rep.saturation["ok"]
+    rep = _spec_report("number", {"ns": (3,) * 12})
+    assert abs(rep.exact - (1.0 - G3**12)) <= 1e-12 and rep.saturation["ok"]
+
+
+def test_number_one_photon_and_noon_reports_build_no_fock_vector(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fock vector was built")
+
+    for mod in (fock, states):
+        monkeypatch.setattr(mod, "number_basis_vector", refuse)
+    monkeypatch.setattr(states, "noon_vector", refuse)
+    monkeypatch.setattr(states.StateSpec, "build", refuse)
+    half = 1.0 / math.sqrt(2.0)
+    exact = [
+        ("number", {"ns": (1, 0, 2)}, 1.0 - G1 * G2),
+        ("single_photon", {"c": (0.6, 0.8j)}, 1.0 - G1),
+        ("noon", {"n": 1, "c": (half, -half)}, 1.0 - G1),
+        ("noon", {"n": 3, "c": (half, 0.0, half * 1j)}, 1.0 - G3 / 2.0),
+    ]
+    for kind, params, want in exact:
+        rep = _spec_report(kind, params)
+        assert abs(rep.exact - want) <= 1e-12 and rep.saturation["ok"]
+    rep = _spec_report("noon", {"n": 2, "c": (0.8, 0.6)})
+    assert rep.best_lower < rep.best_upper
+
+
 def test_report_affine_pair_noon_vs_number():
     # two photons split over two modes and |1,1> are images of each other
     # under a balanced coupler, so their brackets must agree
@@ -828,8 +867,14 @@ def _parity_cat_mixture(beta, w_even, **extra):
     ]})
 
 
-def test_classical_parity_cat_mixture_is_exact_by_sigma_beta():
-    # (1 + e^-2)/2 cat+ + (1 - e^-2)/2 cat- at beta 1 is (|1><1| + |-1><-1|)/2
+def test_classical_parity_cat_mixture_is_exact_by_sigma_beta(monkeypatch):
+    # (1 + e^-2)/2 cat+ + (1 - e^-2)/2 cat- at beta 1 is (|1><1| + |-1><-1|)/2;
+    # no Husimi search can move a bracket that closes at 0, so none is run
+    def refuse(*args, **kwargs):
+        raise AssertionError("the raw route ran")
+
+    monkeypatch.setattr(bounds, "q_sup", refuse)
+    monkeypatch.setattr(bounds, "_report_raw", refuse)
     rep = report(_parity_cat_mixture(1, 0.5676676416183064))
     assert rep.exact is not None
     assert rep.best_upper <= 1e-15

@@ -37,9 +37,9 @@ def test_report_number_state(tmp_path, capsys):
 
 
 def test_import_and_reports_leave_scipy_optimize_and_stats_unloaded(tmp_path):
-    # each costs a large part of a second to import; only verify's cat
-    # features (brentq) load scipy.optimize, and a Husimi search draws its
-    # Sobol starts in-house, so reports, qsup and figures load neither
+    # each costs a large part of a second to import; verify's cat features
+    # bisect in-house, and a Husimi search draws its Sobol starts in-house,
+    # so reports, qsup, figures and verify load neither
     one = write_state(tmp_path, "one.json", {"kind": "number", "ns": [1]})
     mix = write_state(tmp_path, "mix.json", {"kind": "vacuum_number_mixture", "n": 2, "eta": 0.5})
     searched = write_state(tmp_path, "searched.json", {"kind": "mixture", "terms": [
@@ -55,6 +55,7 @@ def test_import_and_reports_leave_scipy_optimize_and_stats_unloaded(tmp_path):
         f"    assert ncdist.cli.main(['report', {searched!r}]) == 0\n"
         f"    assert ncdist.cli.main(['qsup', {searched!r}]) == 0\n"
         f"    assert ncdist.cli.main(['figure', 'fig1', '--steps', '3', '--out', {fig!r}]) == 0\n"
+        "    assert ncdist.cli.main(['verify', '--only', 'cat-figures']) == 0\n"
         "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))\n"
     )
     src = str(Path(ncdist.__file__).resolve().parents[1])
@@ -163,6 +164,20 @@ def test_oversized_dense_state_exits_three(tmp_path, capsys):
     code, _, err = run_cli(capsys, "report", path, "--trunc", "70")
     assert code == 3
     assert "5041x5041 dense" in err
+
+
+def test_sixty_four_two_level_modes(tmp_path, capsys):
+    # 2^64 basis states: qsup builds the photon's vector and stops at the
+    # basis cap, while the reports build no Fock vector
+    photon = write_state(tmp_path, "photon.json", {"kind": "single_photon", "c": [[0.125, 0]] * 64})
+    code, out, err = run_cli(capsys, "qsup", photon)
+    assert code == 3 and out == ""
+    assert "exceeds the cap" in err
+    code, out, _ = run_cli(capsys, "report", photon)
+    assert code == 0 and abs(json.loads(out)["exact"] - (1.0 - math.exp(-1.0))) <= 1e-12
+    number = write_state(tmp_path, "number.json", {"kind": "number", "ns": [1] * 64})
+    code, out, _ = run_cli(capsys, "report", number)
+    assert code == 0 and json.loads(out)["exact"] is not None
 
 
 def test_wide_entangled_coherent_reports_as_its_cat(tmp_path, capsys):

@@ -47,6 +47,13 @@ def test_trunc_dimension_cap():
         TruncationSpec((2000, 2000))
 
 
+def test_trunc_dimension_cap_counts_past_int64():
+    # 2^64 basis states, which wrap to 0 in 64-bit integers
+    assert TruncationSpec((1,) * 21).dim == 2**21
+    with pytest.raises(DimensionTooLarge):
+        TruncationSpec((1,) * 64)
+
+
 def test_totals():
     t = TruncationSpec((2, 1))
     assert list(t.totals()) == [0, 1, 1, 2, 2, 3]

@@ -10,6 +10,7 @@ from ncdist.fock import (
     FockVector,
     TruncationSpec,
     _coherent_mode_amps,
+    _Support,
     beam_splitter,
     coherent_amps,
     displacement,
@@ -564,7 +565,8 @@ def test_support_overlaps_match_the_bargmann_evaluator(name):
     rng = np.random.default_rng(5)
     alphas = rng.normal(size=(12, m)) + 1j * rng.normal(size=(12, m))
     ref = _BargmannTarget(state).evaluate(np.array([_as_x(a) for a in alphas]))[0]
-    got = _support_overlaps(state, alphas)
+    form = _Support.of(state) if isinstance(state, FockVector) else state
+    got = _support_overlaps(form, alphas)
     assert np.abs(got - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
 
 
@@ -580,7 +582,7 @@ def test_support_overlaps_at_a_rotated_witness_points():
         for pt in comp.representative_points()
     ]
     ref = _BargmannTarget(psi).evaluate(np.array([_as_x(p) for p in points]))[0]
-    assert np.abs(_support_overlaps(psi, points) - ref).max() <= 1e-15
+    assert np.abs(_support_overlaps(_Support.of(psi), points) - ref).max() <= 1e-15
 
 
 def test_q_sup_repeats_its_result_and_shares_a_read_only_sobol_array():
