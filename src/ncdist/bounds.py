@@ -41,9 +41,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.linalg.lapack import dgetrf, dgetrs
-from scipy.special import gammainc
 
 from .channels import AffineOptics, affine_image
 from .errors import NumericalInconsistency, TruncationTooSmall
@@ -52,11 +49,11 @@ from .fock import (
     FockVector,
     TruncationSpec,
     _Support,
+    _poisson_columns,
     beam_splitter,
     mean_total_energy,
     mode_energies,
     partial_trace,
-    poisson_pmf,
 )
 from .husimi import (
     DEFAULT_SEED,
@@ -277,10 +274,12 @@ class _WitnessCandidate:
         )
         rot = None
         if self.rotation is not None or other.rotation is not None:
-            rot = block_diag(*(
-                np.eye(c.ensemble.nmodes) if c.rotation is None else c.rotation
-                for c in (self, other)
-            )).astype(np.complex128)
+            m = self.ensemble.nmodes
+            rot = np.eye(m + other.ensemble.nmodes, dtype=np.complex128)
+            if self.rotation is not None:
+                rot[:m, :m] = self.rotation
+            if other.rotation is not None:
+                rot[m:, m:] = other.rotation
         fa, fb = (c.frame() if callable(c.frame) else c.frame for c in (self, other))
         frame = None if fa is None or fb is None else fa.tensor(fb)
         return _WitnessCandidate(ClassicalEnsemble(comps), rot, frame=frame)
@@ -420,11 +419,10 @@ def _pois_columns(cutoff: int, energies: np.ndarray) -> np.ndarray:
     row, so the objective is the full-space trace distance.
 
     Each column equals :func:`.fock.poisson_pmf` and
-    :func:`.fock.poisson_tail` at its energy bit for bit."""
-    if np.any(energies < 0):
-        raise ValueError("ring energies must be >= 0")
-    tail = np.where(energies > 0, gammainc(cutoff + 1, energies), 0.0)
-    return np.vstack([poisson_pmf(energies, cutoff), tail])
+    :func:`.fock.poisson_tail` at its energy bit for bit: both come from
+    the routine that ``poisson_tail`` runs on an array of energies, and a
+    negative energy raises ``ValueError``."""
+    return _poisson_columns(cutoff, energies)
 
 
 def _ring_distance(target: np.ndarray, cols: np.ndarray, w: np.ndarray) -> float:
@@ -471,11 +469,12 @@ def _ring_lp(cols: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarr
     A slack column is a signed unit vector, so the basis is held reduced:
     the basic columns J, and on each row either the sign of its basic
     slack or none (a tight row, where ``C w = p``).  Only the square system
-    ``[C[tight, J]; 1]`` is solved, afresh at every pivot, for the weights,
-    the duals and the pivot column.  Pricing is Dantzig's rule.  The ratio
-    test takes a long step (Barrodale and Roberts, SIAM J. Numer. Anal. 10,
-    839 (1973)): a basic slack that reaches zero hands its row to its twin
-    while the objective still falls, so one pivot crosses many kinks.
+    ``[C[tight, J]; 1]`` is inverted, afresh at every pivot, and its inverse
+    gives the weights, the duals and the pivot column.  Pricing is Dantzig's
+    rule.  The ratio test takes a long step (Barrodale and Roberts, SIAM J.
+    Numer. Anal. 10, 839 (1973)): a basic slack that reaches zero hands its
+    row to its twin while the objective still falls, so one pivot crosses
+    many kinks.
     Ties go to the smallest variable index.
 
     The pivots run first on a perturbed target, each row moved up by a
@@ -506,23 +505,26 @@ def _ring_lp(cols: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarr
     for goal in (shifted, target):
         seen = set()
         while True:
-            tight = np.flatnonzero(sign == 0.0)
+            tight = (sign == 0.0).nonzero()[0]
             cj = cols[:, basic]
             nb = len(basic)
-            lu, perm, info = dgetrf(np.vstack([cj[tight], np.ones(nb)]))
-            if info != 0:
-                raise NumericalInconsistency("ring-mixture LP basis is singular")
-            w_basic = dgetrs(lu, perm, np.append(goal[tight], 1.0))[0]
+            mat = np.ones((nb, nb))
+            mat[:-1] = cj[tight]
+            try:
+                inv = np.linalg.inv(mat)
+            except np.linalg.LinAlgError:
+                raise NumericalInconsistency("ring-mixture LP basis is singular") from None
+            w_basic = inv[:, :-1] @ goal[tight] + inv[:, -1]
             # basic values: the basic columns, then the rows' slacks (0 if tight)
             value = np.concatenate([w_basic, sign * (goal - cj @ w_basic)])
             # a basic slack prices its row at +-1/2; the basic columns fix the rest
             y = 0.5 * sign
-            z = dgetrs(lu, perm, -(cj.T @ y), trans=1)[0]
+            z = -(y @ cj) @ inv
             y[tight] = z[:-1]
             d = np.concatenate([-(y @ cols + z[-1]), 0.5 + y, 0.5 - y])
             d[basic] = 0.0
 
-            q, leave = int(np.argmin(d)), int(np.argmin(value))
+            q, leave = int(d.argmin()), int(value.argmin())
             # a basis met before means the objective stopped falling past its
             # rounding: every basis on that cycle is optimal to within it
             basis = (frozenset(basic), sign.tobytes())
@@ -538,12 +540,12 @@ def _ring_lp(cols: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarr
                 else:
                     a_rows, last = np.zeros(m), 0.0
                     a_rows[(q - k) % m] = 1.0 if q >= k + m else -1.0
-                alpha_basic = dgetrs(lu, perm, np.append(a_rows[tight], last))[0]
+                alpha_basic = inv[:, :-1] @ a_rows[tight] + last * inv[:, -1]
                 alpha = np.concatenate([alpha_basic, sign * (a_rows - cj @ alpha_basic)])
                 # leaving candidates: basic columns, then the rows' basic slacks
                 # (a tight row has none, and its alpha is 0)
                 var = np.concatenate([basic, k + np.arange(m) + np.where(sign > 0, m, 0)])
-                eligible = np.flatnonzero(alpha > _RING_LP_PIVOT_TOL)
+                eligible = (alpha > _RING_LP_PIVOT_TOL).nonzero()[0]
                 if eligible.size == 0:
                     raise NumericalInconsistency("ring-mixture LP found no positive pivot")
                 ratios = np.maximum(value[eligible], 0.0) / alpha[eligible]
@@ -562,11 +564,11 @@ def _ring_lp(cols: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarr
                 e = np.zeros(nb + m)
                 e[leave] = 1.0
                 rho = e[nb:] * sign
-                z = dgetrs(lu, perm, e[:nb] - cj.T @ rho, trans=1)[0]
+                z = (e[:nb] - rho @ cj) @ inv
                 rho[tight] = z[:-1]
                 alpha = -np.concatenate([rho @ cols + z[-1], -rho, rho])
                 alpha[basic] = 0.0
-                eligible = np.flatnonzero(alpha > _RING_LP_PIVOT_TOL)
+                eligible = (alpha > _RING_LP_PIVOT_TOL).nonzero()[0]
                 if eligible.size == 0:
                     raise NumericalInconsistency("ring-mixture LP found no dual pivot")
                 ratios = np.maximum(d[eligible], 0.0) / alpha[eligible]

@@ -65,7 +65,8 @@ def apply_affine(channel: AffineOptics, state):
     operator U whose ``apply`` multiplies along the flat basis axis: U psi
     for a vector, and U rho U^+ = (U (U rho)^+)^+ for a matrix.  The
     interferometer keeps the photon number, so it is built only on the
-    shells the state's diagonal occupies, and D(0) = I is skipped.
+    shells the state's diagonal occupies; an identity mode matrix and
+    D(0) = I are skipped.
     Probability lost past the cutoffs must stay within 10x the truncation
     budget; otherwise the cutoffs are too tight for the moved state and the
     call fails with a suggestion.
@@ -77,9 +78,11 @@ def apply_affine(channel: AffineOptics, state):
         raise ValueError("channel/state mode count mismatch")
     vec = isinstance(state, FockVector)
     x = state.flat if vec else state.mat
-    diag = x if vec else x.diagonal()
-    shells = np.unique(trunc.totals()[diag != 0])
-    ops = [passive_unitary(channel.mode_matrix, trunc, shells)]
+    ops = []
+    if not np.array_equal(channel.mode_matrix, np.eye(channel.nmodes)):
+        diag = x if vec else x.diagonal()
+        shells = np.unique(trunc.totals()[diag != 0])
+        ops.append(passive_unitary(channel.mode_matrix, trunc, shells))
     if np.any(channel.displacements):
         ops.append(displacement(channel.displacements, trunc))
     for op in ops:

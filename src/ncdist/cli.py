@@ -35,19 +35,27 @@ EXIT_SCHEMA = 2
 EXIT_TRUNCATION = 3
 EXIT_NUMERICAL = 4
 
+# kinds whose reports read their support and ignore the truncation
+_SUPPORT_KINDS = ("number", "single_photon", "noon")
+
 
 def _load_spec(args) -> StateSpec:
     """The state, with ``--trunc`` and ``--tail-tol`` each replacing their
     own half of its truncation (the JSON ``trunc``, else the family
     default); ``TruncationSpec`` checks both.  A family default past the
     basis cap stays unset, as without the flags: a report may build no
-    state (a coherent product)."""
+    state (a coherent product).  Number, one-photon and N00N states are
+    exact on their support, so for them the flags' ranges are checked and
+    the state is kept as it is."""
     with open(args.state, "r", encoding="utf-8") as fh:
         spec = parse_state(fh.read())
     if args.trunc is None and args.tail_tol is None:
         return spec
     budget = DEFAULT_TAIL_TOL if spec.trunc is None else spec.trunc.tail_tol
     tail_tol = budget if args.tail_tol is None else args.tail_tol
+    if spec.kind in _SUPPORT_KINDS:
+        TruncationSpec((1 if args.trunc is None else args.trunc,), tail_tol)
+        return spec
     # the family default's cutoffs are resolved only when they are kept:
     # on a state that --trunc shrinks they may pass the basis cap
     if args.trunc is not None:

@@ -27,18 +27,23 @@ on Fock-space states, and the report's attainment checks in
 ``bounds._check_attained`` and ``bounds._saturation_diagnostics``), read it
 from ``_support_overlaps`` on a pure state's support (``fock._Support``) or a
 density's nonzero rows: a value-only sum whose cost is the support's size.
+
+Importing the module loads no scipy module: gamma_n takes log n! from the
+integer n!, the Sobol starts are drawn in-house from the direction-number
+table that scipy ships (found by its import spec), and only a search on a
+ring ensemble imports scipy's exponentially scaled Bessel functions, inside
+``_factor_derivatives``.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
-from scipy.special import gammaln, i0e, i1e
 
 from .errors import NumericalInconsistency, TruncationTooSmall
 from .fock import (
@@ -61,14 +66,29 @@ GRADIENT_TOL = 1e-12  # a start stops once every gradient component is below
 # ---------------------------------------------------------------------------
 # closed forms
 
+# gamma_n takes log n! from the exact integer n! up to here; past it the
+# integer's cost grows (n = 1e5 takes 0.2 s) and lgamma is as accurate
+_EXACT_FACTORIAL_MAX = 1000
+
 
 def gamma_n(n) -> float | np.ndarray:
-    """Peak coherent overlap of |n>: e^{-n} n^n / n!, stable for large n."""
+    """Peak coherent overlap of |n>: e^{-n} n^n / n!, stable for large n.
+
+    log n! is ``math.log(math.factorial(n))`` for an integer n up to
+    ``_EXACT_FACTORIAL_MAX`` (the bits of scipy's ``gammaln(n + 1)`` up to
+    n = 12, where n! is an exact float, and within 2 ulp of it up to 400),
+    else ``math.lgamma(n + 1)``."""
     n_arr = np.asarray(n, dtype=float)
     out = np.ones_like(n_arr)
     pos = n_arr > 0
     npos = n_arr[pos]
-    out[pos] = np.exp(npos * np.log(npos) - npos - gammaln(npos + 1.0))
+    log_fact = [
+        math.log(math.factorial(int(k)))
+        if k.is_integer() and k <= _EXACT_FACTORIAL_MAX
+        else math.lgamma(k + 1.0)
+        for k in npos.tolist()
+    ]
+    out[pos] = np.exp(npos * np.log(npos) - npos - np.array(log_fact))
     if np.isscalar(n) or np.asarray(n).ndim == 0:
         return float(out)
     return out
@@ -400,6 +420,9 @@ def _factor_derivatives(f, re: np.ndarray, im: np.ndarray):
         # ratio = e^{-E-r^2} I1(z) / z (its limit 1/2 e^{-E-r^2} where z = 0):
         #   h'/r = 4 E ratio - 2 h, which is h''(0) at r = 0, and by
         #   I1' = I0 - I1 / z, h'' = -2 h - 2 r h' - 8 E r^2 ratio + 4 E (h - ratio)
+        # only a ring ensemble's search needs the Bessel functions
+        from scipy.special import i0e, i1e
+
         e = f.energy
         s = math.sqrt(e)
         r = np.hypot(re, im)
@@ -506,9 +529,10 @@ _SOBOL_BITS = 30
 def _sobol_table() -> tuple[np.ndarray, np.ndarray]:
     """Joe & Kuo's primitive polynomials and initial direction numbers
     (SIAM J. Sci. Comput. 30, 2635 (2008)), one row per dimension, from the
-    table that scipy ships beside its own Sobol sampler. Reading the file
-    loads no scipy submodule."""
-    path = os.path.join(os.path.dirname(scipy.__file__), "stats", "_sobol_direction_numbers.npz")
+    table that scipy ships beside its own Sobol sampler. The file is found
+    from scipy's import spec, so no scipy module is loaded."""
+    root = os.path.dirname(importlib.util.find_spec("scipy").origin)
+    path = os.path.join(root, "stats", "_sobol_direction_numbers.npz")
     with np.load(path) as table:
         return table["poly"], table["vinit"]
 

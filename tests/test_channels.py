@@ -121,6 +121,27 @@ def test_affine_builds_only_the_shells_the_state_occupies(monkeypatch):
     assert np.abs(out.flat - want).max() < 1e-13
 
 
+def test_affine_skips_an_identity_interferometer(monkeypatch):
+    # a displaced state: the identity mode matrix is not built, and the
+    # output is the displacement's alone, on a vector and on a matrix
+    trunc = TruncationSpec((14, 14))
+    psi = coherent_amps([0.3, -0.2j], trunc)
+    gammas = np.array([0.25, 0.1 + 0.1j])
+
+    def no_interferometer(*args, **kwargs):
+        raise AssertionError("the identity interferometer is built")
+
+    monkeypatch.setattr(channels, "passive_unitary", no_interferometer)
+    d = channels.displacement(gammas, trunc)
+    out = apply_affine(AffineOptics(np.eye(2), gammas), psi)
+    assert np.array_equal(out.flat, d.apply(psi.flat))
+    rho = outer(psi)
+    out = apply_affine(AffineOptics(np.eye(2), gammas), rho)
+    assert np.array_equal(out.mat, DensityMatrix(trunc, d.apply(d.apply(rho.mat).conj().T).conj().T).mat)
+    # and with no displacement either, the state comes back unchanged
+    assert np.array_equal(apply_affine(AffineOptics(np.eye(2), np.zeros(2)), psi).flat, psi.flat)
+
+
 def test_beam_splitter_realizes_entangled_coherent():
     for beta in (0.4, 1.2, 3.0):
         n = max(12, int(np.ceil(beta**2 + 8 * beta + 20)))

@@ -36,10 +36,11 @@ def test_report_number_state(tmp_path, capsys):
     assert {"state_id", "lowers", "uppers", "exact"} <= set(rep)
 
 
-def test_import_and_reports_leave_scipy_optimize_and_stats_unloaded(tmp_path):
-    # each costs a large part of a second to import; verify's cat features
-    # bisect in-house, and a Husimi search draws its Sobol starts in-house,
-    # so reports, qsup, figures and verify load neither
+def test_import_and_reports_load_no_scipy(tmp_path):
+    # importing scipy's submodules costs a large part of a second; the
+    # Poisson tails, log n!, the displacement exponential, the ring LP and
+    # the Sobol starts are computed in-house, so reports, qsup, figures,
+    # verify and the optics load no scipy module at all
     one = write_state(tmp_path, "one.json", {"kind": "number", "ns": [1]})
     mix = write_state(tmp_path, "mix.json", {"kind": "vacuum_number_mixture", "n": 2, "eta": 0.5})
     searched = write_state(tmp_path, "searched.json", {"kind": "mixture", "terms": [
@@ -48,7 +49,8 @@ def test_import_and_reports_leave_scipy_optimize_and_stats_unloaded(tmp_path):
     ]})
     fig = str(tmp_path / "fig1.csv")
     code = (
-        "import contextlib, io, sys, ncdist, ncdist.cli\n"
+        "import contextlib, io, sys, numpy as np, ncdist, ncdist.cli\n"
+        "from ncdist import channels, fock, states\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert ncdist.cli.main(['report', {one!r}]) == 0\n"
         f"    assert ncdist.cli.main(['report', {mix!r}]) == 0\n"
@@ -56,7 +58,14 @@ def test_import_and_reports_leave_scipy_optimize_and_stats_unloaded(tmp_path):
         f"    assert ncdist.cli.main(['qsup', {searched!r}]) == 0\n"
         f"    assert ncdist.cli.main(['figure', 'fig1', '--steps', '3', '--out', {fig!r}]) == 0\n"
         "    assert ncdist.cli.main(['verify', '--only', 'cat-figures']) == 0\n"
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))\n"
+        "psi = fock.coherent_amps([0.3, 0.2j], fock.TruncationSpec((12, 12)))\n"
+        "optics = channels.AffineOptics([[0.6, 0.8], [-0.8, 0.6]], [0.2, 0.1j])\n"
+        "assert channels.apply_affine(optics, psi).norm_defect() < 1e-9\n"
+        "photon = states.StateSpec('single_photon', {'c': (0.6, 0.48j, 0.64)}).build()\n"
+        "joint = fock.tensor(photon, fock.coherent_amps([0.5], fock.TruncationSpec((12,))))\n"
+        "(wit,) = [b for b in ncdist.report(joint).uppers if b.name == 'factor-witness']\n"
+        "assert wit.candidate.rotation is not None\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(ncdist.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -64,6 +73,20 @@ def test_import_and_reports_leave_scipy_optimize_and_stats_unloaded(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
     assert Path(fig).exists()
+
+
+def test_qsup_on_a_phase_randomized_state(tmp_path, capsys):
+    # a ring ensemble's search is the one path that imports scipy's Bessel
+    # functions, inside the search
+    ring = write_state(tmp_path, "ring.json", {"kind": "phase_randomized", "energy": 1.5})
+    code, out, err = run_cli(capsys, "qsup", ring)
+    assert code == 0 and err == ""
+    # reference: Q(r) = e^{-E - r^2} I0(2 sqrt(E) r) on a fine grid of radii
+    from scipy.special import i0e
+
+    r = np.linspace(0.0, 4.0, 400_001)
+    q = i0e(2.0 * math.sqrt(1.5) * r) * np.exp(-((math.sqrt(1.5) - r) ** 2))
+    assert json.loads(out)["value"] == pytest.approx(q.max(), abs=1e-9)
 
 
 def test_report_cat_has_open_interval(tmp_path, capsys):
@@ -178,6 +201,18 @@ def test_sixty_four_two_level_modes(tmp_path, capsys):
     number = write_state(tmp_path, "number.json", {"kind": "number", "ns": [1] * 64})
     code, out, _ = run_cli(capsys, "report", number)
     assert code == 0 and json.loads(out)["exact"] is not None
+
+
+def test_trunc_flag_on_a_wide_noon_state_changes_nothing(tmp_path, capsys):
+    # a N00N report reads its support and ignores the truncation, so --trunc
+    # is checked for its range only: (2 + 1)^64 basis states are never built
+    noon = write_state(tmp_path, "noon.json", {"kind": "noon", "n": 2, "c": [[0.125, 0]] * 64})
+    code, plain, _ = run_cli(capsys, "report", noon)
+    assert code == 0
+    code, flagged, err = run_cli(capsys, "report", noon, "--trunc", "2")
+    assert code == 0 and err == "" and flagged == plain
+    code, _, err = run_cli(capsys, "report", noon, "--trunc", "0")
+    assert code == 2 and "cutoff" in err
 
 
 def test_wide_entangled_coherent_reports_as_its_cat(tmp_path, capsys):

@@ -11,6 +11,7 @@ from ncdist.fock import (
     FockVector,
     TruncationSpec,
     _coherent_mode_amps,
+    annihilation_matrix,
     beam_splitter,
     coherent_amps,
     displacement,
@@ -74,7 +75,7 @@ def test_coherent_norm_defect_is_exact_poisson_tail():
     t = TruncationSpec((6,), tail_tol=1e-3)
     v = coherent_amps(1.0, t)
     assert v.norm_defect() == pytest.approx(8.3241149288038052e-05, abs=1e-12)
-    # and the gammainc route agrees with scipy.stats.poisson
+    # and the in-house tail agrees with scipy.stats.poisson
     assert poisson_tail(6, 1.0) == pytest.approx(
         1.0 - float(sp_poisson.cdf(6, 1.0)), abs=1e-15
     )
@@ -103,6 +104,65 @@ def test_minimal_cutoff_for_tail_bisection():
         n = minimal_cutoff_for_tail(energy, 1e-12)
         assert poisson_tail(n, energy) <= 1e-12
         assert n == 1 or poisson_tail(n - 1, energy) > 1e-12
+
+
+def test_poisson_tail_matches_mpmath_to_2e13():
+    # P[X > n] = P(n + 1, x), the regularized lower incomplete gamma, at 40
+    # digits; draws whose tail is below the normal floats are skipped
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261020)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for _ in range(400):
+            n = int(rng.integers(1, 81))
+            x = float(np.exp(rng.uniform(math.log(1e-3), math.log(3 * n + 30))))
+            ref = mpmath.gammainc(n + 1, 0, x, regularized=True)
+            if ref < 1e-300:
+                continue
+            worst = max(worst, float(abs(mpmath.mpf(poisson_tail(n, x)) - ref) / ref))
+    assert worst <= 2e-13
+
+
+def test_poisson_tail_edges():
+    mpmath = pytest.importorskip("mpmath")
+
+    def rel(n, x):
+        with mpmath.workdps(40):
+            ref = mpmath.gammainc(n + 1, 0, x, regularized=True)
+            return float(abs(mpmath.mpf(poisson_tail(n, x)) - ref) / ref)
+
+    # no mass past any cutoff at energy 0, as a float or in an array
+    assert poisson_tail(0, 0.0) == 0.0 and poisson_tail(5, 0.0) == 0.0
+    assert np.array_equal(poisson_tail(3, np.zeros((2, 2))), np.zeros((2, 2)))
+    # at cutoff 0 the tail is 1 - e^-x, with no cancellation for small x
+    assert rel(0, 1e-3) <= 1e-15
+    # where the two sums meet, x = n + 1, and on either side of it
+    for n in (1, 4, 30, 80):
+        for x in (n + 1.0 - 1e-9, n + 1.0, n + 1.0 + 1e-9):
+            assert rel(n, x) <= 2e-13
+    # x >> n: the tail is 1 minus a vanishing head
+    assert poisson_tail(2, 200.0) == 1.0
+    assert rel(10, 80.0) <= 1e-15
+    # past energy 700 e^-x underflows and the terms start near the cutoff
+    for n, x in ((880, 900.0), (950, 900.0), (700, 750.0), (2100, 2000.0)):
+        assert rel(n, x) <= 1e-12
+    # an energy's tail is bit for bit the same alone or in an array
+    es = np.array([0.0, 1e-3, 0.5, 3.0, 5.0, 30.0, 800.0])
+    for n in (0, 3, 30, 790):
+        assert np.array_equal(poisson_tail(n, es), [poisson_tail(n, float(e)) for e in es])
+    with pytest.raises(ValueError):
+        poisson_tail(3, np.array([1.0, -0.5]))
+
+
+def test_minimal_cutoff_for_tail_matches_a_gammainc_reference():
+    from scipy.special import gammainc
+
+    for tol in (1e-12, 1e-12 / 3, 1e-6, 0.3):
+        for energy in np.concatenate([np.linspace(0.0, 60.0, 241), np.geomspace(1e-6, 1e3, 60)]):
+            ref = 1
+            while energy > 0 and gammainc(ref + 1, energy) > tol:
+                ref += 1
+            assert minimal_cutoff_for_tail(float(energy), tol) == ref, (energy, tol)
 
 
 def test_poisson_pmf_matches_scipy():
@@ -360,6 +420,19 @@ def test_displacement_moves_vacuum_and_inverts():
     # act unitarily on the low-lying ladder
     dd = d.mats[0].conj().T @ d.mats[0]
     assert np.abs(dd[:10, :10] - np.eye(10)).max() < 1e-10
+
+
+@pytest.mark.parametrize("g, n", [(0.7 + 0.4j, 28), (2 + 1j, 40)])
+def test_displacement_matches_scipy_expm(g, n):
+    # reference: scipy's Pade exponential of the same enlarged generator,
+    # cropped as displacement crops its own
+    from scipy.linalg import expm
+
+    extra = int(math.ceil(4.0 * abs(g) * math.sqrt(n))) + 10
+    a = annihilation_matrix(n + extra)
+    ref = expm(g * a.conj().T - np.conj(g) * a)[: n + 1, : n + 1]
+    (mat,) = displacement(g, TruncationSpec((n,))).mats
+    assert np.abs(mat - ref).max() <= 5e-15
 
 
 def test_displacement_rejects_small_cutoff():

@@ -62,6 +62,28 @@ def test_gamma_values():
     assert gamma_n(200) == pytest.approx(0.028197727685921072, rel=1e-13)
 
 
+def test_gamma_n_matches_the_gammaln_route():
+    from scipy.special import gammaln
+
+    def via_gammaln(n):
+        return float(np.exp(n * np.log(n) - n - gammaln(n + 1.0)))
+
+    # the same bits up to n = 12, where n! is an exact float: fig3's rows
+    # (n <= 4) stay byte-identical
+    for n in range(1, 13):
+        assert gamma_n(n) == via_gammaln(float(n))
+        assert gamma_n(np.array([float(n)]))[0] == via_gammaln(float(n))
+    # beyond, log n! stays within 2 ulp of gammaln(n + 1), so gamma_n moves
+    # by at most 2 ulp of the exponent's largest term, n log n
+    for n in range(13, 401):
+        log_fact = math.log(math.factorial(n))
+        assert abs(log_fact - gammaln(n + 1.0)) <= 2 * np.spacing(gammaln(n + 1.0))
+        bound = 2 * np.spacing(n * math.log(n)) * 2
+        assert abs(gamma_n(n) / via_gammaln(float(n)) - 1.0) <= bound
+    # non-integer n take lgamma
+    assert gamma_n(2.5) == pytest.approx(via_gammaln(2.5), rel=1e-15)
+
+
 def test_gamma_stirling_squeeze():
     ns = np.arange(1, 201)
     g = gamma_n(ns)
