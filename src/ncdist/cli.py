@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .bounds import report
+from .bounds import SUPPORT_KINDS, report
 from .errors import (
     DimensionTooLarge,
     NumericalInconsistency,
@@ -35,10 +35,6 @@ EXIT_SCHEMA = 2
 EXIT_TRUNCATION = 3
 EXIT_NUMERICAL = 4
 
-# kinds whose reports read their support and ignore the truncation
-_SUPPORT_KINDS = ("number", "single_photon", "noon")
-
-
 def _load_spec(args) -> StateSpec:
     """The state, with ``--trunc`` and ``--tail-tol`` each replacing their
     own half of its truncation (the JSON ``trunc``, else the family
@@ -53,7 +49,7 @@ def _load_spec(args) -> StateSpec:
         return spec
     budget = DEFAULT_TAIL_TOL if spec.trunc is None else spec.trunc.tail_tol
     tail_tol = budget if args.tail_tol is None else args.tail_tol
-    if spec.kind in _SUPPORT_KINDS:
+    if spec.kind in SUPPORT_KINDS:
         TruncationSpec((1 if args.trunc is None else args.trunc,), tail_tol)
         return spec
     # the family default's cutoffs are resolved only when they are kept:

@@ -53,7 +53,7 @@ from .fock import (
     _coherent_mode_amps,
     mean_total_energy,
     mode_means,
-    poisson_tail,
+    product_tail,
 )
 from .states import CatParams, ClassicalEnsemble, CoherentFactor, RingFactor
 
@@ -505,12 +505,10 @@ def q_tilde(state, alpha) -> float:
     trunc = state.trunc
     if len(alphas) != trunc.nmodes:
         raise ValueError("mode count mismatch")
-    kept = 1.0
-    for a, n in zip(alphas, trunc.cutoffs):
-        kept *= 1.0 - poisson_tail(n, abs(a) ** 2)
-    if 1.0 - kept > trunc.tail_tol:
+    defect = product_tail(trunc.cutoffs, [abs(a) ** 2 for a in alphas], trunc.tail_tol)
+    if defect > trunc.tail_tol:
         raise TruncationTooSmall(
-            f"evaluation point tail {1.0 - kept:.3e} exceeds "
+            f"evaluation point tail {defect:.3e} exceeds "
             f"tail_tol {trunc.tail_tol:.1e}"
         )
     if isinstance(state, FockVector):

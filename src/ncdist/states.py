@@ -30,7 +30,7 @@ from .fock import (
     number_basis_vector,
     outer,
     poisson_pmf,
-    poisson_tail,
+    product_tail,
     suggest_trunc,
 )
 
@@ -147,12 +147,14 @@ class ClassicalEnsemble:
         return tuple(out)
 
     def _check_tail(self, trunc: TruncationSpec):
-        worst = 0.0
-        for _, comp in self.components:
-            kept = 1.0
-            for mode, n in enumerate(trunc.cutoffs):
-                kept *= 1.0 - poisson_tail(n, comp.mode_energy(mode))
-            worst = max(worst, 1.0 - kept)
+        worst = max(
+            product_tail(
+                trunc.cutoffs,
+                [comp.mode_energy(mode) for mode in range(trunc.nmodes)],
+                trunc.tail_tol,
+            )
+            for _, comp in self.components
+        )
         if worst > trunc.tail_tol:
             raise TruncationTooSmall(
                 f"ensemble tail {worst:.3e} exceeds tail_tol {trunc.tail_tol:.1e}",

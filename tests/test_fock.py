@@ -25,6 +25,7 @@ from ncdist.fock import (
     passive_unitary,
     poisson_pmf,
     poisson_tail,
+    product_tail,
     tensor,
 )
 
@@ -97,6 +98,25 @@ def test_coherent_raises_with_sufficient_cutoffs():
     assert poisson_tail(sugg[0], 4.0) <= 1e-12
     # suggested cutoff is minimal
     assert poisson_tail(sugg[0] - 1, 4.0) > 1e-12
+
+
+def test_product_tail_is_exact_wherever_it_may_pass_tol():
+    # Chernoff's bound stands in for the loss only where the bound is within
+    # tol; elsewhere the loss is 1 - prod(1 - poisson_tail), bit for bit
+    rng = np.random.default_rng(7)
+    bounded = 0
+    for _ in range(500):
+        cuts = [int(c) for c in rng.integers(0, 40, size=int(rng.integers(1, 4)))]
+        energies = [float(c * rng.uniform(0.0, 1.3)) for c in cuts]
+        tol = float(10.0 ** rng.uniform(-15, -1))
+        loss = 1.0 - math.prod(1.0 - poisson_tail(n, e) for n, e in zip(cuts, energies))
+        got = product_tail(cuts, energies, tol)
+        if loss > tol:
+            assert got == loss
+        else:
+            assert loss <= got <= tol
+            bounded += got != loss
+    assert 0 < bounded < 500
 
 
 def test_minimal_cutoff_for_tail_bisection():
