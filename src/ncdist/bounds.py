@@ -6,9 +6,9 @@ rare, so everything here is organized around two-sided brackets:
 
 * lower bounds come from the peak normalized coherent overlap (pure
   states), from a triangle step from the number state |n>'s exact
-  distance to a vacuum-number mixture (closed form, as d(rho, |n>) =
-  1 - eta), and, for a mixed tensor product, from monotonicity under
-  discarding tensor factors;
+  distance to a one-mode diagonal state on the vacuum and |n> (closed
+  form, as d(rho, |n>) = 1 - eta), and, for a mixed tensor product, from
+  monotonicity under discarding tensor factors;
 * upper bounds come from explicit classical witnesses (every witness value
   is a computed trace distance, never a formula taken on trust), from
   convex splits, and from a direct minimization over number-diagonal
@@ -31,7 +31,11 @@ image of a family (an entangled-coherent state is B(eta)(cat (x) |0>), a
 one-photon state W(u)(|1> (x) |0, ..., 0>)) gets the family's report with
 its witnesses, padded with the vacuum, carried through the optics by
 :func:`_image`; no state is rotated.  A state given without family metadata
-(a vector or a density matrix) takes one path, :func:`_report_raw`.
+(a vector or a density matrix) takes one path, :func:`_report_raw`.  A
+one-mode number-diagonal state, a ``vacuum_number_mixture`` or a mixed
+density, gets one report, :func:`_report_diagonal`: one ring-mixture LP
+whose grid holds the occupied levels, and no Husimi search, which could
+not beat it.
 """
 
 from __future__ import annotations
@@ -414,17 +418,6 @@ def _diag_profile(rho: DensityMatrix) -> tuple[np.ndarray, float]:
     return p, max(1.0 - float(p.sum()), 0.0)
 
 
-def _pois_columns(cutoff: int, energies: np.ndarray) -> np.ndarray:
-    """Columns are Poisson pmfs on 0..cutoff plus an exact beyond-cutoff
-    row, so the objective is the full-space trace distance.
-
-    Each column equals :func:`.fock.poisson_pmf` and
-    :func:`.fock.poisson_tail` at its energy bit for bit: ``poisson_tail``
-    runs the same routine on one energy or on many, and a negative energy
-    raises ``ValueError``."""
-    return _poisson_columns(cutoff, energies)
-
-
 def _ring_distance(target: np.ndarray, cols: np.ndarray, w: np.ndarray) -> float:
     return 0.5 * float(np.abs(target - cols @ w).sum())
 
@@ -437,7 +430,7 @@ def diag_mixture_distance(rho: DensityMatrix, energies, weights) -> float:
     w = np.asarray(weights, dtype=float)
     if energies.shape != w.shape:
         raise ValueError("energies and weights differ in length")
-    cols = _pois_columns(rho.trunc.cutoffs[0], energies)
+    cols = _poisson_columns(rho.trunc.cutoffs[0], energies)
     return _ring_distance(np.concatenate([p, [p_ext]]), cols, w)
 
 
@@ -613,7 +606,7 @@ def diag_classical_minimize(rho: DensityMatrix, energy_grid) -> Bound:
     energies = np.asarray(list(energy_grid), dtype=float)
     if energies.size == 0:
         raise ValueError("energy grid is empty")
-    cols = _pois_columns(rho.trunc.cutoffs[0], energies)
+    cols = _poisson_columns(rho.trunc.cutoffs[0], energies)
     target = np.concatenate([p, [p_ext]])
 
     w, y, pivots = _ring_lp(cols, target)
@@ -936,33 +929,38 @@ def _report_classical_ensemble(
     return _assemble(state_id, [], uppers, ens, sup_overlap=sup_overlap)
 
 
-def _report_vacuum_number(spec: StateSpec) -> BoundReport:
-    """rho = (1 - eta)|0><0| + eta|n><n|: one triangle step and one LP.
+def _report_diagonal(rho: DensityMatrix, state_id: str) -> BoundReport:
+    """A one-mode number-diagonal state, of number distribution p: one
+    ring-mixture LP and no Husimi search.
 
-    The lower bound moves |n>'s exact distance 1 - gamma_n (its eq23
-    bound) along d(rho, |n>) = 1 - eta, which is exact (rho - |n><n| moves
-    the mass 1 - eta from |n> to |0>), so it is max(0, eta - gamma_n) in
-    closed form.  The upper bound is the ring-mixture
-    LP, whose grid holds 0 and n, so its value is at most that of the
-    mixture (1 - eta) ring(0) + eta ring(n), eta (1 - gamma_n).  No other
-    upper can beat it: the peak overlap obeys m <= 1 - eta + eta gamma_n,
-    so sqrt(1 - m) >= 1 - m >= eta (1 - gamma_n); the convex split of the
-    |n> and vacuum brackets is at least eta (1 - gamma_n); and the triangle
-    step's upper would be (1 - gamma_n) + (1 - eta).  Only at eta in {0, 1} is rho pure,
-    with the exact peak overlap max(1 - eta, eta gamma_n) for the
-    saturation check.
+    The LP's grid holds the default grid at the mean energy and every
+    occupied level k (p_k > 1e-14), so its value is at most that of the
+    mixture sum_k p_k ring(k), sum_k p_k (1 - gamma_k).  No peak-overlap
+    upper can beat it: Q(alpha) = sum_k p_k Pois_k(|alpha|^2) is at most
+    sum_k p_k gamma_k, so sqrt(1 - m) >= 1 - m >= sum_k p_k (1 - gamma_k).
+
+    A state on the vacuum and at most one level n, (1 - eta)|0><0| +
+    eta|n><n|, lists one triangle step: it moves |n>'s exact distance
+    1 - gamma_n (its eq23 bound) along d(rho, |n>) = 1 - eta, which is
+    exact (rho - |n><n| moves the mass 1 - eta from |n> to |0>), so it is
+    max(0, eta - gamma_n) in closed form.  The convex split of the |n> and
+    vacuum brackets is at least eta (1 - gamma_n), and the triangle step's
+    upper would be (1 - gamma_n) + (1 - eta), so neither is listed.  A
+    state on one level is pure, with the exact peak overlap p_k gamma_k for
+    the saturation check.  Any other state has its mean energy on the grid
+    as well, and no lower bound.
     """
-    n = int(spec.params["n"])
-    eta = float(spec.params["eta"])
-    rho = spec.build()
-    g = gamma_n(n)
-    tri_lo = Bound("triangle", min(max(eta - g, 0.0), _ONE_MINUS), "eq32-triangle-lower")
-    grid = np.unique(
-        np.concatenate([default_energy_grid(eta * n), [0.0, float(n)]])
-    )
-    diag = diag_classical_minimize(rho, grid)
-    sup = max(1.0 - eta, eta * g) if eta in (0.0, 1.0) else None
-    return _assemble(spec.state_id(), [tri_lo], [diag], rho, sup_overlap=sup)
+    p = rho.diagonal()
+    levels = np.flatnonzero(p > 1e-14)
+    excited = levels[levels > 0]
+    mean = mean_total_energy(rho)
+    lowers, extra = [], [mean]
+    if len(excited) <= 1:
+        gap = max([float(p[n]) - gamma_n(int(n)) for n in excited] + [0.0])
+        lowers, extra = [Bound("triangle", min(gap, _ONE_MINUS), "eq32-triangle-lower")], []
+    grid = np.unique(np.concatenate([default_energy_grid(mean), extra, levels]))
+    sup = float(p[levels[0]]) * gamma_n(int(levels[0])) if len(levels) == 1 else None
+    return _assemble(state_id, lowers, [diag_classical_minimize(rho, grid)], rho, sup_overlap=sup)
 
 
 def _classical_terms(spec: StateSpec) -> ClassicalEnsemble | None:
@@ -1095,27 +1093,28 @@ def _density_factor_split(rho: DensityMatrix) -> tuple[list[DensityMatrix], floa
     return None
 
 
-def _combine_factor_reports(parts: list[BoundReport], state, defect: float) -> BoundReport:
-    """An exact tensor product's bracket from its factors' reports, measured
-    on the product of the factors, which lies within the split's ``defect``
-    of the state: its bounds are widened by that on both sides.  A pure
-    product's eq23 lower 1 - prod m_i is never below a factor's 1 - m_i, so
-    only a mixed one lists its best factor lower, unwidened, as a factor is
-    the state's exact marginal (discarding factors cannot raise the
-    distance).  The tensored witness is measured on its frame."""
+def _combine_factor_reports(
+    parts: list[BoundReport], sups: list[float], state, defect: float
+) -> BoundReport:
+    """An exact tensor product's bracket from its factors' reports and peak
+    overlaps ``sups``, measured on the product of the factors, which lies
+    within the split's ``defect`` of the state: its bounds are widened by
+    that on both sides.  A pure product's eq23 lower 1 - prod m_i is never
+    below a factor's 1 - m_i, so only a mixed one lists its best factor
+    lower, unwidened, as a factor is the state's exact marginal (discarding
+    factors cannot raise the distance).  The tensored witness is measured
+    on its frame."""
 
     def widened(b: Bound, sign: float) -> Bound:
         return replace(b, value=min(max(b.value + sign * defect, 0.0), _ONE_MINUS))
 
-    sup_joint = None
-    if all(p.sup_overlap is not None for p in parts):
-        sup_joint = float(np.prod([p.sup_overlap for p in parts]))
+    sup_joint = float(np.prod(sups))
     if isinstance(state, FockVector):
         lowers = [widened(b, -1.0) for b in _pure_lowers(sup_joint)]
     else:
         best_part = max(p.best_lower for p in parts)
         lowers = [Bound("factor-monotone", best_part, "factor-monotone-lower")]
-    uppers = [] if sup_joint is None else [widened(upper_q(sup_joint), 1.0)]
+    uppers = [widened(upper_q(sup_joint), 1.0)]
     if all(p.best_witness is not None for p in parts):
         joint = parts[0].best_witness
         for p in parts[1:]:
@@ -1123,27 +1122,17 @@ def _combine_factor_reports(parts: list[BoundReport], state, defect: float) -> B
         if joint.frame is not None:
             d, joint.residual = joint.frame.measure()
             uppers.append(_witness_bound("factor-witness", d + defect, joint))
-    if not uppers:
-        uppers.append(Bound("trivial-cap", _ONE_MINUS, "trivial-upper"))
     return _assemble(_default_id(state), lowers, uppers, state, sup_overlap=sup_joint)
-
-
-def _vacuum_number_params(p: np.ndarray) -> tuple[int, float] | None:
-    """Detect a diagonal supported on the vacuum and one excited level."""
-    nz = np.flatnonzero(p > 1e-14)
-    if len(nz) == 2 and nz[0] == 0:
-        return int(nz[1]), float(p[nz[1]])
-    if len(nz) == 1 and nz[0] > 0:
-        return int(nz[0]), float(p[nz[0]])
-    return None
 
 
 def _report_raw(state, seed: int) -> BoundReport:
     """A FockVector or DensityMatrix given without family metadata: a pure
     one (a density of purity 1 as its top eigenvector) matched to a known
-    family, an exact tensor product from its factors, and any other state
-    by one ring witness and one Husimi search, also started at the square
-    roots of the mode energies."""
+    family, an exact tensor product from its factors, a one-mode
+    number-diagonal density by :func:`_report_diagonal`, and any other
+    state by one ring witness and one Husimi search.  A product's factor
+    reported without a peak overlap, a diagonal one, is searched for it, as
+    the product's ``overlap-sqrt`` needs it."""
     state = _as_pure_vector(state) or state
     pure = isinstance(state, FockVector)
     spec = identify_pure_state(state) if pure else None
@@ -1153,24 +1142,19 @@ def _report_raw(state, seed: int) -> BoundReport:
     if split is not None:
         factors, defect = split
         parts = [_report_raw(f, seed) for f in factors]
-        return _combine_factor_reports(parts, state, defect)
+        sups = [
+            p.sup_overlap if p.sup_overlap is not None
+            else q_sup(f, [np.sqrt(mode_energies(f)).astype(np.complex128)], seed=seed).value
+            for p, f in zip(parts, factors)
+        ]
+        return _combine_factor_reports(parts, sups, state, defect)
+    if not pure and state.trunc.nmodes == 1 and state.is_diagonal(1e-10):
+        return _report_diagonal(state, _default_id(state))
 
     energies = mode_energies(state)
     form = _Support.of(state) if pure else state
-    if not pure and state.trunc.nmodes == 1 and state.is_diagonal(1e-10):
-        vn = _vacuum_number_params(state.diagonal())
-        if vn is not None:
-            n, eta = vn
-            spec = StateSpec(
-                "vacuum_number_mixture", {"n": n, "eta": eta}, trunc=state.trunc
-            )
-            return _report_vacuum_number(spec)
-        mean = mean_total_energy(state)
-        grid = np.unique(np.concatenate([default_energy_grid(mean), [mean]]))
-        wit = diag_classical_minimize(state, grid)
-    else:
-        rings = ProductComponent(tuple(RingFactor(float(e)) for e in energies))
-        wit = upper_witness(form, ClassicalEnsemble(((1.0, rings),)), name="mode-energy-rings")
+    rings = ProductComponent(tuple(RingFactor(float(e)) for e in energies))
+    wit = upper_witness(form, ClassicalEnsemble(((1.0, rings),)), name="mode-energy-rings")
     sup = q_sup(state, [np.sqrt(energies).astype(np.complex128)], seed=seed)
     m = sup.value
     if pure:
@@ -1211,7 +1195,7 @@ def _report_spec(spec: StateSpec, seed: int) -> BoundReport:
     if spec.kind == "phase_randomized":
         return _report_classical_ensemble(spec.build(), spec.state_id())
     if spec.kind == "vacuum_number_mixture":
-        return _report_vacuum_number(spec)
+        return _report_diagonal(spec.build(), spec.state_id())
     if spec.kind == "mixture":
         return _report_mixture(spec, seed)
     raise ValueError(f"unknown kind {spec.kind}")

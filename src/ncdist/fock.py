@@ -277,7 +277,9 @@ def _poisson_columns(cutoff: int, energies) -> np.ndarray:
 
     Every sum runs in index order along its own energy, and the series
     takes _tail_terms(cutoff) terms at every energy, so a tail is bit for
-    bit the same alone or in an array."""
+    bit the same alone or in an array: each column equals
+    :func:`poisson_pmf` and :func:`poisson_tail` at its energy bit for bit.
+    A negative energy raises ``ValueError``."""
     n = cutoff
     x = np.asarray(energies, dtype=float)
     cols = _pmf_rows(x, n, n + 2).reshape(n + 2, -1)

@@ -271,7 +271,7 @@ def _highs_ring_value(cols, target):
 def _check_against_highs(rho, grid):
     p, p_ext = bounds._diag_profile(rho)
     target = np.append(p, p_ext)
-    cols = bounds._pois_columns(rho.trunc.cutoffs[0], np.asarray(grid, dtype=float))
+    cols = fock._poisson_columns(rho.trunc.cutoffs[0], np.asarray(grid, dtype=float))
     highs = _highs_ring_value(cols, target)
     b = diag_classical_minimize(rho, grid)
     # HiGHS stops at its 1e-7 feasibility tolerance: never below the
@@ -310,7 +310,7 @@ def test_ring_lp_breaks_ties_between_equally_good_rings():
     # the even mixture of two grid rings: each ring alone fits it equally
     # well (half the distance between them), and together they fit it exactly
     cutoff = 12
-    target = 0.5 * bounds._pois_columns(cutoff, np.array([1.0, 3.0])).sum(axis=1)
+    target = 0.5 * fock._poisson_columns(cutoff, np.array([1.0, 3.0])).sum(axis=1)
     rho = DensityMatrix(TruncationSpec((cutoff,)), np.diag(target[:-1]).astype(complex))
     single = [diag_mixture_distance(rho, [e], [1.0]) for e in (1.0, 3.0)]
     assert abs(single[0] - single[1]) < 1e-15 and single[0] > 0.1
@@ -333,7 +333,7 @@ def test_ring_lp_matches_highs_on_a_degenerate_optimum():
         2.5689869945616506, 3.3464672841941527, 3.668058650993883,
         4.418315223079719,
     ])
-    p = 0.5 * bounds._pois_columns(cutoff, grid[[6, 3]]).sum(axis=1)[:-1]
+    p = 0.5 * fock._poisson_columns(cutoff, grid[[6, 3]]).sum(axis=1)[:-1]
     rho = DensityMatrix(TruncationSpec((cutoff,)), np.diag(p).astype(complex))
     b = diag_classical_minimize(rho, grid)
     assert b.value <= 1e-12
@@ -354,7 +354,7 @@ def test_ring_lp_solves_even_two_ring_mixtures(s):
     k = int(r.integers(2, 12))
     grid = np.sort(r.uniform(0, 6, k))
     i, j = r.choice(k, 2, replace=False)
-    p = 0.5 * bounds._pois_columns(cutoff, grid[[i, j]]).sum(axis=1)[:-1]
+    p = 0.5 * fock._poisson_columns(cutoff, grid[[i, j]]).sum(axis=1)[:-1]
     rho = DensityMatrix(TruncationSpec((cutoff,)), np.diag(p).astype(complex))
     b = diag_classical_minimize(rho, grid)
     # the two rings at weight 1/2 each are at distance 0
@@ -366,12 +366,12 @@ def test_ring_lp_solves_even_two_ring_mixtures(s):
 def test_ring_columns_equal_the_poisson_pmf_bit_for_bit():
     energies = np.concatenate([bounds.default_energy_grid(1.7), [0.0, 3.0, 25.0]])
     for cutoff in (0, 1, 6, 40):
-        cols = bounds._pois_columns(cutoff, energies)
+        cols = fock._poisson_columns(cutoff, energies)
         for k, e in enumerate(energies):
             ref = np.append(poisson_pmf(float(e), cutoff), poisson_tail(cutoff, float(e)))
             assert np.array_equal(cols[:, k], ref)
     with pytest.raises(ValueError):
-        bounds._pois_columns(4, np.array([1.0, -0.5]))
+        fock._poisson_columns(4, np.array([1.0, -0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +662,7 @@ _DIAG = DensityMatrix(TruncationSpec((2,)), np.diag([0.5, 0.3, 0.2]))
         (StateSpec("phase_randomized", {"energy": 1.0}), [], ["self-witness"]),
         (_RAW_TWO_MODE, ["pure-overlap"], ["best-point", "mode-energy-rings"]),
         (outer(_RAW_TWO_MODE), ["pure-overlap"], ["best-point", "mode-energy-rings"]),
-        (_DIAG, [], ["diag-minimize", "overlap-sqrt"]),
+        (_DIAG, [], ["diag-minimize"]),
         (DensityMatrix(TruncationSpec((2,)), np.diag([0.6, 0.0, 0.4])), ["triangle"], ["diag-minimize"]),
         (
             DensityMatrix(TruncationSpec((1,)), np.array([[0.5, 0.3], [0.3, 0.5]])),
@@ -759,6 +759,70 @@ def test_pure_vacuum_number_reports_stay_exact_and_saturated(n, eta):
     # |0> or |n> is an eigenvector of the ring mixture
     assert sat["eigenvector_residual"] == 0.0
     assert sat["attainment_defect"] <= 1e-15
+
+
+def test_vacuum_number_reports_lie_inside_the_fig3_bracket():
+    from ncdist.figures import default_grid, fig3_rows
+
+    etas = default_grid("fig3")
+    rows = fig3_rows(etas)
+    for n in range(1, 5):
+        for eta, lo, hi in zip(etas, rows[:, 2 * n - 1], rows[:, 2 * n]):
+            rep = _spec_report("vacuum_number_mixture", {"n": n, "eta": float(eta)})
+            assert abs(rep.best_lower - lo) <= 1e-15
+            assert rep.best_upper <= hi + 1e-12
+
+
+def test_one_mode_diagonal_reports_run_no_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a one-mode diagonal report ran a Husimi search")
+
+    rng = np.random.default_rng(28)
+    mixed = 0
+    for _ in range(200):
+        cutoff = int(rng.integers(1, 9))
+        levels = rng.choice(cutoff + 1, int(rng.integers(1, min(6, cutoff + 1) + 1)), replace=False)
+        p = np.zeros(cutoff + 1)
+        p[levels] = rng.uniform(0.05, 1.0, len(levels))
+        p /= p.sum()
+        rho = DensityMatrix(TruncationSpec((cutoff,)), np.diag(p).astype(complex))
+        with monkeypatch.context() as mp:
+            mp.setattr(bounds, "q_sup", no_search)
+            rep = report(rho)
+        # the ring mixture sum_k p_k ring(k) is on the LP's grid
+        assert rep.best_upper <= 1.0 - float(p @ gamma_n(np.arange(cutoff + 1))) + 1e-12
+        assert rep.best_upper <= math.sqrt(1.0 - q_sup(rho).value)
+        if len(levels) > 1:
+            mixed += 1
+            assert [b.name for b in rep.uppers] == ["diag-minimize"]
+        else:  # a number state
+            assert abs(rep.exact - (1.0 - gamma_n(int(levels[0])))) <= 1e-12
+    assert mixed >= 150
+
+
+def test_a_mixed_product_lists_its_diagonal_factors_peak_overlap():
+    # the factor on the vacuum and one level is searched for its peak
+    # overlap, so the product lists overlap-sqrt beside its factor witness
+    diag = DensityMatrix(TruncationSpec((2,)), np.diag([0.999, 0.0, 0.001]).astype(complex))
+    rep = report(tensor(outer(_RAW_TWO_MODE), diag))
+    assert [b.name for b in rep.uppers] == ["overlap-sqrt", "factor-witness"]
+    m = q_sup(_RAW_TWO_MODE).value * q_sup(diag, [np.array([math.sqrt(0.002)])]).value
+    assert abs(rep.best_upper - math.sqrt(1.0 - m)) <= 1e-12
+    assert rep.best_upper <= 0.8495 < rep.uppers[1].value
+
+
+def test_a_product_searches_only_its_diagonal_factor(monkeypatch):
+    calls = []
+
+    def counted(state, *args, **kwargs):
+        calls.append(state)
+        return q_sup(state, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "q_sup", counted)
+    rep = report(tensor(outer(_ONE), _DIAG))
+    assert [b.name for b in rep.uppers] == ["factor-witness", "overlap-sqrt"]
+    (searched,) = calls
+    assert searched.trunc.nmodes == 1 and np.array_equal(searched.mat, _DIAG.mat)
 
 
 def test_raw_one_photon_states_report_through_the_number_state():

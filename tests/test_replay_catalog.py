@@ -50,3 +50,26 @@ def test_moved_reads_nan_and_opposite_infinities_as_moves():
     assert replay_catalog._moved(math.inf, math.inf) == 0.0
     assert replay_catalog._moved(math.inf, -math.inf) == math.inf
     assert replay_catalog._moved(0.25, math.nan) == math.inf
+
+
+def test_diff_names_each_bracket_move_and_its_direction(tmp_path, capsys):
+    after = [
+        _changed(_ROWS[0], best_lower=0.3, best_upper=0.75),
+        _changed(_ROWS[1], best_upper=0.1 - 1e-3, exact=0.1 + 5e-13),
+        _ROWS[2],
+    ]
+    before = _replay(tmp_path, "before.json", _ROWS)
+    assert replay_catalog.diff(before, _replay(tmp_path, "after.json", after)) == 1
+    lines = [ln.strip() for ln in capsys.readouterr().out.splitlines() if "->" in ln]
+    assert lines == [
+        "best_lower 0.25 -> 0.3 tightened: a",
+        "best_upper 0.5 -> 0.75 loosened: a",
+        "best_upper 0.1 -> 0.099 tightened: b",
+    ]
+
+
+def test_diff_names_no_move_within_tolerance(tmp_path, capsys):
+    after = [_changed(_ROWS[0], best_lower=0.25 + 5e-13)] + _ROWS[1:]
+    before = _replay(tmp_path, "before.json", _ROWS)
+    assert replay_catalog.diff(before, _replay(tmp_path, "after.json", after)) == 0
+    assert "->" not in capsys.readouterr().out

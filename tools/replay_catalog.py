@@ -12,8 +12,11 @@ are used (default: the one holding this script), so two commits can be
 replayed from two checkouts.  Nothing under ``perfbench/`` is written.
 
 ``diff`` prints, per workload and output field, the largest absolute
-difference between two replays, every ``exact`` that is set in one and not
-in the other, and every input whose failure changed.  It exits 1 when a
+difference between two replays, every input whose ``best_lower`` or
+``best_upper`` moved by more than 1e-12 (both values, and whether the
+bracket ``tightened``, a lower rising or an upper falling, or
+``loosened``), every ``exact`` that is set in one and not in the other,
+and every input whose failure changed.  It exits 1 when a
 value moved by more than 1e-12 (a value that turned NaN, or an infinity
 that changed sign, counts as moved) or anything flipped, else 0.
 """
@@ -31,6 +34,8 @@ from pathlib import Path
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WORKLOADS = ("families", "cat-sweep", "mixed-optics")
 VALUE_TOL = 1e-12
+# the bracket sides, each with the sign of a move that tightens it
+BRACKET_SIDES = {"best_lower": 1.0, "best_upper": -1.0}
 
 
 def record(out: Path, checkout: Path) -> int:
@@ -83,24 +88,30 @@ def diff(before: Path, after: Path) -> int:
             print(f"{name}: the two replays ran different inputs")
             bad = True
         worst: dict[str, float] = {}
-        flips, failures = [], []
-        for k in ra.keys() & rb.keys():
+        flips, failures, moves = [], [], []
+        for k in sorted(ra.keys() & rb.keys()):
             va, vb = ra[k].get("values"), rb[k].get("values")
             if va is None or vb is None:
                 if ra[k].get("failure") != rb[k].get("failure"):
                     failures.append((k, ra[k].get("failure"), rb[k].get("failure")))
                 continue
-            for field in va.keys() | vb.keys():
+            for field in sorted(va.keys() | vb.keys()):
                 x, y = va.get(field), vb.get(field)
                 if (x is None) != (y is None):
                     flips.append((k, field, x, y))
                 elif x is not None:
-                    worst[field] = max(worst.get(field, 0.0), _moved(x, y))
+                    moved = _moved(x, y)
+                    worst[field] = max(worst.get(field, 0.0), moved)
+                    if field in BRACKET_SIDES and moved > VALUE_TOL:
+                        moves.append((k, field, x, y))
         print(f"{name}: {len(ra.keys() & rb.keys())} inputs in both")
         for field in sorted(worst):
             mark = "" if worst[field] <= VALUE_TOL else "  > 1e-12"
             print(f"  {field:18s} max |diff| {worst[field]:.3e}{mark}")
             bad |= worst[field] > VALUE_TOL
+        for k, field, x, y in moves:
+            how = "tightened" if BRACKET_SIDES[field] * (y - x) > 0 else "loosened"
+            print(f"  {field} {x!r} -> {y!r} {how}: {k}")
         for k, field, x, y in flips:
             print(f"  {field} flipped {x} -> {y}: {k}")
         for k, x, y in failures:
