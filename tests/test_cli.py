@@ -38,9 +38,9 @@ def test_report_number_state(tmp_path, capsys):
 
 def test_import_and_reports_load_no_scipy(tmp_path):
     # importing scipy's submodules costs a large part of a second; the
-    # Poisson tails, log n!, the displacement exponential, the ring LP and
-    # the Sobol starts are computed in-house, so reports, qsup, figures,
-    # verify and the optics load no scipy module at all
+    # Poisson tails, log n!, the displacement exponential and the ring LP
+    # are computed in-house, so reports, qsup, figures, verify and the
+    # optics load no scipy module at all
     one = write_state(tmp_path, "one.json", {"kind": "number", "ns": [1]})
     mix = write_state(tmp_path, "mix.json", {"kind": "vacuum_number_mixture", "n": 2, "eta": 0.5})
     searched = write_state(tmp_path, "searched.json", {"kind": "mixture", "terms": [
