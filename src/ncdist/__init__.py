@@ -65,7 +65,6 @@ from .channels import (
     adjoin,
     affine_image,
     apply_affine,
-    dephase_image,
     dephase_number,
 )
 from .bounds import (

@@ -973,7 +973,7 @@ def _classical_terms(spec: StateSpec) -> ClassicalEnsemble | None:
     if spec.kind == "number" and not any(spec.params["ns"]):
         return coherent_point_ensemble([0.0] * len(spec.params["ns"]))
     if spec.kind == "phase_randomized":
-        return spec.build()
+        return phase_ring(spec.params["energy"])
     if spec.kind != "mixture":
         return None
     present = [(w, _classical_terms(t)) for w, t in spec.params["terms"] if w > 0]
@@ -1193,7 +1193,7 @@ def _report_spec(spec: StateSpec, seed: int) -> BoundReport:
         ens = coherent_point_ensemble(spec.params["alpha"])
         return _report_classical_ensemble(ens, spec.state_id(), sup_overlap=1.0)
     if spec.kind == "phase_randomized":
-        return _report_classical_ensemble(spec.build(), spec.state_id())
+        return _report_classical_ensemble(_classical_terms(spec), spec.state_id())
     if spec.kind == "vacuum_number_mixture":
         return _report_diagonal(spec.build(), spec.state_id())
     if spec.kind == "mixture":

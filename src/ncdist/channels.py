@@ -3,7 +3,7 @@
 Affine optics = passive interferometer followed by displacements, acting on
 coherent labels as alpha -> U alpha + gamma. All three channel families map
 the classical set into itself, which makes them safe preprocessing steps
-for distance bounds; the constructive ``*_image`` helpers return the
+for distance bounds; the constructive ``affine_image`` returns the
 classical ensemble a classical input is carried to.
 """
 
@@ -167,18 +167,6 @@ def dephase_number(state) -> DensityMatrix:
             np.diag(state.mat.diagonal().real).astype(np.complex128),
         )
     raise TypeError(f"unsupported state type {type(state)!r}")
-
-
-def dephase_image(ens: ClassicalEnsemble) -> ClassicalEnsemble:
-    """Dephasing carries each coherent point to the ring at its energy."""
-    out = []
-    for w, comp in ens.components:
-        factors = tuple(
-            f if isinstance(f, RingFactor) else RingFactor(abs(f.alpha) ** 2)
-            for f in comp.factors
-        )
-        out.append((w, ProductComponent(factors)))
-    return ClassicalEnsemble(tuple(out))
 
 
 def adjoin(state, ancilla, ancilla_trunc: TruncationSpec | None = None):

@@ -194,7 +194,8 @@ class DensityMatrix:
 
 
 def poisson_pmf(energy, cutoff: int) -> np.ndarray:
-    """pmf of Poisson(energy) on 0..cutoff via the stable upward recurrence.
+    """pmf of Poisson(energy) on 0..cutoff via the stable upward recurrence,
+    from e^-energy, or above energy 700 from a log-gamma seed at the mode.
 
     ``energy`` is a number or an array of them; the result has shape
     (cutoff + 1,) + energy's shape, one pmf per energy along the first
@@ -215,6 +216,17 @@ def _pmf_rows(e: np.ndarray, cutoff: int, nrows: int) -> np.ndarray:
     x = e if e.ndim else float(e)
     for k in range(cutoff):
         out[k + 1] = out[k] * x / (k + 1)
+    # where e^-energy underflows the recurrence gives zeros: the pmf is
+    # seeded by log-gamma at the mode (or the cutoff, below it) instead and
+    # recurs both ways from there
+    if es and max(es) > _SEED_MAX_ENERGY:
+        flat = out.reshape(nrows, -1)
+        for j in np.flatnonzero(e.ravel() > _SEED_MAX_ENERGY):
+            v = es[j]
+            m = min(cutoff, int(v))
+            up = _pmf_window(np.array([v]), m, cutoff)[0]
+            down = np.multiply.accumulate(np.concatenate((up[:1], np.arange(m, 0, -1.0) / v)))
+            flat[: cutoff + 1, j] = np.concatenate((down[:0:-1], up))
     return out
 
 

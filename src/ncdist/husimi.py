@@ -11,27 +11,27 @@ and the points of a seeded Kronecker lattice) in lockstep: each round
 evaluates Q(alpha), its exact gradient and its exact Hessian at all starts
 still moving in one batched call and takes one saddle-free trust-region
 Newton step per start.
-For Fock-space states Q = e^{-|alpha|^2} sum_k w_k |P_k(conj alpha)|^2, with
-P_k the Bargmann polynomial of a pure component, and for classical
-ensembles the Gaussian and Bessel closed forms. The steps are taken on
-log Q, whose gradient and Hessian follow from those of Q: far from the
-peak log Q is -|alpha|^2 plus the log of a polynomial, so one Newton step
-leaves the Gaussian tail, where a step on Q gains only about a factor e.
-Where Q > 0 both have the same stationary points. The certificate is the
-exact gradient norm of Q at the reported maximizers: it certifies
-stationarity, not that the best start found the global maximum.
-``n_evaluations`` counts point evaluations of Q, its gradient and its
-Hessian.
+Q is evaluated on Fock-space states only (a FockVector or a DensityMatrix):
+Q = e^{-|alpha|^2} sum_k w_k |P_k(conj alpha)|^2, with P_k the Bargmann
+polynomial of a pure component. A classical ensemble is realized first
+(``ClassicalEnsemble.realize``); its report needs no Q, as its distance is
+0. The steps are taken on log Q, whose gradient and Hessian follow from
+those of Q: far from the peak log Q is -|alpha|^2 plus the log of a
+polynomial, so one Newton step leaves the Gaussian tail, where a step on Q
+gains only about a factor e. Where Q > 0 both have the same stationary
+points. The certificate is the exact gradient norm of Q at the reported
+maximizers: it certifies stationarity, not that the best start found the
+global maximum. ``n_evaluations`` counts point evaluations of Q, its
+gradient and its Hessian.
 
 Callers that need Q alone at given points, with no derivatives (``q_tilde``
-on Fock-space states, and the report's attainment checks in
-``bounds._check_attained`` and ``bounds._saturation_diagnostics``), read it
-from ``_support_overlaps`` on a pure state's support (``fock._Support``) or a
-density's nonzero rows: a value-only sum whose cost is the support's size.
+and the report's attainment checks in ``bounds._check_attained`` and
+``bounds._saturation_diagnostics``), read it from ``_support_overlaps`` on
+a pure state's support (``fock._Support``) or a density's nonzero rows: a
+value-only sum whose cost is the support's size.
 
 Importing the module loads no scipy module: gamma_n takes log n! from the
-integer n!, and only a search on a ring ensemble imports scipy's
-exponentially scaled Bessel functions, inside ``_factor_derivatives``.
+integer n!.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .fock import (
     mode_means,
     product_tail,
 )
-from .states import CatParams, ClassicalEnsemble, CoherentFactor, RingFactor
+from .states import CatParams
 
 DEFAULT_SEED = 1729
 CERT_THRESHOLD = 1e-8  # gradient norm above which a result is flagged
@@ -408,78 +408,9 @@ def _support_overlaps(state, alphas) -> np.ndarray:
     return np.einsum("pk,kl,pl->p", amps, block, amps.conj()).real
 
 
-def _factor_derivatives(f, re: np.ndarray, im: np.ndarray):
-    """Value, gradient (rows, 2) and Hessian (rows, 2, 2) of one mode factor
-    in (Re alpha, Im alpha)."""
-    if isinstance(f, RingFactor):
-        # h(r) = e^{-E-r^2} I0(z) with z = 2 s r and s^2 = E, where
-        # e^{-E-r^2} I_k(z) = i_ke(z) e^{-(s - r)^2}. With
-        # ratio = e^{-E-r^2} I1(z) / z (its limit 1/2 e^{-E-r^2} where z = 0):
-        #   h'/r = 4 E ratio - 2 h, which is h''(0) at r = 0, and by
-        #   I1' = I0 - I1 / z, h'' = -2 h - 2 r h' - 8 E r^2 ratio + 4 E (h - ratio)
-        # only a ring ensemble's search needs the Bessel functions
-        from scipy.special import i0e, i1e
-
-        e = f.energy
-        s = math.sqrt(e)
-        r = np.hypot(re, im)
-        z = 2.0 * s * r
-        g = np.exp(-((s - r) ** 2))
-        h = i0e(z) * g
-        ratio = np.divide(i1e(z), z, out=np.full_like(z, 0.5), where=z > 0) * g
-        dr_r = 4.0 * e * ratio - 2.0 * h
-        d2r = -2.0 * h - 2.0 * r * r * (dr_r + 4.0 * e * ratio) + 4.0 * e * (h - ratio)
-        p = np.stack((re, im), axis=1)
-        unit = np.divide(p, r[:, None], out=np.zeros_like(p), where=r[:, None] > 0)
-        hess = dr_r[:, None, None] * np.eye(2) + (d2r - dr_r)[:, None, None] * (
-            unit[:, :, None] * unit[:, None, :]
-        )
-        return h, dr_r[:, None] * p, hess
-    d = np.stack((re - f.alpha.real, im - f.alpha.imag), axis=1)
-    val = np.exp(-(d * d).sum(axis=1))
-    hess = (4.0 * d[:, :, None] * d[:, None, :] - 2.0 * np.eye(2)) * val[:, None, None]
-    return val, -2.0 * d * val[:, None], hess
-
-
-class _EnsembleTarget:
-    """Q of a classical ensemble in closed form: each component is a
-    product over modes of e^{-|alpha - beta|^2} (a coherent factor at beta)
-    or e^{-E-r^2} I0(2 s r) at r = |alpha| (a ring of energy E = s^2)."""
-
-    def __init__(self, ens: ClassicalEnsemble):
-        self.ens = ens
-        self.trunc = None
-
-    def evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Q, its gradient and its Hessian at each row of ``x``."""
-        b, m = len(x), self.ens.nmodes
-        q = np.zeros(b)
-        grad = np.zeros((b, 2, m))
-        hess = np.zeros((b, 2, m, 2, m))
-        for w, comp in self.ens.components:
-            parts = [
-                _factor_derivatives(f, x[:, j], x[:, m + j]) for j, f in enumerate(comp.factors)
-            ]
-            vals = np.stack([p[0] for p in parts], axis=1)
-            q += w * vals.prod(axis=1)
-            for j, (_, dj, hj) in enumerate(parts):
-                rest = w * np.delete(vals, j, axis=1).prod(axis=1)
-                grad[:, :, j] += rest[:, None] * dj
-                hess[:, :, j, :, j] += rest[:, None, None] * hj
-                for l in range(j + 1, m):
-                    both = w * np.delete(vals, (j, l), axis=1).prod(axis=1)
-                    cross = both[:, None, None] * dj[:, :, None] * parts[l][1][:, None, :]
-                    hess[:, :, j, :, l] += cross
-                    hess[:, :, l, :, j] += cross.transpose(0, 2, 1)
-        return q, grad.reshape(b, 2 * m), hess.reshape(b, 2 * m, 2 * m)
-
-
-def _make_target(state):
-    if isinstance(state, (FockVector, DensityMatrix)):
-        return _BargmannTarget(state)
-    if isinstance(state, ClassicalEnsemble):
-        return _EnsembleTarget(state)
-    raise TypeError(f"unsupported state type {type(state)!r}")
+def _check_fock(state) -> None:
+    if not isinstance(state, (FockVector, DensityMatrix)):
+        raise TypeError(f"unsupported state type {type(state)!r}")
 
 
 def _as_x(alphas) -> np.ndarray:
@@ -490,15 +421,11 @@ def _as_x(alphas) -> np.ndarray:
 def q_tilde(state, alpha) -> float:
     """Normalized coherent-state overlap <alpha|state|alpha>.
 
-    Validates that |alpha> is representable on the state's truncation (for
-    container states) before trusting the value.
+    Takes a FockVector or a DensityMatrix, and validates that |alpha> is
+    representable on the state's truncation before trusting the value.
     """
+    _check_fock(state)
     alphas = np.atleast_1d(np.asarray(alpha, dtype=np.complex128))
-    if not isinstance(state, (FockVector, DensityMatrix)):
-        target = _make_target(state)
-        if len(alphas) != state.nmodes:
-            raise ValueError("mode count mismatch")
-        return max(0.0, float(target.evaluate(_as_x(alphas)[None])[0][0]))
     trunc = state.trunc
     if len(alphas) != trunc.nmodes:
         raise ValueError("mode count mismatch")
@@ -577,9 +504,9 @@ def q_sup(
     the points of a Kronecker lattice with a shift seeded by ``seed``,
     scaled to the state's energy. All starts advance
     together: each round evaluates Q, its exact gradient and its exact
-    Hessian at every start still moving in one batched call (the Bargmann
-    polynomial's for Fock-space states, closed forms for classical
-    ensembles) and takes one trust-region Newton step per start on
+    Hessian at every start still moving in one batched call (through the
+    Bargmann polynomial of a FockVector or a DensityMatrix) and takes one
+    trust-region Newton step per start on
     l = log Q, with gradient g / Q and Hessian H / Q - (g / Q)(g / Q)^T from
     Q's own. The step is p = V |L|^-1 V^T grad l, which ascends also where
     the Hessian is indefinite. It is accepted when the gain
@@ -614,25 +541,11 @@ def q_sup(
     """
     if n_starts is not None and n_starts < 1:
         raise ValueError(f"n_starts must be at least 1, got {n_starts}")
-    target = _make_target(state)
-    if isinstance(state, ClassicalEnsemble):
-        m = state.nmodes
-        means = np.array(
-            [
-                sum(
-                    w
-                    * (c.factors[i].alpha if isinstance(c.factors[i], CoherentFactor) else 0.0)
-                    for w, c in state.components
-                )
-                for i in range(m)
-            ],
-            dtype=np.complex128,
-        )
-        energy = state.mean_energy()
-    else:
-        m = state.trunc.nmodes
-        means = mode_means(state)
-        energy = mean_total_energy(state)
+    _check_fock(state)
+    target = _BargmannTarget(state)
+    m = state.trunc.nmodes
+    means = mode_means(state)
+    energy = mean_total_energy(state)
 
     dim = 2 * m
     if n_starts is None:

@@ -131,12 +131,6 @@ class ClassicalEnsemble:
     def is_diagonal(self) -> bool:
         return all(c.is_diagonal() for _, c in self.components)
 
-    def mean_energy(self) -> float:
-        return sum(
-            w * sum(c.mode_energy(m) for m in range(c.nmodes))
-            for w, c in self.components
-        )
-
     def required_cutoffs(self, tail_tol: float = DEFAULT_TAIL_TOL) -> tuple[int, ...]:
         """Per-mode cutoffs so every component keeps its mass to tail_tol."""
         m = self.nmodes
@@ -558,8 +552,11 @@ class StateSpec:
         return self.trunc
 
     def build(self, trunc: TruncationSpec | None = None):
-        """Realize the state: FockVector for pure kinds, DensityMatrix for
-        mixed ones, ClassicalEnsemble for intrinsically classical ones."""
+        """Realize the state at ``trunc`` (default: the resolved
+        truncation): a FockVector for pure kinds, else a DensityMatrix. A
+        ``phase_randomized`` state is its ring realized there, which raises
+        TruncationTooSmall, naming sufficient cutoffs, where the ring's tail
+        exceeds the budget."""
         tr = trunc or self.resolved_trunc()
         p = self.params
         if self.kind == "number":
@@ -577,19 +574,14 @@ class StateSpec:
         if self.kind == "coherent":
             return coherent_amps(p["alpha"], tr)
         if self.kind == "phase_randomized":
-            return phase_ring(p["energy"])
+            return phase_ring(p["energy"]).realize(tr)
         if self.kind == "vacuum_number_mixture":
             return vacuum_number_diag(p["n"], p["eta"], tr)
         if self.kind == "mixture":
             mat = None
             for w, term in p["terms"]:
                 sub = term.build(tr)
-                if isinstance(sub, FockVector):
-                    dm = outer(sub)
-                elif isinstance(sub, ClassicalEnsemble):
-                    dm = sub.realize(tr)
-                else:
-                    dm = sub
+                dm = outer(sub) if isinstance(sub, FockVector) else sub
                 mat = w * dm.mat if mat is None else mat + w * dm.mat
             return DensityMatrix(tr, mat)
         raise ValueError(f"unknown kind {self.kind}")

@@ -408,6 +408,10 @@ def test_report_number_single_mode_exact():
     rep2 = _spec_report("number", {"ns": (2,)})
     assert abs(rep2.exact - (1.0 - G2)) < 1e-10
 
+    # past n = 745 the ring's e^-n underflows: its pmf is seeded at the mode
+    rep3 = _spec_report("number", {"ns": (800,)})
+    assert abs(rep3.exact - (1.0 - gamma_n(800))) < 1e-10
+
 
 def test_report_number_product_exact():
     rep = _spec_report("number", {"ns": (1, 1)})
@@ -616,6 +620,23 @@ def test_report_classical_states_are_exactly_zero():
 
     rep2 = _spec_report("phase_randomized", {"energy": 1.0})
     assert rep2.best_lower == rep2.best_upper == rep2.exact == 0.0
+
+
+def test_ring_reports_realize_nothing_and_search_nothing(monkeypatch):
+    # a ring is its own witness: its report reads the ensemble, never the
+    # density that StateSpec.build realizes
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ring was realized or searched")
+
+    monkeypatch.setattr(states.ClassicalEnsemble, "realize", refuse)
+    monkeypatch.setattr(states.StateSpec, "build", refuse)
+    monkeypatch.setattr(bounds, "q_sup", refuse)
+    ring = {"kind": "phase_randomized", "energy": 2.5}
+    for source in (ring, {"kind": "mixture", "terms": [
+        {"w": 0.4, "state": ring},
+        {"w": 0.6, "state": {"kind": "coherent", "alpha": [[1, 0]]}},
+    ]}):
+        assert report(parse_state(source)).exact == 0.0
 
 
 _RAW_TWO_MODE = FockVector(

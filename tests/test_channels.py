@@ -19,7 +19,6 @@ from ncdist import (
     beam_splitter,
     cat_vector,
     coherent_amps,
-    dephase_image,
     dephase_number,
     entangled_coherent_vector,
     number_basis_vector,
@@ -228,20 +227,6 @@ def test_affine_image_rejects_mixed_rings():
     ch = AffineOptics(_random_unitary(2, rng), np.zeros(2))
     with pytest.raises(ValueError):
         affine_image(ch, ens)
-
-
-def test_dephase_image_turns_points_into_rings():
-    trunc = TruncationSpec((24,))
-    ens = two_point_mixture([0.9], [-0.4], w=0.3)
-    img = dephase_image(ens)
-    assert all(
-        isinstance(c.factors[0], RingFactor) for _, c in img.components
-    )
-    got = img.realize(trunc).mat
-    want = dephase_number(ens.realize(trunc)).mat
-    assert np.abs(got - want).max() < 1e-12
-    ring = phase_ring(1.7)
-    assert dephase_image(ring).components[0][1].factors[0].energy == 1.7
 
 
 def test_adjoin_realizes_classical_ancilla():

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -47,6 +48,7 @@ def test_import_and_reports_load_no_scipy(tmp_path):
         {"w": 0.5, "state": {"kind": "number", "ns": [1]}},
         {"w": 0.5, "state": {"kind": "coherent", "alpha": [[1, 0]]}},
     ]})
+    ring = write_state(tmp_path, "ring.json", {"kind": "phase_randomized", "energy": 1.5})
     fig = str(tmp_path / "fig1.csv")
     code = (
         "import contextlib, io, sys, numpy as np, ncdist, ncdist.cli\n"
@@ -56,6 +58,7 @@ def test_import_and_reports_load_no_scipy(tmp_path):
         f"    assert ncdist.cli.main(['report', {mix!r}]) == 0\n"
         f"    assert ncdist.cli.main(['report', {searched!r}]) == 0\n"
         f"    assert ncdist.cli.main(['qsup', {searched!r}]) == 0\n"
+        f"    assert ncdist.cli.main(['qsup', {ring!r}]) == 0\n"
         f"    assert ncdist.cli.main(['figure', 'fig1', '--steps', '3', '--out', {fig!r}]) == 0\n"
         "    assert ncdist.cli.main(['verify', '--only', 'cat-figures']) == 0\n"
         "psi = fock.coherent_amps([0.3, 0.2j], fock.TruncationSpec((12, 12)))\n"
@@ -75,9 +78,23 @@ def test_import_and_reports_load_no_scipy(tmp_path):
     assert Path(fig).exists()
 
 
+def test_no_module_of_the_package_imports_scipy():
+    # scipy is a test dependency only, an oracle for the in-house routines
+    found = []
+    for path in sorted(Path(ncdist.__file__).resolve().parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
+
+
 def test_qsup_on_a_phase_randomized_state(tmp_path, capsys):
-    # a ring ensemble's search is the one path that imports scipy's Bessel
-    # functions, inside the search
+    # the ring is searched as its density realized at the default truncation
     ring = write_state(tmp_path, "ring.json", {"kind": "phase_randomized", "energy": 1.5})
     code, out, err = run_cli(capsys, "qsup", ring)
     assert code == 0 and err == ""
@@ -87,6 +104,20 @@ def test_qsup_on_a_phase_randomized_state(tmp_path, capsys):
     r = np.linspace(0.0, 4.0, 400_001)
     q = i0e(2.0 * math.sqrt(1.5) * r) * np.exp(-((math.sqrt(1.5) - r) ** 2))
     assert json.loads(out)["value"] == pytest.approx(q.max(), abs=1e-9)
+
+
+def test_qsup_on_a_ring_checks_its_truncation(tmp_path, capsys):
+    ring = {"kind": "phase_randomized", "energy": 2.0}
+    short = write_state(tmp_path, "short.json", dict(ring, trunc={"cutoffs": [4]}))
+    code, out, err = run_cli(capsys, "qsup", short)
+    assert code == 3 and out == ""
+    assert re.search(r"sufficient cutoffs: \[(\d+)\]", err).group(1) == "18"
+    path = write_state(tmp_path, "ring.json", ring)
+    code, out, _ = run_cli(capsys, "qsup", path)
+    assert code == 0
+    code, wide, _ = run_cli(capsys, "qsup", path, "--trunc", "40")
+    assert code == 0
+    assert json.loads(wide)["value"] == pytest.approx(json.loads(out)["value"], abs=1e-15)
 
 
 def test_report_cat_has_open_interval(tmp_path, capsys):

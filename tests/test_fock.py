@@ -190,6 +190,13 @@ def test_poisson_pmf_matches_scipy():
     ref = sp_poisson.pmf(np.arange(13), 2.5)
     assert np.abs(pm - ref).max() < 1e-14
     assert pm[4] == pytest.approx(0.13360188578108528, abs=1e-15)
+    # past energy 745 e^-energy underflows: the pmf is seeded at the mode,
+    # alone or in an array
+    for energy, cutoff in ((750.0, 900), (1000.0, 1273)):
+        pm = poisson_pmf(energy, cutoff)
+        ref = sp_poisson.pmf(np.arange(cutoff + 1), energy)
+        assert np.abs(pm - ref).max() <= 1e-11 * ref.max()
+        assert np.array_equal(poisson_pmf(np.array([2.5, energy]), cutoff)[:, 1], pm)
 
 
 def _poisson_loop(energy: float, cutoff: int) -> np.ndarray:

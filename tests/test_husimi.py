@@ -24,7 +24,6 @@ from ncdist.husimi import (
     _as_x,
     _BargmannTarget,
     _lattice_points,
-    _make_target,
     _support_overlaps,
     cat_q_tilde,
     cat_qmax,
@@ -120,7 +119,7 @@ def test_q_tilde_cat_closed_form_matches_vector():
 
 
 def test_q_tilde_ring_bessel_route():
-    ring = phase_ring(1.3)
+    ring = StateSpec("phase_randomized", {"energy": 1.3}).build()
     # direct sum: sum_k pois_k(E) e^{-A} A^k / k!
     from ncdist.fock import poisson_pmf
 
@@ -133,18 +132,31 @@ def test_q_tilde_ring_bessel_route():
     assert q_tilde(ring, a * np.exp(0.7j)) == pytest.approx(ref, abs=1e-14)
 
 
+def _realized(ens):
+    return ens.realize(TruncationSpec(ens.required_cutoffs()))
+
+
 @pytest.mark.parametrize(
     "state, alpha",
     [
-        (phase_ring(1.0), [1.0, 0.5, 0.2]),
-        (phase_ring(1.0, nmodes=2), [1.0]),
+        (_realized(phase_ring(1.0)), [1.0, 0.5, 0.2]),
+        (_realized(phase_ring(1.0, nmodes=2)), [1.0]),
         (number_basis_vector((1, 0), TruncationSpec((4, 4))), [1.0]),
     ],
-    ids=["ensemble-long", "ensemble-short", "vector-short"],
+    ids=["density-long", "density-short", "vector-short"],
 )
 def test_q_tilde_rejects_a_mode_count_mismatch(state, alpha):
     with pytest.raises(ValueError, match="mode count mismatch"):
         q_tilde(state, alpha)
+
+
+def test_husimi_evaluations_take_fock_space_states_only():
+    # a classical ensemble is realized first; its own report needs no Q
+    ring = phase_ring(1.0)
+    with pytest.raises(TypeError, match="unsupported state type"):
+        q_sup(ring)
+    with pytest.raises(TypeError, match="unsupported state type"):
+        q_tilde(ring, [1.0])
 
 
 def test_noon_analytic_values():
@@ -342,17 +354,12 @@ def _gradient_cases():
     mat = (q * np.array([0.5, 0.3, 0.2])) @ q.conj().T
     dens = DensityMatrix(TruncationSpec((4, 3)), mat)
     three = FockVector(TruncationSpec((3, 4, 2)), _random_vector(rng, (4, 5, 3)))
-    ens = ClassicalEnsemble((
-        (0.45, ProductComponent((RingFactor(1.3), CoherentFactor(0.4 - 0.2j)))),
-        (0.35, ProductComponent((CoherentFactor(-0.5 + 0.1j), RingFactor(0.7)))),
-        (0.2, ProductComponent((RingFactor(0.0), RingFactor(2.1)))),
-    ))
     return {"vector-1-mode": one, "vector-2-modes": two, "vector-3-modes": three,
-            "density-rank-3": dens, "ensemble": ens}
+            "density-rank-3": dens}
 
 
 def _dim(state):
-    return 2 * (state.nmodes if isinstance(state, ClassicalEnsemble) else state.trunc.nmodes)
+    return 2 * state.trunc.nmodes
 
 
 def _at(target, x):
@@ -364,7 +371,7 @@ def _at(target, x):
 @pytest.mark.parametrize("name", sorted(_gradient_cases()))
 def test_exact_gradient_matches_central_differences(name):
     state = _gradient_cases()[name]
-    target = _make_target(state)
+    target = _BargmannTarget(state)
     if name == "density-rank-3":
         assert len(target.weights) == 3
     dim = _dim(state)
@@ -383,17 +390,11 @@ def test_exact_gradient_matches_central_differences(name):
 @pytest.mark.parametrize("name", sorted(_gradient_cases()))
 def test_exact_hessian_matches_central_differences_of_the_gradient(name):
     state = _gradient_cases()[name]
-    target = _make_target(state)
+    target = _BargmannTarget(state)
     dim = _dim(state)
     rng = np.random.default_rng(8)
-    points = list(rng.normal(size=(10, dim)))
-    if name == "ensemble":
-        # alpha = 0, where every ring takes its isotropic limit, and a point
-        # on the first component's ring (|alpha_1|^2 = 1.3)
-        s = math.sqrt(1.3)
-        points += [np.zeros(dim), np.array([s * math.cos(0.4), 0.3, s * math.sin(0.4), -0.2])]
     h = 1e-6
-    for x in points:
+    for x in rng.normal(size=(10, dim)):
         hess = _at(target, x)[2]
         fd = np.array([
             (_at(target, x + e)[1] - _at(target, x - e)[1]) / (2.0 * h)
@@ -405,23 +406,22 @@ def test_exact_hessian_matches_central_differences_of_the_gradient(name):
 @pytest.mark.parametrize("name", sorted(_gradient_cases()))
 def test_batched_rows_match_single_rows(name):
     state = _gradient_cases()[name]
-    target = _make_target(state)
+    target = _BargmannTarget(state)
     xs = np.random.default_rng(9).normal(size=(7, _dim(state)))
     batched = target.evaluate(xs)
     for i, x in enumerate(xs):
         for got, ref in zip(batched, _at(target, x)):
             assert np.abs(got[i] - ref).max() <= 1e-15 * max(1.0, np.abs(ref).max())
-    if name.startswith(("vector", "density")):
-        # chunks of two rows give the same rows
-        target._chunk = 2
-        for got, ref in zip(target.evaluate(xs), batched):
-            assert np.abs(got - ref).max() <= 1e-15 * max(1.0, np.abs(ref).max())
+    # chunks of two rows give the same rows
+    target._chunk = 2
+    for got, ref in zip(target.evaluate(xs), batched):
+        assert np.abs(got - ref).max() <= 1e-15 * max(1.0, np.abs(ref).max())
 
 
 def test_contraction_carries_only_derivative_patterns_up_to_order_two():
     # 1 + 6 + 21 patterns on 6 modes, not 3^6 = 729
     psi = noon_vector(1, np.full(6, 1.0 / math.sqrt(6.0)), TruncationSpec((1,) * 6))
-    target = _make_target(psi)
+    target = _BargmannTarget(psi)
     assert target._contract(np.zeros((2, 12))).shape == (2, 28, 1)
 
 
@@ -429,7 +429,7 @@ def test_one_batched_evaluation_of_a_large_state_stays_small():
     # uniform N00N n = 2 on 12 modes: 3^12 amplitudes (8.5 MB)
     m = 12
     psi = noon_vector(2, np.full(m, 1.0 / math.sqrt(m)), TruncationSpec((2,) * m))
-    target = _make_target(psi)
+    target = _BargmannTarget(psi)
     xs = np.random.default_rng(5).normal(scale=0.3, size=(8, 2 * m))
     tracemalloc.start()
     try:
@@ -445,7 +445,7 @@ def test_one_batched_evaluation_of_a_large_state_stays_small():
 def test_bargmann_value_matches_the_coherent_amplitude_contraction(name):
     # reference: <alpha|rho|alpha> with |alpha> from the per-mode recurrence
     state = _gradient_cases()[name]
-    target = _make_target(state)
+    target = _BargmannTarget(state)
     m = state.trunc.nmodes
     rho = state.mat if isinstance(state, DensityMatrix) else np.outer(state.flat, state.flat.conj())
     rng = np.random.default_rng(11)
@@ -566,7 +566,7 @@ def _floating_point_cases():
         "density-rank-2": (
             DensityMatrix(t, mat), None, math.exp(-root) * (root / 2 + 0.5)
         ),
-        "ring-times-coherent": (ens, None, _ring_times_coherent_peak(2.0)),
+        "ring-times-coherent": (_realized(ens), None, _ring_times_coherent_peak(2.0)),
         # Q = 3.5e-10 at alpha = 5, and Q underflows to 0 at alpha = 40
         "tail-hints": (
             number_basis_vector((1,), TruncationSpec((40,))),
