@@ -485,10 +485,34 @@ def _ascent_steps(grad, hess, radius):
     gc = (grad[:, None, :] @ vec)[:, 0]
     c = gc / mag
     full = np.sqrt((c * c).sum(axis=1))
-    clipped = full > radius
-    c[clipped] *= (radius[clipped] / full[clipped])[:, None]
+    # a clipped step is scaled by radius / full, any other by exactly 1
+    c *= (radius / np.maximum(full, radius))[:, None]
     pred = (gc * c + 0.5 * lam * c * c).sum(axis=1)
-    return (vec @ c[:, :, None])[:, :, 0], pred, np.minimum(full, radius), clipped
+    return (vec @ c[:, :, None])[:, :, 0], pred, np.minimum(full, radius), full > radius
+
+
+def _tied_maximizers(x: np.ndarray, q: np.ndarray, best: float) -> np.ndarray:
+    """The rows of ``x`` that tie for the best value ``best`` (within 1e-9,
+    relative above 1), deduplicated by location and ordered by their
+    coordinates rounded to 8 decimals.
+
+    Candidates are taken by falling ``q``, the first always (even if
+    another evaluation edged it out), and each is kept unless a kept one
+    lies within 1e-4 of it in every coordinate; the distances come from
+    one matrix over the candidates.
+    """
+    order = np.argsort(-q, kind="stable")
+    cand = order[: max(1, np.count_nonzero(q >= best - 1e-9 * max(1.0, abs(best))))]
+    # coordinates first, so the largest distance is taken across planes
+    pts = np.ascontiguousarray(x[cand].T)
+    near = ~(np.abs(pts[:, :, None] - pts[:, None, :]).max(axis=0) > 1e-4)
+    kept, blocked = [], np.zeros(len(cand), dtype=bool)
+    for c in range(len(cand)):
+        if not blocked[c]:
+            kept.append(c)
+            blocked |= near[c]
+    rows = cand[kept]
+    return rows[np.lexsort(np.round(x[rows], 8).T[::-1])]
 
 
 def q_sup(
@@ -588,9 +612,12 @@ def q_sup(
             gain >= 1e-4 * pred,
             (grad1 * grad1).sum(axis=1) < (agrad * agrad).sum(axis=1),
         )
-        ax[ok], aq[ok], agrad[ok], ahess[ok] = trial[ok], q1[ok], grad1[ok], hess1[ok]
-        radius[ok & clipped & (gain >= 0.75 * pred)] *= 2.0
-        radius[~ok] = 0.25 * length[~ok]
+        ok1, ok2 = ok[:, None], ok[:, None, None]
+        ax, aq = np.where(ok1, trial, ax), np.where(ok, q1, aq)
+        agrad, ahess = np.where(ok1, grad1, agrad), np.where(ok2, hess1, ahess)
+        radius = np.where(
+            ok, np.where(clipped & (gain >= 0.75 * pred), 2.0 * radius, radius), 0.25 * length
+        )
         moving = (
             (np.abs(agrad).max(axis=1) > GRADIENT_TOL)
             & (aused < MAX_EVALS_PER_START)
@@ -603,16 +630,7 @@ def q_sup(
             idx, ax, aq, agrad, ahess = idx[moving], ax[moving], aq[moving], agrad[moving], ahess[moving]
             radius, aused = radius[moving], aused[moving]
 
-    # gather tied maximizers, deduplicated by location; the best candidate
-    # is always kept even if another evaluation edged it out
-    kept: list[int] = []
-    for k, i in enumerate(np.argsort(-q, kind="stable")):
-        if k > 0 and q[i] < best_eval - 1e-9 * max(1.0, abs(best_eval)):
-            break
-        if all(np.abs(x[i] - x[j]).max() > 1e-4 for j in kept):
-            kept.append(i)
-    kept.sort(key=lambda i: tuple(np.round(x[i], 8)))
-
+    kept = _tied_maximizers(x, q, best_eval)
     # a best value of 0 (every start on a zero of Q) is no peak, whatever
     # its gradient
     certificate = math.inf

@@ -20,10 +20,12 @@ from ncdist.fock import (
     outer,
     tensor,
 )
+from ncdist import husimi
 from ncdist.husimi import (
     _as_x,
     _BargmannTarget,
     _lattice_points,
+    _tied_maximizers,
     _support_overlaps,
     cat_q_tilde,
     cat_qmax,
@@ -636,6 +638,65 @@ def test_q_sup_repeats_its_result():
     )
     assert len(a.argmax) == len(b.argmax)
     assert all(np.array_equal(x, y) for x, y in zip(a.argmax, b.argmax))
+
+
+# ---------------------------------------------------------------------------
+# tied maximizers
+
+
+def _ring_peak_searches():
+    # a displaced |2> peaks on a circle and an interferometer image of
+    # |1,1,0> on a torus, so the starts end at many tied maximizers
+    displaced = apply_affine(
+        AffineOptics(np.eye(1), np.array([0.5 + 0.3j])),
+        number_basis_vector((2,), TruncationSpec((28,))),
+    )
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    image = apply_affine(
+        AffineOptics(u, np.zeros(3)), number_basis_vector((1, 1, 0), TruncationSpec((2, 2, 2)))
+    )
+    return {"displaced-2": displaced, "interferometer-110": image}
+
+
+def _greedy_ties(x, q, best):
+    """The tie gathering as one loop: a candidate is kept unless a kept one
+    lies within 1e-4 of it in every coordinate."""
+    kept = []
+    for k, i in enumerate(np.argsort(-q, kind="stable")):
+        if k > 0 and q[i] < best - 1e-9 * max(1.0, abs(best)):
+            break
+        if all(np.abs(x[i] - x[j]).max() > 1e-4 for j in kept):
+            kept.append(i)
+    kept.sort(key=lambda i: tuple(np.round(x[i], 8)))
+    return kept
+
+
+@pytest.mark.parametrize("name", sorted(_ring_peak_searches()))
+def test_tied_maximizers_match_the_greedy_loop(name, monkeypatch):
+    calls = []
+
+    def recorded(x, q, best):
+        calls.append((x.copy(), q.copy(), best))
+        return _tied_maximizers(x, q, best)
+
+    monkeypatch.setattr(husimi, "_tied_maximizers", recorded)
+    r = q_sup(_ring_peak_searches()[name])
+    (x, q, best), = calls
+    kept = _tied_maximizers(x, q, best)
+    assert len(kept) > 5
+    assert kept.tolist() == _greedy_ties(x, q, best)
+    assert len(r.argmax) == len(kept)
+
+
+def test_tied_maximizers_keep_one_of_each_cluster_in_greedy_order():
+    # rows 0 and 1 sit 5e-5 apart, row 2 is 5e-5 from row 1 but just over 1e-4 from
+    # row 0, so the greedy pass keeps 0 and 2; row 3 is below the tie
+    x = np.array([[0.0, 1.0], [5e-5, 1.0], [1.0001e-4, 1.0], [-1.0, 0.0]])
+    q = np.array([0.5, 0.5, 0.5, 0.4])
+    assert _tied_maximizers(x, q, 0.5).tolist() == [0, 2] == _greedy_ties(x, q, 0.5)
+    # the best row is kept even where another evaluation edged it out
+    assert _tied_maximizers(x, q, 0.6).tolist() == [0] == _greedy_ties(x, q, 0.6)
 
 
 def test_lattice_points_are_seeded_shared_points_in_the_unit_box():
