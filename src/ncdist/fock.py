@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -431,17 +432,50 @@ def number_basis_vector(
     return FockVector(trunc, amps)
 
 
+# |alpha|^2 above which the seed e^{-|alpha|^2/2} is no normal float
+_SEED_ENERGY_MAX = -2.0 * math.log(np.finfo(float).tiny)
+
+
 def _coherent_mode_amps(alpha, cutoff: int) -> np.ndarray:
     """u[..., n] = <n|alpha> = e^{-|alpha|^2/2} alpha^n / sqrt(n!) for
     n = 0..cutoff, on a last axis appended to ``alpha``'s shape (a number
     or an array of them), by the coherent recurrence
     u[n] = u[n - 1] alpha / sqrt(n), which keeps every factor bounded for
-    any cutoff and any alpha.  <alpha|n> is this at conj(alpha)."""
+    any cutoff and any alpha.  <alpha|n> is this at conj(alpha).
+
+    Where |alpha|^2 exceeds ``_SEED_ENERGY_MAX`` the seed u[0] would
+    underflow; those rows alone come from ``_peak_seeded_amps``."""
     a = np.asarray(alpha, dtype=np.complex128)
     u = np.empty(a.shape + (cutoff + 1,), dtype=np.complex128)
-    u[..., 0] = np.exp(-0.5 * (a.real * a.real + a.imag * a.imag))
+    e = a.real * a.real + a.imag * a.imag
+    u[..., 0] = np.exp(-0.5 * e)
     u[..., 1:] = a[..., None] * (1.0 / np.sqrt(np.arange(1.0, cutoff + 1.0)))
     np.cumprod(u, axis=-1, out=u)
+    if e.max(initial=0.0) > _SEED_ENERGY_MAX:
+        far = e > _SEED_ENERGY_MAX
+        u[far] = [_peak_seeded_amps(z, cutoff) for z in a[far].tolist()]
+    return u
+
+
+def _peak_seeded_amps(alpha: complex, cutoff: int) -> np.ndarray:
+    """<n|alpha> for n = 0..cutoff, seeded at k = min(floor(|alpha|^2),
+    cutoff), near the peak, by exp((k log|alpha|^2 - |alpha|^2 - log k!) / 2)
+    e^{i k arg alpha} (as ``_pmf_window`` seeds the pmf), then carried up
+    by u[n] = u[n - 1] alpha / sqrt(n) and down by
+    u[n] = u[n + 1] sqrt(n + 1) / alpha, so no value below the peak's
+    underflows before its own."""
+    e = alpha.real**2 + alpha.imag**2
+    k = min(int(e), cutoff)
+    u = np.empty(cutoff + 1, dtype=np.complex128)
+    u[k] = math.exp(0.5 * (k * math.log(e) - e - math.lgamma(k + 1.0))) * cmath.exp(
+        1j * k * cmath.phase(alpha)
+    )
+    up = np.sqrt(np.arange(k + 1.0, cutoff + 1.0))
+    u[k + 1 :] = alpha / up
+    np.cumprod(u[k:], out=u[k:])
+    down = u[k::-1]
+    down[1:] = np.sqrt(np.arange(k, 0.0, -1.0)) / alpha
+    np.cumprod(down, out=down)
     return u
 
 

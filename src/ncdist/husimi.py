@@ -58,6 +58,13 @@ DEFAULT_SEED = 1729
 CERT_THRESHOLD = 1e-8  # gradient norm above which a result is flagged
 MAX_EVALS_PER_START = 2000  # point evaluations (Q, gradient, Hessian) per start
 GRADIENT_TOL = 1e-12  # a start stops once every gradient component is below
+# a moving start retires within this distance |alpha - beta| of a maximizer
+# beta that a converged start holds at a value at least its own. Q varies
+# on a length scale of 1 (a coherent peak falls as e^{-|alpha - beta|^2},
+# only by e^{-0.04} = 4% at 0.2), so such a start climbs that maximizer's
+# hill; at 0.2 the Standing draws' miss lists at seeds 1729 and 1..5 stay
+# those of the search without retirement
+RETIRE_RADIUS = 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +308,11 @@ class _BargmannTarget:
         else:
             w, v = np.linalg.eigh(state.mat)
             keep = w > max(1e-15, 1e-14 * max(w.max(), 0.0))
+            if not keep.any():
+                raise ValueError(
+                    f"density has no eigenvalue above the rank cut (largest {w.max():.3e}), "
+                    "so its Husimi function is 0 everywhere"
+                )
             self.weights = w[keep]
             self.stack = v[:, keep]
         n = np.arange(max(self.trunc.cutoffs) + 1)
@@ -584,16 +596,40 @@ def q_sup(
     q, grad, hess = target.evaluate(x)
     best_eval = q.max()
     used = np.ones(len(x), dtype=int)
+    retired = np.zeros(len(x), dtype=bool)
+    # the maximizers (and their Q) of the starts that stopped with every
+    # component of Q's gradient at most GRADIENT_TOL
+    held_x, held_q = np.empty((0, dim)), np.empty(0)
     # the rounds run on the starts still moving, compacted: idx maps them
     # to their start, and a start's final point is written back to x, q,
     # grad and used when it stops. The first step is taken where log Q's
     # gradient is above the tolerance, so a start in the Gaussian tail
     # climbs out; one on an exact zero of Q stops
-    moving = np.abs(grad).max(axis=1) > GRADIENT_TOL * np.maximum(q, _TINY)
-    idx = np.flatnonzero(moving)
-    ax, aq, agrad, ahess = x[idx], q[idx], grad[idx], hess[idx]
-    radius, aused = np.ones(len(idx)), used[idx]
-    while len(idx):
+    idx = np.arange(len(x))
+    ax, aq, agrad, ahess = x.copy(), q.copy(), grad.copy(), hess
+    radius, aused = np.ones(len(x)), used.copy()
+    settled = np.abs(grad).max(axis=1) <= GRADIENT_TOL * np.maximum(q, _TINY)
+    moving = ~settled
+    while True:
+        if settled.any():
+            held_x = np.concatenate((held_x, ax[settled]))
+            held_q = np.concatenate((held_q, aq[settled]))
+        if len(held_q):
+            # |a - h|^2 by one product; a start near a held maximizer at
+            # least as high as its own Q retires
+            d2 = (ax * ax).sum(axis=1)[:, None] + (held_x * held_x).sum(axis=1) - 2.0 * ax @ held_x.T
+            retire = moving & ((d2 < RETIRE_RADIUS**2) & (held_q >= aq[:, None])).any(axis=1)
+            if retire.any():
+                retired[idx[retire]] = True
+                moving &= ~retire
+        if not moving.all():
+            done = idx[~moving]
+            x[done], q[done], grad[done] = ax[~moving], aq[~moving], agrad[~moving]
+            used[done] = aused[~moving]
+            idx, ax, aq, agrad, ahess = idx[moving], ax[moving], aq[moving], agrad[moving], ahess[moving]
+            radius, aused = radius[moving], aused[moving]
+        if not len(idx):
+            break
         # the model is of log Q, with Q floored where it underflows
         floor = np.maximum(aq, _TINY)
         lgrad = agrad / floor[:, None]
@@ -618,19 +654,10 @@ def q_sup(
         radius = np.where(
             ok, np.where(clipped & (gain >= 0.75 * pred), 2.0 * radius, radius), 0.25 * length
         )
-        moving = (
-            (np.abs(agrad).max(axis=1) > GRADIENT_TOL)
-            & (aused < MAX_EVALS_PER_START)
-            & (radius >= 1e-15)
-        )
-        if not moving.all():
-            done = idx[~moving]
-            x[done], q[done], grad[done] = ax[~moving], aq[~moving], agrad[~moving]
-            used[done] = aused[~moving]
-            idx, ax, aq, agrad, ahess = idx[moving], ax[moving], aq[moving], agrad[moving], ahess[moving]
-            radius, aused = radius[moving], aused[moving]
+        settled = np.abs(agrad).max(axis=1) <= GRADIENT_TOL
+        moving = ~settled & (aused < MAX_EVALS_PER_START) & (radius >= 1e-15)
 
-    kept = _tied_maximizers(x, q, best_eval)
+    kept = _tied_maximizers(x, np.where(retired, -np.inf, q), best_eval)
     # a best value of 0 (every start on a zero of Q) is no peak, whatever
     # its gradient
     certificate = math.inf

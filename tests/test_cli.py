@@ -106,6 +106,17 @@ def test_qsup_on_a_phase_randomized_state(tmp_path, capsys):
     assert json.loads(out)["value"] == pytest.approx(q.max(), abs=1e-9)
 
 
+def test_qsup_on_a_density_with_no_eigenvalue_above_the_rank_cut(tmp_path, capsys, monkeypatch):
+    # no input builds such a density today; the search still names the
+    # cause and exits 2
+    zero = ncdist.DensityMatrix(ncdist.TruncationSpec((3,)), np.zeros((4, 4)))
+    monkeypatch.setattr(ncdist.StateSpec, "build", lambda spec: zero)
+    path = write_state(tmp_path, "one.json", {"kind": "number", "ns": [1]})
+    code, out, err = run_cli(capsys, "qsup", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: density has no eigenvalue above the rank cut")
+
+
 def test_qsup_on_a_ring_checks_its_truncation(tmp_path, capsys):
     ring = {"kind": "phase_randomized", "energy": 2.0}
     short = write_state(tmp_path, "short.json", dict(ring, trunc={"cutoffs": [4]}))

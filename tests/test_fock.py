@@ -245,6 +245,25 @@ def test_coherent_mode_amps_match_the_per_n_recurrence():
             assert np.array_equal(_coherent_mode_amps(alphas[idx], cutoff), u[idx])
 
 
+def test_coherent_mode_amps_seed_far_rows_near_their_peak():
+    # e^{-|alpha|^2/2} underflows past |alpha|^2 = 1490, so rows past the
+    # seed threshold start near n = |alpha|^2; the others keep their bits
+    alphas = np.array([[0.7 - 0.2j, 40.0], [45.0 * np.exp(0.4j), 3.0]])
+    u = _coherent_mode_amps(alphas, 2400)
+    for idx in [(0, 0), (1, 1)]:
+        assert np.array_equal(u[idx], _coherent_mode_amps(alphas[idx], 2400))
+    for idx in [(0, 1), (1, 0)]:
+        a = complex(alphas[idx])
+        pmf = sp_poisson.pmf(np.arange(2401), abs(a) ** 2)
+        bulk = pmf > 1e-12
+        assert np.abs(np.abs(u[idx][bulk]) ** 2 / pmf[bulk] - 1.0).max() <= 1e-10
+        n = np.flatnonzero(bulk)
+        assert np.abs(u[idx][n] / np.abs(u[idx][n]) - np.exp(1j * n * np.angle(a))).max() <= 1e-10
+        assert np.linalg.norm(u[idx]) == pytest.approx(1.0, abs=1e-12)
+    # a number alone works the same
+    assert np.array_equal(_coherent_mode_amps(40.0, 2400), u[0, 1])
+
+
 def test_number_vector_and_overlap():
     t = TruncationSpec((4, 4))
     v = number_basis_vector((2, 3), t)

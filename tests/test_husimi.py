@@ -22,11 +22,12 @@ from ncdist.fock import (
 )
 from ncdist import husimi
 from ncdist.husimi import (
+    CERT_THRESHOLD,
     _as_x,
     _BargmannTarget,
     _lattice_points,
-    _tied_maximizers,
     _support_overlaps,
+    _tied_maximizers,
     cat_q_tilde,
     cat_qmax,
     gamma_n,
@@ -99,6 +100,18 @@ def test_q_tilde_number_state():
     v = number_basis_vector((1,), t)
     assert q_tilde(v, 0.5) == pytest.approx(0.19470019576785122, abs=1e-15)
     assert q_tilde(outer(v), 0.5) == pytest.approx(0.19470019576785122, abs=1e-13)
+
+
+def test_q_tilde_of_a_number_state_far_out():
+    # |alpha|^2 = 1600: e^{-|alpha|^2/2} underflows, and the coherent
+    # amplitudes start near their peak instead
+    psi = number_basis_vector((1600,), TruncationSpec((1889,)))
+    assert q_tilde(psi, 40) == pytest.approx(gamma_n(1600), rel=1e-12, abs=0)
+
+
+def test_q_sup_rejects_a_density_with_no_eigenvalue_above_the_rank_cut():
+    with pytest.raises(ValueError, match="rank cut"):
+        q_sup(DensityMatrix(TruncationSpec((3,)), np.zeros((4, 4))))
 
 
 def test_q_tilde_cat_closed_form_matches_vector():
@@ -697,6 +710,50 @@ def test_tied_maximizers_keep_one_of_each_cluster_in_greedy_order():
     assert _tied_maximizers(x, q, 0.5).tolist() == [0, 2] == _greedy_ties(x, q, 0.5)
     # the best row is kept even where another evaluation edged it out
     assert _tied_maximizers(x, q, 0.6).tolist() == [0] == _greedy_ties(x, q, 0.6)
+
+
+def _displaced_two(gamma):
+    return apply_affine(
+        AffineOptics(np.eye(1), np.array([gamma])),
+        number_basis_vector((2,), TruncationSpec((28,))),
+    )
+
+
+def _reported_peak_cases():
+    cases = dict(_ring_peak_searches())
+    cases.update({f"standing-{s}": standing_draw(s) for s in (32, 47, 56, 118)})
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_reported_peak_cases()))
+def test_every_reported_maximizer_is_a_stationary_point_at_the_value(name):
+    # retired starts are left out of argmax: each point there is a start
+    # that stopped on the peak itself
+    state = _reported_peak_cases()[name]
+    r = q_sup(state)
+    q, grad, _ = _BargmannTarget(state).evaluate(np.array([_as_x(a) for a in r.argmax]))
+    assert np.linalg.norm(grad, axis=1).max() <= CERT_THRESHOLD
+    assert np.abs(q - r.value).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "gamma, value, evaluations_before, retires",
+    [
+        # its 12 starts end 0.7 apart on the ring, so none retires
+        (0.5 + 0.3j, 0.27067056647322607, 73, False),
+        # here starts retire near maximizers other starts already hold
+        (-0.987642 - 0.193626j, 0.27067056647322624, 69, True),
+    ],
+)
+def test_retirement_keeps_the_value_of_a_displaced_number_state(
+    gamma, value, evaluations_before, retires
+):
+    # the values and evaluation counts are those of the search before
+    # starts retired
+    r = q_sup(_displaced_two(gamma))
+    assert abs(r.value - value) <= 1e-15
+    assert (r.n_evaluations < evaluations_before) == retires
+    assert r.n_evaluations <= evaluations_before
 
 
 def test_lattice_points_are_seeded_shared_points_in_the_unit_box():
