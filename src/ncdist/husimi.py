@@ -10,7 +10,11 @@ The search advances every start (the origin, the mode means, caller hints
 and the points of a seeded Kronecker lattice) in lockstep: each round
 evaluates Q(alpha), its exact gradient and its exact Hessian at all starts
 still moving in one batched call and takes one saddle-free trust-region
-Newton step per start.
+Newton step per start. A moving start retires once it comes within
+``RETIRE_RADIUS`` of a maximizer held at a value at least its own by a
+start that stopped with every component of Q's gradient at most
+``GRADIENT_TOL``: it is on that maximizer's hill, and climbing on would
+find that maximizer again.
 Q is evaluated on Fock-space states only (a FockVector or a DensityMatrix):
 Q = e^{-|alpha|^2} sum_k w_k |P_k(conj alpha)|^2, with P_k the Bargmann
 polynomial of a pure component. A classical ensemble is realized first
@@ -19,10 +23,13 @@ polynomial of a pure component. A classical ensemble is realized first
 those of Q: far from the peak log Q is -|alpha|^2 plus the log of a
 polynomial, so one Newton step leaves the Gaussian tail, where a step on Q
 gains only about a factor e. Where Q > 0 both have the same stationary
-points. The certificate is the exact gradient norm of Q at the reported
-maximizers: it certifies stationarity, not that the best start found the
-global maximum. ``n_evaluations`` counts point evaluations of Q, its
-gradient and its Hessian.
+points. The reported maximizers (``argmax``, and ``ties`` when there are
+several) are the final points of starts that did not retire, tied within
+1e-9 of the best value; the certificate is the exact gradient norm of Q
+there: it certifies stationarity, not that the best start found the global
+maximum. ``n_evaluations`` counts point evaluations of Q, its gradient and
+its Hessian, those of retired starts included, and the value is the best
+Q any of them found.
 
 Callers that need Q alone at given points, with no derivatives (``q_tilde``
 and the report's attainment checks in ``bounds._check_attained`` and
@@ -569,6 +576,18 @@ def q_sup(
     ``inf``, as Q integrates to 1 and its supremum is positive; with
     ``n_starts`` 1 or 2 the only starts are the origin and the mode means,
     which can both sit on a zero of Q (number states |n>, n >= 1, odd cats).
+
+    A start that stops with every component of Q's gradient at most
+    ``GRADIENT_TOL`` holds its point as a maximizer. After each round (and
+    before the first) a moving start retires once it lies within
+    ``RETIRE_RADIUS`` (Euclidean, over all modes) of a held maximizer whose
+    Q is at least its own. A retired start's evaluations count in the
+    returned value and in ``n_evaluations``, but its point is left out of
+    ``argmax``, ``ties`` and the certificate, which read the starts that
+    did not retire: ``argmax`` holds their final points within 1e-9
+    (relative above 1) of the value, one per location (points within 1e-4
+    in every coordinate count as one), ordered by their coordinates
+    rounded to 8 decimals, and ``ties`` says there are several.
     ``n_evaluations`` counts point evaluations of Q, its gradient and its
     Hessian. The search needs derivatives, so it runs on the Bargmann
     evaluator; callers that need Q alone at given points (``q_tilde``, the
@@ -617,7 +636,8 @@ def q_sup(
         if len(held_q):
             # |a - h|^2 by one product; a start near a held maximizer at
             # least as high as its own Q retires
-            d2 = (ax * ax).sum(axis=1)[:, None] + (held_x * held_x).sum(axis=1) - 2.0 * ax @ held_x.T
+            d2 = (ax * ax).sum(axis=1)[:, None] + (held_x * held_x).sum(axis=1)
+            d2 -= 2.0 * ax @ held_x.T
             retire = moving & ((d2 < RETIRE_RADIUS**2) & (held_q >= aq[:, None])).any(axis=1)
             if retire.any():
                 retired[idx[retire]] = True
