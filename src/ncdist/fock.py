@@ -432,8 +432,18 @@ def number_basis_vector(
     return FockVector(trunc, amps)
 
 
-# |alpha|^2 above which the seed e^{-|alpha|^2/2} is no normal float
-_SEED_ENERGY_MAX = -2.0 * math.log(np.finfo(float).tiny)
+# |alpha|^2 past which the coherent seed e^{-|alpha|^2/2} is no normal float
+_AMP_SEED_MAX_ENERGY = -2.0 * math.log(np.finfo(float).tiny)
+
+
+@functools.lru_cache(maxsize=None)
+def _inv_sqrt(cutoff: int) -> np.ndarray:
+    """1 / sqrt(n) for n = 1..cutoff, the coherent recurrence's factors,
+    read-only: taken once per cutoff, they save each call of the
+    recurrence more than its underflow check costs."""
+    r = 1.0 / np.sqrt(np.arange(1.0, cutoff + 1.0))
+    r.flags.writeable = False
+    return r
 
 
 def _coherent_mode_amps(alpha, cutoff: int) -> np.ndarray:
@@ -443,16 +453,16 @@ def _coherent_mode_amps(alpha, cutoff: int) -> np.ndarray:
     u[n] = u[n - 1] alpha / sqrt(n), which keeps every factor bounded for
     any cutoff and any alpha.  <alpha|n> is this at conj(alpha).
 
-    Where |alpha|^2 exceeds ``_SEED_ENERGY_MAX`` the seed u[0] would
-    underflow; those rows alone come from ``_peak_seeded_amps``."""
+    Where |alpha|^2 exceeds ``_AMP_SEED_MAX_ENERGY`` the seed u[0] is no
+    normal float; those rows alone come from ``_peak_seeded_amps``."""
     a = np.asarray(alpha, dtype=np.complex128)
     u = np.empty(a.shape + (cutoff + 1,), dtype=np.complex128)
     e = a.real * a.real + a.imag * a.imag
     u[..., 0] = np.exp(-0.5 * e)
-    u[..., 1:] = a[..., None] * (1.0 / np.sqrt(np.arange(1.0, cutoff + 1.0)))
+    u[..., 1:] = a[..., None] * _inv_sqrt(cutoff)
     np.cumprod(u, axis=-1, out=u)
-    if e.max(initial=0.0) > _SEED_ENERGY_MAX:
-        far = e > _SEED_ENERGY_MAX
+    if np.maximum.reduce(e, axis=None, initial=0.0) > _AMP_SEED_MAX_ENERGY:
+        far = e > _AMP_SEED_MAX_ENERGY
         u[far] = [_peak_seeded_amps(z, cutoff) for z in a[far].tolist()]
     return u
 
@@ -462,16 +472,15 @@ def _peak_seeded_amps(alpha: complex, cutoff: int) -> np.ndarray:
     cutoff), near the peak, by exp((k log|alpha|^2 - |alpha|^2 - log k!) / 2)
     e^{i k arg alpha} (as ``_pmf_window`` seeds the pmf), then carried up
     by u[n] = u[n - 1] alpha / sqrt(n) and down by
-    u[n] = u[n + 1] sqrt(n + 1) / alpha, so no value below the peak's
-    underflows before its own."""
+    u[n] = u[n + 1] sqrt(n + 1) / alpha, so an amplitude underflows only
+    where it is itself below the smallest float."""
     e = alpha.real**2 + alpha.imag**2
     k = min(int(e), cutoff)
     u = np.empty(cutoff + 1, dtype=np.complex128)
     u[k] = math.exp(0.5 * (k * math.log(e) - e - math.lgamma(k + 1.0))) * cmath.exp(
         1j * k * cmath.phase(alpha)
     )
-    up = np.sqrt(np.arange(k + 1.0, cutoff + 1.0))
-    u[k + 1 :] = alpha / up
+    u[k + 1 :] = alpha / np.sqrt(np.arange(k + 1.0, cutoff + 1.0))
     np.cumprod(u[k:], out=u[k:])
     down = u[k::-1]
     down[1:] = np.sqrt(np.arange(k, 0.0, -1.0)) / alpha

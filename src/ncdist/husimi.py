@@ -69,8 +69,8 @@ GRADIENT_TOL = 1e-12  # a start stops once every gradient component is below
 # beta that a converged start holds at a value at least its own. Q varies
 # on a length scale of 1 (a coherent peak falls as e^{-|alpha - beta|^2},
 # only by e^{-0.04} = 4% at 0.2), so such a start climbs that maximizer's
-# hill; at 0.2 the Standing draws' miss lists at seeds 1729 and 1..5 stay
-# those of the search without retirement
+# hill; at 0.2 the Standing draws' miss lists at the 24 default seeds of
+# tools/standing_misses.py stay those of the search without retirement
 RETIRE_RADIUS = 0.2
 
 
@@ -522,7 +522,8 @@ def _tied_maximizers(x: np.ndarray, q: np.ndarray, best: float) -> np.ndarray:
     """
     order = np.argsort(-q, kind="stable")
     cand = order[: max(1, np.count_nonzero(q >= best - 1e-9 * max(1.0, abs(best))))]
-    # coordinates first, so the largest distance is taken across planes
+    # coordinates as rows: the largest distance is then taken across
+    # contiguous planes, not along a short last axis, which is slower
     pts = np.ascontiguousarray(x[cand].T)
     near = ~(np.abs(pts[:, :, None] - pts[:, None, :]).max(axis=0) > 1e-4)
     kept, blocked = [], np.zeros(len(cand), dtype=bool)
