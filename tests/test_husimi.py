@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ncdist import husimi
 from ncdist.channels import AffineOptics, apply_affine
 from ncdist.fock import (
     DensityMatrix,
@@ -20,7 +21,6 @@ from ncdist.fock import (
     outer,
     tensor,
 )
-from ncdist import husimi
 from ncdist.husimi import (
     CERT_THRESHOLD,
     _as_x,
@@ -657,13 +657,17 @@ def test_q_sup_repeats_its_result():
 # tied maximizers
 
 
+def _displaced_two(gamma):
+    return apply_affine(
+        AffineOptics(np.eye(1), np.array([gamma])),
+        number_basis_vector((2,), TruncationSpec((28,))),
+    )
+
+
 def _ring_peak_searches():
     # a displaced |2> peaks on a circle and an interferometer image of
     # |1,1,0> on a torus, so the starts end at many tied maximizers
-    displaced = apply_affine(
-        AffineOptics(np.eye(1), np.array([0.5 + 0.3j])),
-        number_basis_vector((2,), TruncationSpec((28,))),
-    )
+    displaced = _displaced_two(0.5 + 0.3j)
     rng = np.random.default_rng(3)
     u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     image = apply_affine(
@@ -710,13 +714,6 @@ def test_tied_maximizers_keep_one_of_each_cluster_in_greedy_order():
     assert _tied_maximizers(x, q, 0.5).tolist() == [0, 2] == _greedy_ties(x, q, 0.5)
     # the best row is kept even where another evaluation edged it out
     assert _tied_maximizers(x, q, 0.6).tolist() == [0] == _greedy_ties(x, q, 0.6)
-
-
-def _displaced_two(gamma):
-    return apply_affine(
-        AffineOptics(np.eye(1), np.array([gamma])),
-        number_basis_vector((2,), TruncationSpec((28,))),
-    )
 
 
 def _reported_peak_cases():

@@ -83,8 +83,9 @@ def count(checkout: Path) -> list[tuple[str, int, int, int]]:
             for inp in slot.entries[:INPUTS_PER_SLOT]:
                 try:
                     wl.prepare(inp, workdir)()
-                except Exception:  # a failed op still counts its searches
-                    pass
+                except Exception as err:  # a failed op still counts its searches
+                    failure = f"{type(err).__name__}: {err}"
+                    print(f"{slot.name}: {failure}: {wl.key(inp)}", file=sys.stderr)
             after = counts.snapshot()
             rows.append((slot.name,) + tuple(b - a for a, b in zip(before, after)))
     return rows
