@@ -398,6 +398,17 @@ def convexity_upper(components) -> Bound:
 # minimization over number-diagonal classical mixtures
 
 
+def _sorted_distinct(x) -> np.ndarray:
+    """The distinct values of ``x``, ascending: ``np.unique``'s result by a
+    sort and an adjacent-difference mask, without the ``numpy.ma`` import
+    that ``np.unique`` makes on its first call."""
+    x = np.sort(x)
+    keep = np.empty(len(x), dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 def default_energy_grid(mean_energy: float) -> np.ndarray:
     """Hybrid linear + geometric grid of ``ENERGY_GRID_POINTS`` energies
     on [0, 2 * mean + 4]."""
@@ -405,7 +416,7 @@ def default_energy_grid(mean_energy: float) -> np.ndarray:
     nlin = (ENERGY_GRID_POINTS + 1) // 2
     lin = np.linspace(0.0, hi, nlin)
     geo = np.geomspace(max(hi * 1e-3, 1e-3), hi, ENERGY_GRID_POINTS - nlin)
-    return np.unique(np.concatenate([lin, geo]))
+    return _sorted_distinct(np.concatenate([lin, geo]))
 
 
 def _diag_profile(rho: DensityMatrix) -> tuple[np.ndarray, float]:
@@ -958,7 +969,7 @@ def _report_diagonal(rho: DensityMatrix, state_id: str) -> BoundReport:
     if len(excited) <= 1:
         gap = max([float(p[n]) - gamma_n(int(n)) for n in excited] + [0.0])
         lowers, extra = [Bound("triangle", min(gap, _ONE_MINUS), "eq32-triangle-lower")], []
-    grid = np.unique(np.concatenate([default_energy_grid(mean), extra, levels]))
+    grid = _sorted_distinct(np.concatenate([default_energy_grid(mean), extra, levels]))
     sup = float(p[levels[0]]) * gamma_n(int(levels[0])) if len(levels) == 1 else None
     return _assemble(state_id, lowers, [diag_classical_minimize(rho, grid)], rho, sup_overlap=sup)
 

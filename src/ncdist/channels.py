@@ -21,7 +21,7 @@ from .fock import (
     TruncationSpec,
     displacement,
     outer,
-    passive_unitary,
+    passive_apply,
     tensor,
 )
 from .states import (
@@ -61,12 +61,12 @@ class AffineOptics:
 def apply_affine(channel: AffineOptics, state):
     """Apply the channel to a FockVector or DensityMatrix on its truncation.
 
-    The interferometer acts first, then the displacements.  Each is an
-    operator U whose ``apply`` multiplies along the flat basis axis: U psi
-    for a vector, and U rho U^+ = (U (U rho)^+)^+ for a matrix.  The
-    interferometer keeps the photon number, so it is built only on the
-    shells the state's diagonal occupies; an identity mode matrix and
-    D(0) = I are skipped.
+    The interferometer acts first, then the displacements.  Each acts along
+    the flat basis axis: U psi for a vector, and U rho U^+ =
+    (U (U rho)^+)^+ for a matrix, whose columns ride along as a batch.  The
+    interferometer acts on the state's own amplitudes by
+    :func:`~ncdist.fock.passive_apply`, over the slices the state occupies
+    only; an identity mode matrix and D(0) = I are skipped.
     Probability lost past the cutoffs must stay within 10x the truncation
     budget; otherwise the cutoffs are too tight for the moved state and the
     call fails with a suggestion.
@@ -80,13 +80,12 @@ def apply_affine(channel: AffineOptics, state):
     x = state.flat if vec else state.mat
     ops = []
     if not np.array_equal(channel.mode_matrix, np.eye(channel.nmodes)):
-        diag = x if vec else x.diagonal()
-        shells = np.unique(trunc.totals()[diag != 0])
-        ops.append(passive_unitary(channel.mode_matrix, trunc, shells))
+        u = channel.mode_matrix
+        ops.append(lambda y: passive_apply(u, y.reshape(trunc.shape + y.shape[1:])).reshape(y.shape))
     if np.any(channel.displacements):
-        ops.append(displacement(channel.displacements, trunc))
+        ops.append(displacement(channel.displacements, trunc).apply)
     for op in ops:
-        x = op.apply(x) if vec else op.apply(op.apply(x).conj().T).conj().T
+        x = op(x) if vec else op(op(x).conj().T).conj().T
 
     if vec:
         out = FockVector(trunc, x.reshape(trunc.shape))

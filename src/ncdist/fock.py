@@ -679,31 +679,6 @@ class ModewiseUnitary:
         return t.reshape(x.shape)
 
 
-@dataclass
-class BlockUnitary:
-    """Operator block-diagonal over total photon number.
-
-    ``blocks`` holds (flat basis indices, matrix) for each photon-number
-    shell built, in order, and ``totals`` those shells' photon numbers; the
-    operator is zero on the others. Blocks whose photon number exceeds some
-    per-mode cutoff are cropped and then only sub-unitary; the complete
-    blocks are exactly unitary.  :meth:`apply` serves vectors and matrices.
-    """
-
-    trunc: TruncationSpec
-    blocks: list[tuple[np.ndarray, np.ndarray]]
-    totals: list[int]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """U x, along x's first (flat basis) axis."""
-        if len(x) != self.trunc.dim:
-            raise ValueError(f"operand of length {len(x)}, expected {self.trunc.dim}")
-        out = np.zeros_like(x, dtype=np.complex128)
-        for idx, b in self.blocks:
-            out[idx] = b @ x[idx]
-        return out
-
-
 def beam_splitter(eta: float) -> np.ndarray:
     """Two-mode mixing matrix with transmissivity eta.
 
@@ -717,67 +692,142 @@ def beam_splitter(eta: float) -> np.ndarray:
     return np.array([[t, r], [-r, t]], dtype=np.complex128)
 
 
-# entries of the shell blocks one interferometer build may allocate: as
-# many as one dense matrix at the dense-dimension cap
-_PASSIVE_ENTRY_CAP = MAX_DENSE_DIM**2
-
-
-def passive_unitary(u: np.ndarray, trunc: TruncationSpec, shells=None) -> BlockUnitary:
-    """Fock-space representation of an M-mode passive interferometer.
+def passive_apply(u: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """The interferometer W(u) applied to ``amps``, whose first M axes are
+    the modes of a truncated space and whose further axes, if any, a batch
+    (a density's columns).
 
     ``u`` is the M x M mode matrix: creation operators transform as
-    ``W a_m^+ W^+ = sum_j u[j, m] a_j^+``. ``W`` keeps the photon number, so
-    it is built on the listed photon-number ``shells`` only (default: all of
-    them) and is zero on the others; a state on these comes out exact.
-    Shell t comes from shell t - 1 by the ladder recurrence
-    ``<k|W|l> = sum_j u[j, m] sqrt(k_j / l_m) <k - e_j|W|l - e_m>``, m the
-    first occupied mode of l. Lowering never leaves the cutoffs, so a shell
-    they crop is the exact sub-block; only the complete shells are unitary.
+    ``W a_m^+ W^+ = sum_j u[j, m] a_j^+``, so with the commuting
+    B_m = sum_j u[j, m] a_j^+, W|l> = prod_m B_m^{l_m} / sqrt(l_m!) |0>.
+    The sum over l runs by nested Horner's rule, mode 0 outermost:
+    sum_l B_m^l / sqrt(l!) v_l = v_0 + B_m (v_1 + B_m (v_2 + ...) / sqrt(2)),
+    where v_l is the same sum over the later modes of the slice l_m = l, and
+    slices that are all zero are skipped.  The last mode is not recursed
+    into: B^k / sqrt(k!) |0> lies on shell k, so one sum g of these powers
+    serves every slice, as g times the slice's coefficient at each entry's
+    photon number.  Raising drops what passes a cutoff and nothing lowers,
+    so every entry within the cutoffs is exact: a shell the cutoffs crop
+    comes out as the exact sub-block, and only the complete shells are
+    unitary.
     """
     u = np.asarray(u, dtype=np.complex128)
-    m = trunc.nmodes
-    if u.shape != (m, m):
-        raise ValueError(f"mode matrix shape {u.shape}, expected {(m, m)}")
+    x = np.asarray(amps, dtype=np.complex128)
+    m = len(u)
+    if u.shape != (m, m) or x.ndim < m:
+        raise ValueError(f"mode matrix of shape {u.shape} for amplitudes of shape {x.shape}")
     defect = float(np.abs(u.conj().T @ u - np.eye(m)).max())
     if defect > 1e-12:
         raise ValueError(f"mode matrix is not unitary (defect {defect:.3e})")
+    shape = x.shape[:m]
+    flat = x.reshape(shape + (-1,))
+    nonzero = flat != 0
+    rows = nonzero.any(axis=-1)
+    out = np.zeros(flat.shape, dtype=np.complex128)
+    if not rows.any():
+        return out.reshape(x.shape)
+    # W keeps the photon number, so only the occupied batch columns and the
+    # box of cutoffs min(N_m, t), t the top occupied shell, take part
+    totals = np.indices(shape).sum(axis=0)
+    box = tuple(slice(min(n, int(totals[rows].max()) + 1)) for n in shape)
+    cols = np.flatnonzero(nonzero.any(axis=tuple(range(m))))
+    cols = slice(None) if len(cols) == flat.shape[-1] else cols
+    sub = flat[box][..., cols]
+    shape = sub.shape[:m]
+    # occupied[j][l_0, ..., l_j]: some amplitude under this prefix is nonzero
+    occupied = [rows[box]]
+    for _ in range(m - 1):
+        occupied.insert(0, occupied[0].any(axis=-1))
+    # sqrt(k), k = 1..cutoff, along mode i's axis: a_i^+ takes entry k - 1 to k
+    sqrts = [np.sqrt(np.arange(1.0, n)).reshape((n - 1,) + (1,) * (m - i)) for i, n in enumerate(shape)]
+    below = [(slice(None),) * i + (slice(None, -1),) for i in range(m)]
+    above = [(slice(None),) * i + (slice(1, None),) for i in range(m)]
+
+    def raised(a, j, scale):
+        # scale B_j a, the first term written in place of a zeroed array
+        b = None
+        for i in np.flatnonzero(u[:, j]).tolist():
+            c = sqrts[i] * (u[i, j] * scale)
+            if b is None:
+                b = np.empty_like(a)
+                np.multiply(a[below[i]], c, out=b[above[i]])
+                b[below[i][:-1] + (0,)] = 0.0
+            else:
+                b[above[i]] += a[below[i]] * c
+        return b
+
+    # g = sum_k B_{M-1}^k / sqrt(k!) |0> over the last mode's occupied levels
+    power = np.zeros(shape + (1,), dtype=np.complex128)
+    power[(0,) * (m + 1)] = 1.0
+    g = power
+    top = np.flatnonzero(occupied[-1].any(axis=tuple(range(m - 1))))[-1]
+    for k in range(1, int(top) + 1):
+        power = raised(power, m - 1, 1.0 / math.sqrt(k))
+        g = g + power
+    photons = np.minimum(totals[box], shape[-1] - 1)
+
+    def horner(prefix):
+        j = len(prefix)
+        if j == m - 1:
+            return g * sub[prefix][photons]
+        levels = np.flatnonzero(occupied[j][prefix]).tolist()
+        acc = horner(prefix + (levels[-1],))
+        present = set(levels)
+        for level in range(levels[-1] - 1, -1, -1):
+            acc = raised(acc, j, 1.0 / math.sqrt(level + 1))
+            if level in present:
+                acc += horner(prefix + (level,))
+        return acc
+
+    out[box][..., cols] = horner(())
+    return out.reshape(x.shape)
+
+
+def passive_unitary(u: np.ndarray, trunc: TruncationSpec, shells=None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The interferometer W(u) on the listed photon-number ``shells``
+    (default: all of them), one (flat basis indices, block) pair per shell
+    in order: :func:`passive_apply` on the shell's basis vectors, which go
+    through as one batch.  W keeps the photon number, so the blocks are all
+    of it on those shells.  A shell the cutoffs crop is the exact
+    sub-block; only the complete shells are unitary.  A batch of more
+    entries than one dense matrix at the dense-dimension cap is refused
+    before any is built.
+    """
+    m = trunc.nmodes
+    if np.shape(u) != (m, m):
+        raise ValueError(f"mode matrix shape {np.shape(u)}, expected {(m, m)}")
     if shells is None:
         shells = range(sum(trunc.cutoffs) + 1)
-    wanted = [int(t) for t in shells]
-    top = max(wanted, default=-1)
     totals = trunc.totals()
-    rows = [np.flatnonzero(totals == t) for t in range(top + 1)]
-    strides = np.array(_strides(trunc.shape))
-    # shells below the top one are built on the way, each on all its rows
-    # but only on the columns l - e_m that some requested column lowers to
-    cols, lower = rows[:1] + [None] * top, {}
-    for t in range(top, 0, -1):
-        cols[t] = rows[t] if t in wanted else np.unique(lower[t + 1][0])
-        ls = np.array(np.unravel_index(cols[t], trunc.shape))
-        first = np.argmax(ls > 0, axis=0)
-        lower[t] = (cols[t] - strides[first], first, np.sqrt(ls[first, np.arange(len(first))]))
-    # a requested shell is a square block, a shell on the way a slice of one
-    entries = sum(len(rows[t]) * len(cols[t]) for t in range(1, top + 1))
-    if entries > _PASSIVE_ENTRY_CAP:
+    cols = [np.flatnonzero(totals == int(t)) for t in shells]
+    entries = trunc.dim * max(map(len, cols), default=0)
+    if entries > MAX_DENSE_DIM**2:
         raise DimensionTooLarge(
-            f"passive_unitary would build {entries} shell-block entries, "
-            f"past the cap of {_PASSIVE_ENTRY_CAP}"
+            f"passive_unitary would take {entries} entries for one shell, "
+            f"past the cap of {MAX_DENSE_DIM**2}"
         )
-    mat = np.ones((1, 1), dtype=np.complex128)
-    mats = {0: mat}
-    for t in range(1, top + 1):
-        down, first, norm = lower[t]
-        ks = np.array(np.unravel_index(rows[t], trunc.shape))
-        prev = mat[:, np.searchsorted(cols[t - 1], down)] / norm
-        mat = np.zeros((len(rows[t]), len(cols[t])), dtype=np.complex128)
-        for j in range(m):
-            r = np.flatnonzero(ks[j])
-            below = np.searchsorted(rows[t - 1], rows[t][r] - strides[j])
-            mat[r] += np.sqrt(ks[j, r])[:, None] * prev[below] * u[j, first]
-        if t in wanted:
-            mats[t] = mat
+    blocks = []
+    for c in cols:
+        basis = np.zeros((trunc.dim, len(c)), dtype=np.complex128)
+        basis[c, np.arange(len(c))] = 1.0
+        image = passive_apply(u, basis.reshape(trunc.shape + (len(c),)))
+        blocks.append((c, image.reshape(trunc.dim, -1)[c]))
+    return blocks
 
-    return BlockUnitary(trunc, [(rows[t], mats[t]) for t in wanted], wanted)
+
+# Ladder sizes up to this keep their eigensolve in the cache, which holds 32
+# of them: (size + 1) * size floats each, at most 16.9 MB in all.
+_LADDER_CACHE_MAX = 256
+
+
+@functools.lru_cache(maxsize=32)
+def _ladder_eigh(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors (columns) of the real
+    symmetric ladder X = a + a^+ on levels 0..size - 1, read-only."""
+    lam, vecs = np.linalg.eigh(np.diag(np.sqrt(np.arange(1.0, size)), -1))
+    lam.flags.writeable = False
+    vecs.flags.writeable = False
+    return lam, vecs
 
 
 def displacement(
@@ -785,20 +835,25 @@ def displacement(
 ) -> ModewiseUnitary:
     """Mode-wise displacement operator D(gamma) on the truncated space.
 
-    Each per-mode matrix is computed as the exponential of the
-    anti-Hermitian generator G = ``gamma a^+ - conj(gamma) a`` on an
-    enlarged ladder and then cropped to the requested cutoff, which keeps
-    the matrix elements accurate at the price of a controlled unitarity
-    defect near the cutoff.  The exponential is V e^{-i lam} V^+ from the
-    Hermitian eigendecomposition iG = V lam V^+, not the ladder recurrence
-    D[k, l] = (g D[k-1, l] + sqrt(l) D[k-1, l-1]) / sqrt(k), which against
-    a 50-digit reference errs by 4.7e-8 at g = 2+1j, n = 40 and by 3e-2 at
-    g = 3, n = 60.  Against a 30-digit exponential of the same enlarged
-    generator the cropped matrix errs by 1.5e-15 at (g, n) = (0.7+0.4j, 28)
-    and 3.2e-15 at (2+1j, 40); scipy's Pade ``expm`` erred 4.0e-16 and
-    9.4e-16.
-    Construction cross-checks D|0> against the coherent recurrence and
-    refuses cutoffs that cannot carry the displaced vacuum.
+    Each per-mode matrix is the exponential of the generator
+    ``gamma a^+ - conj(gamma) a`` on an enlarged ladder, cropped to the
+    requested cutoff, which keeps the matrix elements accurate at the price
+    of a controlled unitarity defect near the cutoff.  That generator is
+    -i |gamma| P X P^+ with X = a + a^+ and P the diagonal phase
+    e^{i k (arg gamma + pi / 2)}, so D(gamma) = P e^{-i |gamma| X} P^+, and
+    with X = V lam V^T from one real symmetric eigensolve per ladder size
+    (cached) the cropped matrix is the product of the thin matrices
+    P V_top e^{-i |gamma| lam} and (P V_top)^+.  The ladder recurrence
+    D[k, l] = (g D[k-1, l] + sqrt(l) D[k-1, l-1]) / sqrt(k) is not used: it
+    errs by 4.7e-8 at g = 2+1j, n = 40 and by 3e-2 at g = 3, n = 60.
+    Against the 30-digit closed form sqrt(l! / k!) g^(k-l) e^(-|g|^2 / 2)
+    L_l^(k-l)(|g|^2) the cropped matrix errs by 2.5e-15 at
+    (g, n) = (0.7+0.4j, 28), 3.6e-15 at (2+1j, 40) and 2.3e-15 at
+    |g| = 1.2, n = 30; scipy's Pade ``expm`` of the same enlarged generator
+    errs by 3.8e-16, 1.0e-15 and 5.8e-16.
+    A zero gamma gives the identity.  Construction cross-checks D|0>
+    against the coherent recurrence and refuses cutoffs that cannot carry
+    the displaced vacuum.
     """
     gs = np.atleast_1d(np.asarray(gammas, dtype=np.complex128))
     if len(gs) != trunc.nmodes:
@@ -813,13 +868,13 @@ def displacement(
 
     mats = []
     for g, n in zip(gs, trunc.cutoffs):
-        extra = int(math.ceil(4.0 * abs(g) * math.sqrt(max(n, 1)))) + 10
-        a = annihilation_matrix(n + extra)
-        # the generator G is anti-Hermitian, so iG = V lam V^+ and
-        # e^G = V e^{-i lam} V^+, of which only the top rows are kept
-        lam, vecs = np.linalg.eigh(1j * (g * a.conj().T - np.conj(g) * a))
-        top = vecs[: n + 1]
-        mats.append((top * np.exp(-1j * lam)) @ top.conj().T)
+        if g == 0:
+            mats.append(np.eye(n + 1, dtype=np.complex128))
+            continue
+        size = n + int(math.ceil(4.0 * abs(g) * math.sqrt(max(n, 1)))) + 11
+        lam, vecs = (_ladder_eigh if size <= _LADDER_CACHE_MAX else _ladder_eigh.__wrapped__)(size)
+        top = vecs[: n + 1] * np.exp(1j * (cmath.phase(g) + 0.5 * math.pi) * np.arange(n + 1.0))[:, None]
+        mats.append((top * np.exp(-1j * abs(g) * lam)) @ top.conj().T)
 
     op = ModewiseUnitary(trunc, mats)
     vac = number_basis_vector((0,) * trunc.nmodes, trunc)

@@ -284,6 +284,11 @@ def _derivative_patterns(m: int):
     return keeps, counts, second
 
 
+def _number_diagonal(mat: np.ndarray) -> bool:
+    """Whether every nonzero entry of ``mat`` is on its diagonal, in one pass."""
+    return np.count_nonzero(mat) == np.count_nonzero(mat.diagonal())
+
+
 class _BargmannTarget:
     """Q of a FockVector or DensityMatrix through the Bargmann polynomial.
 
@@ -308,12 +313,17 @@ class _BargmannTarget:
     def __init__(self, state):
         self.trunc = state.trunc
         # amplitudes as (basis, K): the state's flat vector, or the kept
-        # eigenvectors of a density as columns
+        # eigenvectors of a density as columns; a number-diagonal density's
+        # are its basis vectors, with its diagonal as the eigenvalues
         if isinstance(state, FockVector):
             self.weights = np.ones(1)
             self.stack = state.flat[:, None]
         else:
-            w, v = np.linalg.eigh(state.mat)
+            diagonal = _number_diagonal(state.mat)
+            if diagonal:
+                w = state.mat.diagonal().real
+            else:
+                w, v = np.linalg.eigh(state.mat)
             keep = w > max(1e-15, 1e-14 * max(w.max(), 0.0))
             if not keep.any():
                 raise ValueError(
@@ -321,7 +331,12 @@ class _BargmannTarget:
                     "so its Husimi function is 0 everywhere"
                 )
             self.weights = w[keep]
-            self.stack = v[:, keep]
+            if diagonal:
+                levels = np.flatnonzero(keep)
+                self.stack = np.zeros((len(w), len(levels)), dtype=np.complex128)
+                self.stack[levels, np.arange(len(levels))] = 1.0
+            else:
+                self.stack = v[:, keep]
         n = np.arange(max(self.trunc.cutoffs) + 1)
         self._sqrt = np.sqrt(n[1:])
         self._sqrt2 = np.sqrt(n[2:] * (n[2:] - 1.0))

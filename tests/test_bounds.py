@@ -444,7 +444,7 @@ def test_one_photon_reports_are_images_of_the_number_state(monkeypatch, kind, pa
     # superposition itself is built
     m = 10
     for mod in (channels, fock):
-        monkeypatch.setattr(mod, "passive_unitary", _refuse_optics)
+        monkeypatch.setattr(mod, "passive_apply", _refuse_optics)
     monkeypatch.setattr(states, "noon_vector", _refuse_optics)
     c = np.exp(1j * np.arange(m)) / math.sqrt(m)
     rep = _spec_report(kind, {**params, "c": tuple(c)})
@@ -877,7 +877,7 @@ def test_raw_one_photon_states_report_through_the_number_state():
 )
 def test_exact_reports_frame_each_witness_once(monkeypatch, kind, params, rotations):
     measured, rotated = [], []
-    measure, rotate = bounds._Frame.measure, channels.passive_unitary
+    measure, rotate = bounds._Frame.measure, channels.passive_apply
 
     def counting_measure(self):
         measured.append(id(self))
@@ -888,7 +888,7 @@ def test_exact_reports_frame_each_witness_once(monkeypatch, kind, params, rotati
         return rotate(*args)
 
     monkeypatch.setattr(bounds._Frame, "measure", counting_measure)
-    monkeypatch.setattr(channels, "passive_unitary", counting_rotate)
+    monkeypatch.setattr(channels, "passive_apply", counting_rotate)
     rep = _spec_report(kind, params)
     assert rep.exact is not None and rep.saturation["ok"]
     # the saturation check reads the residual measured with the distance,

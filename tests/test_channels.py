@@ -93,31 +93,33 @@ def test_affine_leak_raises_with_suggestion():
 
 
 def test_affine_builds_only_the_shells_the_state_occupies(monkeypatch):
-    # a uniform 10-mode single photon: 2^10 amplitudes, one occupied shell
+    # a uniform 10-mode single photon: 2^10 amplitudes, one occupied shell.
+    # W|1_j> = sum_i u[i, j] |1_i>, so the image is sum_i (u c)_i |1_i>, and
+    # every other shell stays exactly zero, on the vector and its density
     m = 10
     trunc = TruncationSpec((1,) * m)
+    c = np.full(m, 1.0 / np.sqrt(m))
+    photon = np.eye(m, dtype=int)
     amps = np.zeros(trunc.shape, dtype=np.complex128)
     for j in range(m):
-        amps[tuple(np.eye(m, dtype=int)[j])] = 1.0 / np.sqrt(m)
+        amps[tuple(photon[j])] = c[j]
     psi = FockVector(trunc, amps)
     u = _random_unitary(m, np.random.default_rng(8))
-    built = []
-
-    def recording(u, trunc, shells=None):
-        w = builder(u, trunc, shells)
-        built.extend(b.shape for _, b in w.blocks)
-        return w
 
     def no_displacement(*args, **kwargs):
         raise AssertionError("D(0) = I is built")
 
-    builder = channels.passive_unitary
-    monkeypatch.setattr(channels, "passive_unitary", recording)
     monkeypatch.setattr(channels, "displacement", no_displacement)
     out = apply_affine(AffineOptics(u, np.zeros(m)), psi)
-    assert built == [(m, m)]
-    want = builder(u, trunc).apply(psi.flat)
-    assert np.abs(out.flat - want).max() < 1e-13
+    want = np.zeros(trunc.shape, dtype=np.complex128)
+    for i, a in enumerate(u @ c):
+        want[tuple(photon[i])] = a
+    others = trunc.totals() != 1
+    assert not out.flat[others].any()
+    assert np.abs(out.amps - want).max() < 1e-14
+    rho = apply_affine(AffineOptics(u, np.zeros(m)), outer(psi)).mat
+    assert not rho[others].any() and not rho[:, others].any()
+    assert np.abs(rho - np.outer(want, want.conj())).max() < 1e-14
 
 
 def test_affine_skips_an_identity_interferometer(monkeypatch):
@@ -130,7 +132,7 @@ def test_affine_skips_an_identity_interferometer(monkeypatch):
     def no_interferometer(*args, **kwargs):
         raise AssertionError("the identity interferometer is built")
 
-    monkeypatch.setattr(channels, "passive_unitary", no_interferometer)
+    monkeypatch.setattr(channels, "passive_apply", no_interferometer)
     d = channels.displacement(gammas, trunc)
     out = apply_affine(AffineOptics(np.eye(2), gammas), psi)
     assert np.array_equal(out.flat, d.apply(psi.flat))

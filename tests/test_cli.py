@@ -41,7 +41,8 @@ def test_import_and_reports_load_no_scipy(tmp_path):
     # importing scipy's submodules costs a large part of a second; the
     # Poisson tails, log n!, the displacement exponential and the ring LP
     # are computed in-house, so reports, qsup, figures, verify and the
-    # optics load no scipy module at all
+    # optics load no scipy module at all; nor do they load numpy.ma, whose
+    # import np.unique makes, unless importing numpy loaded it already
     one = write_state(tmp_path, "one.json", {"kind": "number", "ns": [1]})
     mix = write_state(tmp_path, "mix.json", {"kind": "vacuum_number_mixture", "n": 2, "eta": 0.5})
     searched = write_state(tmp_path, "searched.json", {"kind": "mixture", "terms": [
@@ -51,7 +52,9 @@ def test_import_and_reports_load_no_scipy(tmp_path):
     ring = write_state(tmp_path, "ring.json", {"kind": "phase_randomized", "energy": 1.5})
     fig = str(tmp_path / "fig1.csv")
     code = (
-        "import contextlib, io, sys, numpy as np, ncdist, ncdist.cli\n"
+        "import contextlib, io, sys, numpy as np\n"
+        "masked_at_import = 'numpy.ma' in sys.modules\n"
+        "import ncdist, ncdist.cli\n"
         "from ncdist import channels, fock, states\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert ncdist.cli.main(['report', {one!r}]) == 0\n"
@@ -69,12 +72,15 @@ def test_import_and_reports_load_no_scipy(tmp_path):
         "(wit,) = [b for b in ncdist.report(joint).uppers if b.name == 'factor-witness']\n"
         "assert wit.candidate.rotation is not None\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(masked_at_import, 'numpy.ma' in sys.modules)\n"
     )
     src = str(Path(ncdist.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "[]"
+    scipy_modules, masked = run.stdout.splitlines()[-2:]
+    assert scipy_modules == "[]"
+    assert masked in ("False False", "True True")
     assert Path(fig).exists()
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson as sp_poisson
 
+from ncdist.channels import AffineOptics, apply_affine
 from ncdist.errors import DimensionTooLarge, NumericalInconsistency, TruncationTooSmall
 from ncdist.fock import (
     DensityMatrix,
@@ -22,12 +23,14 @@ from ncdist.fock import (
     outer,
     overlap,
     partial_trace,
+    passive_apply,
     passive_unitary,
     poisson_pmf,
     poisson_tail,
     product_tail,
     tensor,
 )
+from ncdist.states import CatParams, cat_vector
 
 
 def test_trunc_basic():
@@ -312,8 +315,7 @@ def test_mode_means_and_energy():
 
 def test_hong_ou_mandel():
     t = TruncationSpec((2, 2))
-    w = passive_unitary(beam_splitter(0.5), t)
-    psi = FockVector(t, w.apply(number_basis_vector((1, 1), t).flat).reshape(t.shape))
+    psi = FockVector(t, passive_apply(beam_splitter(0.5), number_basis_vector((1, 1), t).amps))
     s = 0.70710678118654746
     assert psi.amps[2, 0] == pytest.approx(s, abs=1e-12)
     assert psi.amps[0, 2] == pytest.approx(-s, abs=1e-12)
@@ -328,11 +330,11 @@ def _random_unitary(m, seed):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def _unitarity_defects(w):
+def _unitarity_defects(blocks, shells):
     """max |B^+ B - I| of each built block, by its photon number."""
     return {
         t: float(np.abs(b.conj().T @ b - np.eye(b.shape[1])).max(initial=0.0))
-        for t, (_, b) in zip(w.totals, w.blocks)
+        for t, (_, b) in zip(shells, blocks)
     }
 
 
@@ -340,32 +342,31 @@ def test_passive_unitary_blocks_are_unitary():
     u = _random_unitary(3, 3)
     t = TruncationSpec((3, 3, 3))
     w = passive_unitary(u, t)
-    defects = _unitarity_defects(w)
+    assert len(w) == 10
+    defects = _unitarity_defects(w, range(10))
     # a shell of total t <= every cutoff fits whole, so its block is unitary
-    complete = [tt for tt in w.totals if tt <= min(t.cutoffs)]
+    complete = [tt for tt in range(10) if tt <= min(t.cutoffs)]
     assert complete == [0, 1, 2, 3]
     for tt in complete:
         assert defects[tt] < 1e-10
 
 
 def test_partial_passive_build_names_only_its_complete_shells():
-    w = passive_unitary(np.eye(2), TruncationSpec((3, 3)), [2])
-    assert len(w.blocks) == 1
-    assert w.totals == [2]
-    assert set(_unitarity_defects(w)) == {2}
+    (w,) = passive_unitary(np.eye(2), TruncationSpec((3, 3)), [2])
+    assert np.array_equal(w[0], [2, 5, 8])
+    assert np.array_equal(w[1], np.eye(3))
     # shells 1 and 5 of a random interferometer: 5 is cropped by the cutoffs
     w = passive_unitary(_random_unitary(2, 4), TruncationSpec((3, 3)), [1, 5])
-    defects = _unitarity_defects(w)
-    assert w.totals == [1, 5]
+    assert [len(idx) for idx, _ in w] == [2, 2]
+    defects = _unitarity_defects(w, [1, 5])
     assert defects[1] < 1e-12 and defects[5] > 1e-3
 
 
 def test_passive_unitary_single_mode_phase():
     t = TruncationSpec((5,))
     phi = 0.37
-    w = passive_unitary(np.array([[np.exp(1j * phi)]]), t)
     v = FockVector(t, np.ones(6) / np.sqrt(6))
-    out = w.apply(v.flat)
+    out = passive_apply(np.array([[np.exp(1j * phi)]]), v.amps)
     ref = v.flat * np.exp(1j * phi * np.arange(6))
     assert np.abs(out - ref).max() < 1e-12
 
@@ -378,8 +379,7 @@ def test_passive_unitary_preserves_coherent_states():
     t = TruncationSpec((14, 14), tail_tol=1e-8)
     alpha = np.array([0.5, -0.3 + 0.2j])
     before = coherent_amps(alpha, t)
-    w = passive_unitary(q, t)
-    after = w.apply(before.flat)
+    after = passive_apply(q, before.amps).ravel()
     ref = coherent_amps(q @ alpha, t)
     assert np.linalg.norm(after - ref.flat) < 1e-6
 
@@ -389,10 +389,10 @@ def test_passive_unitary_cropped_shells_are_exact_sub_blocks():
     # be the matching sub-block of the same shell at cutoff 9
     u = _random_unitary(3, 5)
     small = passive_unitary(u, TruncationSpec((3, 3, 3)))
-    big = passive_unitary(u, TruncationSpec((9, 9, 9)))
-    assert len(small.blocks) == 10
-    for t, (idx, b) in enumerate(small.blocks):
-        big_idx, big_b = big.blocks[t]
+    big = passive_unitary(u, TruncationSpec((9, 9, 9)), range(10))
+    assert len(small) == 10
+    for t, (idx, b) in enumerate(small):
+        big_idx, big_b = big[t]
         ks = np.unravel_index(idx, (4, 4, 4))
         pos = np.searchsorted(big_idx, np.ravel_multi_index(ks, (10, 10, 10)))
         assert np.array_equal(big_idx[pos], np.ravel_multi_index(ks, (10, 10, 10)))
@@ -403,7 +403,7 @@ def test_passive_unitary_two_modes_match_the_binomial_closed_form():
     # W|l> expands (u00 a0^+ + u10 a1^+)^l0 (u01 a0^+ + u11 a1^+)^l1 |0>
     u = _random_unitary(2, 7)
     w = passive_unitary(u, TruncationSpec((8, 8)))
-    assert len(w.blocks) == 17
+    assert len(w) == 17
 
     def amp(k0, k1, l0, l1):
         s = sum(
@@ -415,24 +415,121 @@ def test_passive_unitary_two_modes_match_the_binomial_closed_form():
             math.factorial(k0) * math.factorial(k1) / (math.factorial(l0) * math.factorial(l1))
         )
 
-    for t, (idx, b) in enumerate(w.blocks):
+    for t, (idx, b) in enumerate(w):
         ks = list(zip(*np.unravel_index(idx, (9, 9))))
         assert all(sum(k) == t for k in ks)
         ref = np.array([[amp(*k, *l) for l in ks] for k in ks])
         assert np.abs(b - ref).max() < 1e-13, t
 
 
+def _strides(shape):
+    return [math.prod(shape[i + 1 :]) for i in range(len(shape))]
+
+
+def _shell_block_oracle(u, trunc):
+    """Every photon-number shell's block of the interferometer, by the ladder
+    recurrence <k|W|l> = sum_j u[j, m] sqrt(k_j / l_m) <k - e_j|W|l - e_m>,
+    m the first occupied mode of l: shell t from shell t - 1, one
+    (flat basis indices, block) pair per shell."""
+    totals = trunc.totals()
+    rows = [np.flatnonzero(totals == t) for t in range(sum(trunc.cutoffs) + 1)]
+    strides = np.array(_strides(trunc.shape))
+    blocks = [(rows[0], np.ones((1, 1), dtype=np.complex128))]
+    for t in range(1, len(rows)):
+        ls = np.array(np.unravel_index(rows[t], trunc.shape))
+        first = np.argmax(ls > 0, axis=0)
+        down = rows[t] - strides[first]
+        prev = blocks[-1][1][:, np.searchsorted(rows[t - 1], down)]
+        prev = prev / np.sqrt(ls[first, np.arange(len(first))])
+        mat = np.zeros((len(rows[t]), len(rows[t])), dtype=np.complex128)
+        for j in range(trunc.nmodes):
+            r = np.flatnonzero(ls[j])
+            below = np.searchsorted(rows[t - 1], rows[t][r] - strides[j])
+            mat[r] += np.sqrt(ls[j, r])[:, None] * prev[below] * u[j, first]
+        blocks.append((rows[t], mat))
+    return blocks
+
+
+def _oracle_apply(blocks, x):
+    out = np.zeros(x.shape, dtype=np.complex128)
+    for idx, b in blocks:
+        out[idx] = b @ x[idx]
+    return out
+
+
 @pytest.mark.parametrize("cutoffs, shells", [((3, 3, 3), [2, 7]), ((1,) * 10, [9])])
 def test_passive_shells_match_the_full_operator(cutoffs, shells):
-    # the shells below a requested one are built on fewer columns
+    # the requested shells alone, against the same shells of the whole
+    # operator built by the ladder recurrence
     u = _random_unitary(len(cutoffs), 2)
     t = TruncationSpec(cutoffs)
     part = passive_unitary(u, t, shells)
-    full = passive_unitary(u, t)
-    assert len(part.blocks) == len(shells)
-    for (idx, b), s in zip(part.blocks, shells):
-        assert np.array_equal(idx, full.blocks[s][0])
-        assert np.abs(b - full.blocks[s][1]).max() < 1e-13
+    full = _shell_block_oracle(u, t)
+    assert len(part) == len(shells)
+    for (idx, b), s in zip(part, shells):
+        assert np.array_equal(idx, full[s][0])
+        assert np.abs(b - full[s][1]).max() < 1e-13
+
+
+@pytest.mark.parametrize("cutoffs", [(9,), (6, 6), (3, 3, 3), (4, 2, 3)])
+def test_passive_apply_matches_the_shell_block_recurrence(cutoffs):
+    # random sparse and dense vectors, and rank 1-3 densities through
+    # apply_affine; (3, 3, 3) and (4, 2, 3) crop their upper shells
+    rng = np.random.default_rng(sum(cutoffs))
+    t = TruncationSpec(cutoffs)
+    u = _random_unitary(t.nmodes, len(cutoffs))
+    oracle = _shell_block_oracle(u, t)
+    channel = AffineOptics(u, np.zeros(t.nmodes))
+    for density in (1.0, 0.3, 0.05):
+        x = rng.normal(size=t.dim) + 1j * rng.normal(size=t.dim)
+        x[rng.random(t.dim) > density] = 0.0
+        x /= np.linalg.norm(x) or 1.0
+        got = passive_apply(u, x.reshape(t.shape)).ravel()
+        assert np.abs(got - _oracle_apply(oracle, x)).max() < 1e-14
+    # a batch of full-support columns, cropped shells included
+    a = rng.normal(size=(t.dim, 3)) + 1j * rng.normal(size=(t.dim, 3))
+    got = passive_apply(u, a.reshape(t.shape + (3,))).reshape(t.dim, 3)
+    assert np.abs(got - _oracle_apply(oracle, a)).max() < 1e-13
+    # densities on the complete shells, where nothing leaks past the cutoffs
+    complete = t.totals() <= min(cutoffs)
+    for rank in (1, 2, 3):
+        a = rng.normal(size=(t.dim, rank)) + 1j * rng.normal(size=(t.dim, rank))
+        a[~complete] = 0.0
+        a[rng.random(t.dim) > 0.7] = 0.0
+        rho = DensityMatrix(t, a @ a.conj().T / np.linalg.norm(a) ** 2)
+        want = _oracle_apply(oracle, _oracle_apply(oracle, rho.mat).conj().T).conj().T
+        assert np.abs(apply_affine(channel, rho).mat - want).max() < 1e-14
+
+
+def test_cat_vacuum_image_matches_the_binomial_closed_form():
+    # W|l, 0> = (u00 a0^+ + u10 a1^+)^l / sqrt(l!) |0>, so the image of
+    # sum_l c_l |l, 0> has amplitude c_{k0+k1} sqrt(C(k0+k1, k0)) u00^k0 u10^k1
+    n = 35
+    cat = cat_vector(CatParams("odd", 2.2), TruncationSpec((n,)))
+    psi = tensor(cat, number_basis_vector((0,), TruncationSpec((n,))))
+    u = _random_unitary(2, 12)
+    got = passive_apply(u, psi.amps)
+    k0, k1 = np.indices((n + 1, n + 1))
+    tot = k0 + k1
+    c = np.concatenate([cat.flat, np.zeros(n + 1)])[tot]
+    binom = np.array([[math.comb(a + b, a) for b in range(n + 1)] for a in range(n + 1)], dtype=float)
+    want = c * np.sqrt(binom) * u[0, 0] ** k0 * u[1, 0] ** k1
+    assert np.abs(got - want).max() < 1e-14
+
+
+@pytest.mark.parametrize("cutoffs", [(12,), (7, 7), (4, 4, 4)])
+def test_passive_apply_keeps_the_norm_on_complete_shells(cutoffs):
+    # a state on the shells no cutoff crops keeps its norm; so does each shell
+    rng = np.random.default_rng(len(cutoffs))
+    t = TruncationSpec(cutoffs)
+    x = rng.normal(size=t.shape) + 1j * rng.normal(size=t.shape)
+    totals = t.totals().reshape(t.shape)
+    x[totals > min(cutoffs)] = 0.0
+    got = passive_apply(_random_unitary(t.nmodes, 21), x)
+    assert not got[totals > min(cutoffs)].any()
+    for shell in range(min(cutoffs) + 1):
+        on = totals == shell
+        assert abs(np.linalg.norm(got[on]) - np.linalg.norm(x[on])) < 1e-13
 
 
 def test_passive_unitary_caps_the_shell_entries_before_building():
@@ -479,6 +576,31 @@ def test_displacement_matches_scipy_expm(g, n):
     ref = expm(g * a.conj().T - np.conj(g) * a)[: n + 1, : n + 1]
     (mat,) = displacement(g, TruncationSpec((n,))).mats
     assert np.abs(mat - ref).max() <= 5e-15
+
+
+@pytest.mark.parametrize(
+    "g, n", [(0.7 + 0.4j, 28), (2 + 1j, 40), (1.2 * complex(math.cos(0.9), math.sin(0.9)), 30)]
+)
+def test_displacement_matches_mpmath(g, n):
+    # reference: the closed form <k|D(g)|l> = sqrt(l! / k!) g^(k-l)
+    # e^(-|g|^2 / 2) L_l^(k-l)(|g|^2) for k >= l, and its mirror
+    # (-conj g)^(l-k) for k < l, in 30-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+
+    ref = np.empty((n + 1, n + 1), dtype=np.complex128)
+    with mpmath.workdps(30):
+        z = mpmath.mpc(g.real, g.imag)
+        x = abs(z) ** 2
+        for k in range(n + 1):
+            for l in range(n + 1):
+                lo, hi = min(k, l), max(k, l)
+                f = z if k >= l else -mpmath.conj(z)
+                ref[k, l] = complex(
+                    mpmath.sqrt(mpmath.factorial(lo) / mpmath.factorial(hi)) * f ** (hi - lo)
+                    * mpmath.exp(-x / 2) * mpmath.laguerre(lo, hi - lo, x)
+                )
+    (mat,) = displacement(g, TruncationSpec((n,))).mats
+    assert np.abs(mat - ref).max() <= 4e-15
 
 
 def test_displacement_rejects_small_cutoff():

@@ -44,6 +44,7 @@ from ncdist.states import (
     StateSpec,
     cat_vector,
     noon_vector,
+    parse_state,
     phase_ring,
     two_point_mixture,
 )
@@ -145,6 +146,45 @@ def test_q_tilde_ring_bessel_route():
     assert q_tilde(ring, a) == pytest.approx(ref, abs=1e-14)
     # phase invariance
     assert q_tilde(ring, a * np.exp(0.7j)) == pytest.approx(ref, abs=1e-14)
+
+
+def _number_diagonal_cases():
+    mixture = {"kind": "mixture", "terms": [
+        {"w": 0.5, "state": {"kind": "number", "ns": [1]}},
+        {"w": 0.3, "state": {"kind": "number", "ns": [4]}},
+        {"w": 0.2, "state": {"kind": "number", "ns": [0]}},
+    ]}
+    return {
+        "ring": StateSpec("phase_randomized", {"energy": 2.5}).build(),
+        "mixture": parse_state(mixture).build(),
+    }
+
+
+@pytest.mark.parametrize("name", ["ring", "mixture"])
+def test_a_number_diagonal_density_runs_no_eigensolve(monkeypatch, name):
+    # its eigenvectors are the basis vectors, its diagonal the eigenvalues
+    rho = _number_diagonal_cases()[name]
+    assert isinstance(rho, DensityMatrix)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("a number-diagonal density ran a dense eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    target = _BargmannTarget(rho)
+    p = rho.diagonal()
+    kept = np.flatnonzero(p > 1e-14 * p.max())
+    assert np.array_equal(target.weights, p[kept])
+    assert np.array_equal(target.stack, np.eye(rho.dim)[:, kept])
+
+
+@pytest.mark.parametrize("name", ["ring", "mixture"])
+def test_a_number_diagonal_density_searches_as_its_eigensolve_does(monkeypatch, name):
+    rho = _number_diagonal_cases()[name]
+    direct = q_sup(rho)
+    monkeypatch.setattr(husimi, "_number_diagonal", lambda mat: False)
+    solved = q_sup(rho)
+    # on these phase-invariant peaks the maximizers can differ, the value not
+    assert abs(direct.value - solved.value) <= 1e-15
 
 
 def _realized(ens):
