@@ -41,8 +41,8 @@ def test_import_and_reports_load_no_scipy(tmp_path):
     # importing scipy's submodules costs a large part of a second; the
     # Poisson tails, log n!, the displacement exponential and the ring LP
     # are computed in-house, so reports, qsup, figures, verify and the
-    # optics load no scipy module at all; nor do they load numpy.ma, whose
-    # import np.unique makes, unless importing numpy loaded it already
+    # optics load no scipy module at all; nor do they load numpy.ma, which
+    # np.unique imports, unless importing numpy loaded it already
     one = write_state(tmp_path, "one.json", {"kind": "number", "ns": [1]})
     mix = write_state(tmp_path, "mix.json", {"kind": "vacuum_number_mixture", "n": 2, "eta": 0.5})
     searched = write_state(tmp_path, "searched.json", {"kind": "mixture", "terms": [

@@ -474,7 +474,7 @@ def test_passive_shells_match_the_full_operator(cutoffs, shells):
 @pytest.mark.parametrize("cutoffs", [(9,), (6, 6), (3, 3, 3), (4, 2, 3)])
 def test_passive_apply_matches_the_shell_block_recurrence(cutoffs):
     # random sparse and dense vectors, and rank 1-3 densities through
-    # apply_affine; (3, 3, 3) and (4, 2, 3) crop their upper shells
+    # apply_affine; every truncation but (9,) crops its upper shells
     rng = np.random.default_rng(sum(cutoffs))
     t = TruncationSpec(cutoffs)
     u = _random_unitary(t.nmodes, len(cutoffs))
@@ -600,7 +600,7 @@ def test_displacement_matches_mpmath(g, n):
                     * mpmath.exp(-x / 2) * mpmath.laguerre(lo, hi - lo, x)
                 )
     (mat,) = displacement(g, TruncationSpec((n,))).mats
-    assert np.abs(mat - ref).max() <= 4e-15
+    assert np.abs(mat - ref).max() <= 5e-15
 
 
 def test_displacement_rejects_small_cutoff():
