@@ -742,11 +742,13 @@ def passive_apply(u: np.ndarray, amps: np.ndarray) -> np.ndarray:
     sqrts = [np.sqrt(np.arange(1.0, n)).reshape((n - 1,) + (1,) * (m - i)) for i, n in enumerate(shape)]
     below = [(slice(None),) * i + (slice(None, -1),) for i in range(m)]
     above = [(slice(None),) * i + (slice(1, None),) for i in range(m)]
+    # the modes each B_j raises
+    raising = [np.flatnonzero(u[:, j]).tolist() for j in range(m)]
 
     def raised(a, j, scale):
         # scale B_j a, the first term written in place of a zeroed array
         b = None
-        for i in np.flatnonzero(u[:, j]).tolist():
+        for i in raising[j]:
             c = sqrts[i] * (u[i, j] * scale)
             if b is None:
                 b = np.empty_like(a)
