@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson as sp_poisson
 
+from ncdist import fock
 from ncdist.channels import AffineOptics, apply_affine
 from ncdist.errors import DimensionTooLarge, NumericalInconsistency, TruncationTooSmall
 from ncdist.fock import (
@@ -601,6 +602,26 @@ def test_displacement_matches_mpmath(g, n):
                 )
     (mat,) = displacement(g, TruncationSpec((n,))).mats
     assert np.abs(mat - ref).max() <= 5e-15
+
+
+def test_displacement_keeps_one_read_only_ladder_eigensolve_per_size():
+    # the enlarged ladder's size depends on |gamma| and the cutoff only, so
+    # gammas of one magnitude share an eigensolve; sizes past the cap are
+    # solved and not kept, and a zero gamma is the identity
+    fock._ladder_eigh.cache_clear()
+    first = displacement(0.5, TruncationSpec((20,))).mats[0]
+    turned = displacement(0.5j, TruncationSpec((20,))).mats[0]
+    info = fock._ladder_eigh.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 1, 32)
+    lam, vecs = fock._ladder_eigh(20 + 9 + 11)
+    assert not lam.flags.writeable and not vecs.flags.writeable
+    # D(i g) = R D(g) R^+ with R = diag(i^k)
+    r = 1j ** np.arange(21)
+    assert np.abs(turned - r[:, None] * first * r.conj()).max() < 1e-14
+    displacement(0.5, TruncationSpec((300,)))
+    assert fock._ladder_eigh.cache_info().currsize == 1
+    (_, same) = displacement([0.5, 0.0], TruncationSpec((20, 4))).mats
+    assert np.array_equal(same, np.eye(5))
 
 
 def test_displacement_rejects_small_cutoff():
