@@ -818,7 +818,7 @@ def passive_unitary(u: np.ndarray, trunc: TruncationSpec, shells=None) -> list[t
 
 
 # Ladder sizes up to this keep their eigensolve in the cache, which holds 32
-# of them: (size + 1) * size floats each, at most 16.9 MB in all.
+# of them: (size + 1) * size floats each, at most 16.8 MB in all.
 _LADDER_CACHE_MAX = 256
 
 
@@ -873,7 +873,8 @@ def displacement(
         if g == 0:
             mats.append(np.eye(n + 1, dtype=np.complex128))
             continue
-        size = n + int(math.ceil(4.0 * abs(g) * math.sqrt(max(n, 1)))) + 11
+        # levels 0..n and ceil(4 |g| sqrt(n)) + 10 more past the cutoff
+        size = n + 1 + int(math.ceil(4.0 * abs(g) * math.sqrt(max(n, 1)))) + 10
         lam, vecs = (_ladder_eigh if size <= _LADDER_CACHE_MAX else _ladder_eigh.__wrapped__)(size)
         top = vecs[: n + 1] * np.exp(1j * (cmath.phase(g) + 0.5 * math.pi) * np.arange(n + 1.0))[:, None]
         mats.append((top * np.exp(-1j * abs(g) * lam)) @ top.conj().T)
