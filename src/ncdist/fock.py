@@ -196,7 +196,7 @@ class DensityMatrix:
 
 def poisson_pmf(energy, cutoff: int) -> np.ndarray:
     """pmf of Poisson(energy) on 0..cutoff via the stable upward recurrence,
-    from e^-energy, or above energy 700 from a log-gamma seed at the mode.
+    from e^-energy, or above energy 700 from ``_pmf_window``'s seed.
 
     ``energy`` is a number or an array of them; the result has shape
     (cutoff + 1,) + energy's shape, one pmf per energy along the first
@@ -218,8 +218,8 @@ def _pmf_rows(e: np.ndarray, cutoff: int, nrows: int) -> np.ndarray:
     for k in range(cutoff):
         out[k + 1] = out[k] * x / (k + 1)
     # where e^-energy underflows the recurrence gives zeros: the pmf is
-    # seeded by log-gamma at the mode (or the cutoff, below it) instead and
-    # recurs both ways from there
+    # seeded at the mode (or the cutoff, below it) instead and recurs both
+    # ways from there
     if es and max(es) > _SEED_MAX_ENERGY:
         flat = out.reshape(nrows, -1)
         for j in np.flatnonzero(e.ravel() > _SEED_MAX_ENERGY):
@@ -259,13 +259,25 @@ def _tail_ladder(cutoff: int) -> np.ndarray:
     return ladder
 
 
+def _log_pmf(k: int, energy: float) -> float:
+    """log of the Poisson(energy) pmf at k >= 1.  From k = 100 on, where
+    k log energy, energy and log k! cancel from near 1e4 to a few units, it
+    is written around k: k (log1p(d) - d), d = (energy - k) / k, less
+    log sqrt(2 pi k) and Stirling's series for log k! through 1/k^5."""
+    if k < 100:
+        return k * math.log(energy) - energy - math.lgamma(k + 1.0)
+    d = (energy - k) / k
+    series = 1.0 / (12.0 * k) - 1.0 / (360.0 * k**3) + 1.0 / (1260.0 * k**5)
+    return k * (math.log1p(d) - d) - 0.5 * math.log(2.0 * math.pi * k) - series
+
+
 def _pmf_window(energies: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Poisson pmf terms start..stop, one row per energy, as the cumulative
     product of a seed and the ratios energy / k: the seed is e^-energy at
-    start 0, else exp(start log energy - energy - log start!)."""
+    start 0, else exp(``_log_pmf(start, energy)``)."""
     r = np.empty((len(energies), stop - start + 1))
     r[:, 0] = [
-        math.exp(start * math.log(x) - x - math.lgamma(start + 1.0)) if start else math.exp(-x)
+        math.exp(_log_pmf(start, x)) if start else math.exp(-x)
         for x in energies.tolist()
     ]
     np.divide(energies[:, None], np.arange(start + 1.0, stop + 1.0), out=r[:, 1:])
@@ -286,7 +298,8 @@ def _poisson_columns(cutoff: int, energies) -> np.ndarray:
     flat order: ``poisson_pmf`` on 0..cutoff, then P[X > cutoff] for
     X ~ Poisson(energy).  The tail is one minus the pmf's sum or, wherever
     an energy is at most cutoff + 1, the sum of the terms past the cutoff,
-    p_n prod_{i<=j} energy / (n + i) for j = 1, 2, ...
+    p_n prod_{i<=j} energy / (n + i) for j = 1, 2, ...; above energy 700
+    the same sums run on the pmf seeded at the mode.
 
     Every sum runs in index order along its own energy, and the series
     takes _tail_terms(cutoff) terms at every energy, so a tail is bit for
@@ -306,17 +319,6 @@ def _poisson_columns(cutoff: int, energies) -> np.ndarray:
     series = _column_sums(terms)
     series *= cols[-2]
     np.copyto(tail, series, where=energies <= n + 1.0)
-    # e^-energy underflows above energy 700.  Up to cutoff 350 such an
-    # energy keeps below 1e-46 of its mass at or below the cutoff, so one
-    # minus the pmf's sum is 1.0 already; past it the terms from
-    # cutoff + 1 - J on, seeded by log-gamma, carry all but 1e-17 of the sums
-    if n > _SEED_MAX_ENERGY / 2 and energies.max(initial=0.0) > _SEED_MAX_ENERGY:
-        big = energies > _SEED_MAX_ENERGY
-        x = energies[big]
-        first = max(0, n + 1 - _tail_terms(n))
-        p = _pmf_window(x, first, n + _tail_terms(n))
-        head, past = np.add.reduceat(p, [0, n + 1 - first], axis=1).T
-        tail[big] = np.where(x <= n + 1.0, past, 1.0 - head)
     return cols
 
 
@@ -328,13 +330,13 @@ def poisson_tail(cutoff: int, energy):
     cutoff, out to where they fall below 1e-17 of the first; elsewhere it is
     one minus the terms up to the cutoff, which then sum to about a half or
     less, so neither side cancels.  The terms up to the cutoff are
-    :func:`poisson_pmf`'s, those past it are p_n times running products of
-    the ratios energy / k; above energy 700, where e^-energy underflows,
-    the terms start near the cutoff from a log-gamma seed.  Each energy is
-    summed along its own terms, in index order, so its tail is bit for bit
-    the same alone or in an array (see :func:`_poisson_columns`).  Against
-    40-digit mpmath, on 400 seeded draws of cutoffs 1..80 and energies from
-    1e-3 to 3 cutoff + 30, the relative error was at most 1.7e-15."""
+    :func:`poisson_pmf`'s, those past it p_n times running products of the
+    ratios energy / k.  Each energy is summed along its own terms, in index
+    order, so its tail is bit for bit the same alone or in an array (see
+    :func:`_poisson_columns`).  Against mpmath the relative error was at
+    most 1.7e-15 on 400 seeded draws of cutoffs 1..80 and energies 1e-3 to
+    3 cutoff + 30, and 4.3e-15 at energies 701 to 5000 and cutoffs from
+    energy - 400 to energy + 600."""
     x = np.asarray(energy, dtype=float)
     out = _poisson_columns(int(cutoff), x)[-1]
     return out.reshape(x.shape) if x.ndim else float(out[0])
@@ -454,7 +456,8 @@ def _coherent_mode_amps(alpha, cutoff: int) -> np.ndarray:
     any cutoff and any alpha.  <alpha|n> is this at conj(alpha).
 
     Where |alpha|^2 exceeds ``_AMP_SEED_MAX_ENERGY`` the seed u[0] is no
-    normal float; those rows alone come from ``_peak_seeded_amps``."""
+    normal float; those rows alone are sqrt(``poisson_pmf``(|alpha|^2))
+    e^{i n arg alpha}, each the same alone or in a batch."""
     a = np.asarray(alpha, dtype=np.complex128)
     u = np.empty(a.shape + (cutoff + 1,), dtype=np.complex128)
     e = a.real * a.real + a.imag * a.imag
@@ -463,28 +466,8 @@ def _coherent_mode_amps(alpha, cutoff: int) -> np.ndarray:
     np.cumprod(u, axis=-1, out=u)
     if np.maximum.reduce(e, axis=None, initial=0.0) > _AMP_SEED_MAX_ENERGY:
         far = e > _AMP_SEED_MAX_ENERGY
-        u[far] = [_peak_seeded_amps(z, cutoff) for z in a[far].tolist()]
-    return u
-
-
-def _peak_seeded_amps(alpha: complex, cutoff: int) -> np.ndarray:
-    """<n|alpha> for n = 0..cutoff, seeded at k = min(floor(|alpha|^2),
-    cutoff), near the peak, by exp((k log|alpha|^2 - |alpha|^2 - log k!) / 2)
-    e^{i k arg alpha} (as ``_pmf_window`` seeds the pmf), then carried up
-    by u[n] = u[n - 1] alpha / sqrt(n) and down by
-    u[n] = u[n + 1] sqrt(n + 1) / alpha, so an amplitude underflows only
-    where it is itself below the smallest float."""
-    e = alpha.real**2 + alpha.imag**2
-    k = min(int(e), cutoff)
-    u = np.empty(cutoff + 1, dtype=np.complex128)
-    u[k] = math.exp(0.5 * (k * math.log(e) - e - math.lgamma(k + 1.0))) * cmath.exp(
-        1j * k * cmath.phase(alpha)
-    )
-    u[k + 1 :] = alpha / np.sqrt(np.arange(k + 1.0, cutoff + 1.0))
-    np.cumprod(u[k:], out=u[k:])
-    down = u[k::-1]
-    down[1:] = np.sqrt(np.arange(k, 0.0, -1.0)) / alpha
-    np.cumprod(down, out=down)
+        turns = np.multiply.outer(np.angle(a[far]), np.arange(cutoff + 1.0))
+        u[far] = np.sqrt(poisson_pmf(e[far], cutoff)).T * np.exp(1j * turns)
     return u
 
 

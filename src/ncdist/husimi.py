@@ -80,6 +80,8 @@ RETIRE_RADIUS = 0.2
 # gamma_n takes log n! from the exact integer n! up to here; past it the
 # integer's cost grows (n = 1e5 takes 0.2 s) and lgamma is as accurate
 _EXACT_FACTORIAL_MAX = 1000
+# the largest x with math.expm1(x) finite
+_EXP_ARG_MAX = math.log(np.finfo(float).max)
 
 
 def gamma_n(n) -> float | np.ndarray:
@@ -215,15 +217,24 @@ def cat_qmax(params: CatParams) -> QSupremum:
         m = 1.0 / math.cosh(b * b)
         return QSupremum(m, [np.array([0.0 + 0.0j])], 0.0, "analytic")
 
+    # cosh^2 and sinh^2 overflow past b a = 355; clamped at 300, where
+    # b^2 / cosh^2 < 1e-250, dg is -1.0 as it was wherever it was finite
     if params.parity == "even":
         g = lambda a: b * math.tanh(b * a) - a
-        dg = lambda a: b * b / math.cosh(b * a) ** 2 - 1.0
+        dg = lambda a: b * b / math.cosh(min(b * a, 300.0)) ** 2 - 1.0
         lo, hi = 1e-12, b
     else:
         # b coth(b a) - a without cancellation: the root sits about
-        # 2b e^{-2b^2} above b, so g(b) > 0 even where tanh(b^2) rounds to 1
-        g = lambda a: (b - a) + 2.0 * b / math.expm1(2.0 * b * a)
-        dg = lambda a: -b * b / math.sinh(b * a) ** 2 - 1.0
+        # 2b e^{-2b^2} above b, so g(b) > 0 even where tanh(b^2) rounds to 1;
+        # past the argument where expm1 overflows its term is taken there,
+        # still positive
+        def g(a):
+            try:
+                return (b - a) + 2.0 * b / math.expm1(2.0 * b * a)
+            except OverflowError:
+                return (b - a) + 2.0 * b / math.expm1(_EXP_ARG_MAX)
+
+        dg = lambda a: -b * b / math.sinh(min(b * a, 300.0)) ** 2 - 1.0
         lo = b
         hi = b / math.tanh(b * b) + 1.0
 

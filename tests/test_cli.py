@@ -37,6 +37,19 @@ def test_report_number_state(tmp_path, capsys):
     assert {"state_id", "lowers", "uppers", "exact"} <= set(rep)
 
 
+@pytest.mark.parametrize("state", [
+    {"kind": "cat", "parity": "even", "beta": 20},
+    {"kind": "cat", "parity": "odd", "beta": 20},
+    {"kind": "entangled_coherent", "parity": "even", "beta": 20, "eta": 0.3},
+])
+def test_report_takes_macroscopic_cats(tmp_path, capsys, state):
+    code, out, err = run_cli(capsys, "report", write_state(tmp_path, "cat.json", state))
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["best_lower"] == pytest.approx(0.5, abs=1e-12)
+    assert rep["best_upper"] == pytest.approx(0.5, abs=1e-12)
+
+
 def test_import_and_reports_load_no_scipy(tmp_path):
     # importing scipy's submodules costs a large part of a second; the
     # Poisson tails, log n!, the displacement exponential and the ring LP

@@ -170,12 +170,29 @@ def test_poisson_tail_edges():
     # past energy 700 e^-x underflows and the terms start near the cutoff
     for n, x in ((880, 900.0), (950, 900.0), (700, 750.0), (2100, 2000.0)):
         assert rel(n, x) <= 1e-12
-    # an energy's tail is bit for bit the same alone or in an array
-    es = np.array([0.0, 1e-3, 0.5, 3.0, 5.0, 30.0, 800.0])
-    for n in (0, 3, 30, 790):
-        assert np.array_equal(poisson_tail(n, es), [poisson_tail(n, float(e)) for e in es])
+    # an energy's tail is bit for bit the same alone or in an array, also
+    # with energies on both sides of 700 (past cutoff 350 their tails are
+    # not 1.0)
+    es = np.array([[0.0, 1e-3, 0.5, 3.0, 5.0, 30.0, 350.0],
+                   [699.0, 700.0, 701.0, 800.0, 1199.0, 1300.0, 2500.0]])
+    for n in (0, 3, 30, 351, 790, 1200):
+        alone = [[poisson_tail(n, float(e)) for e in row] for row in es]
+        assert np.array_equal(poisson_tail(n, es), alone)
     with pytest.raises(ValueError):
         poisson_tail(3, np.array([1.0, -0.5]))
+
+
+def test_poisson_tail_past_energy_700_matches_mpmath_to_1e14():
+    # the terms start from a seed written around the mode, so k log E, E and
+    # log k! (each near 2.4e4 at E = 3000) do not cancel in rounding
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(50):
+        for x in (750.0, 1000.0, 3000.0):
+            for n in (int(x) + d for d in (-300, -100, -30, -1, 0, 1, 30, 100, 300)):
+                ref = mpmath.gammainc(n + 1, 0, x, regularized=True)
+                worst = max(worst, float(abs(mpmath.mpf(poisson_tail(n, x)) - ref) / ref))
+    assert worst <= 1e-14
 
 
 def test_minimal_cutoff_for_tail_matches_a_gammainc_reference():
@@ -250,22 +267,28 @@ def test_coherent_mode_amps_match_the_per_n_recurrence():
 
 
 def test_coherent_mode_amps_seed_far_rows_near_their_peak():
-    # e^{-|alpha|^2/2} underflows past |alpha|^2 = 1490, so rows past the
-    # seed threshold start near n = |alpha|^2; the others keep their bits
-    alphas = np.array([[0.7 - 0.2j, 40.0], [45.0 * np.exp(0.4j), 3.0]])
+    # e^{-|alpha|^2/2} is no normal float past |alpha|^2 = 1416.8, so those
+    # rows are sqrt(poisson_pmf) e^{i n arg alpha}; every row is the same
+    # alone or in a batch, on either side of the threshold (1400 and 1417)
+    mpmath = pytest.importorskip("mpmath")
+    alphas = np.array([
+        [0.7 - 0.2j, 40.0, math.sqrt(1400.0) * np.exp(0.3j)],
+        [45.0 * np.exp(0.4j), 3.0, math.sqrt(1417.0) * np.exp(-2.0j)],
+    ])
+    assert abs(alphas[0, 2]) ** 2 < fock._AMP_SEED_MAX_ENERGY < abs(alphas[1, 2]) ** 2
     u = _coherent_mode_amps(alphas, 2400)
-    for idx in [(0, 0), (1, 1)]:
+    for idx in np.ndindex(alphas.shape):
         assert np.array_equal(u[idx], _coherent_mode_amps(alphas[idx], 2400))
-    for idx in [(0, 1), (1, 0)]:
-        a = complex(alphas[idx])
-        pmf = sp_poisson.pmf(np.arange(2401), abs(a) ** 2)
-        bulk = pmf > 1e-12
-        assert np.abs(np.abs(u[idx][bulk]) ** 2 / pmf[bulk] - 1.0).max() <= 1e-10
-        n = np.flatnonzero(bulk)
-        assert np.abs(u[idx][n] / np.abs(u[idx][n]) - np.exp(1j * n * np.angle(a))).max() <= 1e-10
-        assert np.linalg.norm(u[idx]) == pytest.approx(1.0, abs=1e-12)
-    # a number alone works the same
-    assert np.array_equal(_coherent_mode_amps(40.0, 2400), u[0, 1])
+    worst = 0.0
+    with mpmath.workdps(50):
+        for idx in [(0, 1), (0, 2), (1, 0), (1, 2)]:
+            z = mpmath.mpc(alphas[idx].real, alphas[idx].imag)
+            for n in range(0, 2401, 5):
+                ref = mpmath.exp(n * mpmath.log(z) - abs(z) ** 2 / 2 - mpmath.loggamma(n + 1) / 2)
+                if abs(ref) > 1e-150:  # |ref|^2 a normal float
+                    worst = max(worst, float(abs(u[idx][n] - ref) / abs(ref)))
+            assert np.linalg.norm(u[idx]) == pytest.approx(1.0, abs=1e-12)
+    assert worst <= 1e-12
 
 
 def test_number_vector_and_overlap():

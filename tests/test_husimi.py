@@ -272,6 +272,16 @@ def test_cat_qmax_root_find_table():
         assert r.argmax[0][0].real >= b and r.certificate <= 1e-12
 
 
+def test_cat_qmax_stays_finite_for_macroscopic_cats():
+    # cosh^2, sinh^2 and expm1 would overflow from beta ~ 18.35; the root
+    # then sits at beta and the supremum at 1/2
+    for parity in ("even", "odd"):
+        for b in np.linspace(18.0, 60.0, 169):
+            r = cat_qmax(CatParams(parity, float(b)))
+            assert math.isfinite(r.value) and abs(r.value - 0.5) <= 1e-12
+            assert r.certificate <= 1e-12
+
+
 def test_cat_qmax_tiny_odd_beta_stable():
     r = cat_qmax(CatParams("odd", 1e-4))
     assert r.value == pytest.approx(0.36787944239770715, rel=1e-10)

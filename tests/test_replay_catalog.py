@@ -73,3 +73,11 @@ def test_diff_names_no_move_within_tolerance(tmp_path, capsys):
     before = _replay(tmp_path, "before.json", _ROWS)
     assert replay_catalog.diff(before, _replay(tmp_path, "after.json", after)) == 0
     assert "->" not in capsys.readouterr().out
+
+
+def test_every_large_amplitude_input_parses():
+    from ncdist.states import parse_state
+
+    assert len(replay_catalog.LARGE_AMPLITUDE_STATES) == 19
+    for state in replay_catalog.LARGE_AMPLITUDE_STATES:
+        parse_state(state)

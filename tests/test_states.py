@@ -318,3 +318,15 @@ def test_identify_rejects_generic_vector():
     from ncdist.fock import FockVector
 
     assert identify_pure_state(FockVector(t, amps)) is None
+
+
+@pytest.mark.parametrize("beta", [38.0, 41.5, 52.0])
+def test_macroscopic_cats_build_at_their_default_cutoffs(beta):
+    # past beta^2 = 1416.8 the amplitudes come from the pmf seeded at the
+    # mode, which must stay accurate enough that the default cutoff passes
+    # its own tail check
+    for parity in ("even", "odd"):
+        for kind, extra in (("cat", {}), ("entangled_coherent", {"eta": 0.3})):
+            spec = parse_state({"kind": kind, "parity": parity, "beta": beta, **extra})
+            psi = spec.build()
+            assert abs(psi.norm_defect()) <= psi.trunc.tail_tol

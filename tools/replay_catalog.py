@@ -5,7 +5,8 @@
     python3 tools/replay_catalog.py diff BEFORE.json AFTER.json
 
 ``record`` runs every catalog input of the ``families``, ``cat-sweep`` and
-``mixed-optics`` workloads once, through ``perfbench/workloads.prepare``
+``mixed-optics`` workloads once, and then the replay-only
+``large-amplitude`` catalog below, through ``perfbench/workloads.prepare``
 with one BLAS thread, and writes each output's values (or its failure) to
 OUT.json.  CHECKOUT is the source tree whose ``src/`` and ``perfbench/``
 are used (default: the one holding this script), so two commits can be
@@ -33,6 +34,20 @@ from pathlib import Path
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WORKLOADS = ("families", "cat-sweep", "mixed-optics")
+# `ncdist report` inputs whose Poisson or coherent terms start past e^-700,
+# where e^-E or e^{-|alpha|^2/2} underflows; no benchmark workload reaches
+# them, so they are replayed here alone
+LARGE_AMPLITUDE = "large-amplitude"
+LARGE_AMPLITUDE_STATES = (
+    [{"kind": "cat", "parity": p, "beta": b}
+     for p in ("even", "odd") for b in (18.4, 19, 24, 38, 52)]
+    + [{"kind": "entangled_coherent", "parity": p, "beta": b, "eta": 0.3}
+       for p in ("even", "odd") for b in (19, 38)]
+    + [{"kind": "number", "ns": [800]}, {"kind": "number", "ns": [3000]},
+       {"kind": "noon", "n": 1500, "c": [[0.6, 0.0], [0.8, 0.0]]}]
+    + [{"kind": "vacuum_number_mixture", "n": n, "eta": 0.5} for n in (701, 1500)]
+)
+CATALOGS = WORKLOADS + (LARGE_AMPLITUDE,)
 VALUE_TOL = 1e-12
 # the bracket sides, each with the sign of a move that tightens it
 BRACKET_SIDES = {"best_lower": 1.0, "best_upper": -1.0}
@@ -45,12 +60,14 @@ def record(out: Path, checkout: Path) -> int:
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     import workloads as wl
 
+    catalogs = {name: wl.catalog(name) for name in WORKLOADS}
+    catalogs[LARGE_AMPLITUDE] = [{"op": "cli_report", "state": s} for s in LARGE_AMPLITUDE_STATES]
     data: dict = {"checkout": str(checkout), "workloads": {}}
     with tempfile.TemporaryDirectory() as workdir:
-        for name in WORKLOADS:
+        for name, inputs in catalogs.items():
             rows = []
             t0 = time.perf_counter()
-            for inp in wl.catalog(name):
+            for inp in inputs:
                 row = {"input": wl.key(inp)}
                 try:
                     row["values"] = wl.prepare(inp, workdir)()
@@ -82,7 +99,7 @@ def _moved(x: float, y: float) -> float:
 def diff(before: Path, after: Path) -> int:
     a, b = _by_input(before), _by_input(after)
     bad = False
-    for name in WORKLOADS:
+    for name in CATALOGS:
         ra, rb = a.get(name, {}), b.get(name, {})
         if ra.keys() != rb.keys():
             print(f"{name}: the two replays ran different inputs")
