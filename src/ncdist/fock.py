@@ -236,7 +236,7 @@ def _pmf_rows(e: np.ndarray, cutoff: int, nrows: int) -> np.ndarray:
 # _tail_terms(n) of them each is below e^-_TAIL_LOG_DROP < 1e-17 of the first.
 _TAIL_LOG_DROP = 39.2
 # Above this energy e^-energy is not a normal float, and the pmf terms
-# start from a log-gamma seed instead.
+# start from _pmf_window's seed at the mode instead.
 _SEED_MAX_ENERGY = 700.0
 
 
